@@ -4,22 +4,32 @@ C_u(x, y, z) = (x^3 + u*y^2*z, y^3 + u*x*z^2, z^3 + u*x^2*y).
 
 Because C_u is quadratic, the solutions of C_u(v + a) + C_u(v) + C_u(a) +
 C_u(0) = 0 for a fixed difference triple a form the kernel of an
-F_2-linear map on F_q^3.  This module realizes that map as a 3m x 3m bit
-matrix, computes kernel dimensions and differential spectra from it, and
-searches for difference triples whose kernel has dimension >= 2 (at least
-4 solutions), packaging them as independently re-verified certificates.
+F_2-linear map on F_q^3.  This module builds the 3m columns of that map,
+the XOR of one share per coordinate of a, and finds their kernel with a
+single GF(2) elimination.  Every path runs through those two pieces: the
+exhaustive scan, which tabulates the shares over F_q and counts kernel
+vectors to get differential spectra and the first witness, and the
+per-triple kernel basis behind sampled search, certificates and their
+re-verification.  A witness is a difference triple whose kernel has
+dimension >= 2 (at least 4 solutions); it is packaged as an independently
+re-verified certificate.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
-bits, then y, then z.  Difference triples are scanned in encoding order:
+bits, then y, then z; column j of the map is the image of bit j.
+Difference triples are scanned in encoding order:
 code(a) = (alpha << 2m) | (beta << m) | gamma.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import xor
+from typing import Iterable
 
-from .gf2m import FieldCtx, elem_to_hex, hex_to_elem, make_field
+from .gf2m import FieldCtx, elem_to_hex, make_field
 
 Triple = tuple[int, int, int]
 
@@ -70,7 +80,7 @@ def eval_cu(x: int, y: int, z: int, u: int, ctx: FieldCtx) -> Triple:
 def verify_solution(a: Triple, v: Triple, u: int, ctx: FieldCtx) -> bool:
     """Direct arithmetic check of the three linearized equations.
 
-    Deliberately independent of the matrix/kernel code path: certificates
+    Deliberately independent of the column/kernel code path: certificates
     must not inherit a linear-algebra bug.
     """
     al, be, ga = a
@@ -82,165 +92,118 @@ def verify_solution(a: Triple, v: Triple, u: int, ctx: FieldCtx) -> bool:
     return e1 == 0 and e2 == 0 and e3 == 0
 
 
-# -- the linear map as a bit matrix --------------------------------------------
+# -- the map's columns and its kernel --------------------------------------------
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Square matrix over GF(2); row i is an int bitmask over columns."""
+def _share(c: int, k: int, u: int, ctx: FieldCtx) -> list[int]:
+    """What coordinate k of the triple, with value c, adds to the 3m columns.
 
-    n: int
-    rows: tuple[int, ...]
-
-    def mul_vec(self, v: int) -> int:
-        out = 0
-        for i, row in enumerate(self.rows):
-            out |= (bin(row & v).count("1") & 1) << i
-        return out
-
-    @classmethod
-    def from_columns(cls, cols: list[int], n: int) -> "BitMatrix":
-        rows = [0] * n
-        for j, col in enumerate(cols):
-            while col:
-                low = col & -col
-                rows[low.bit_length() - 1] |= 1 << j
-                col ^= low
-        return cls(n, tuple(rows))
-
-    def columns(self) -> list[int]:
-        cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return cols
-
-
-def derivative_matrix(a: Triple, u: int, ctx: FieldCtx) -> BitMatrix:
-    """Matrix M with M*v = 0 exactly when v solves the linearized system."""
+    For each basis element e of F_q, alpha (k = 0) puts c*e^2 + c^2*e in
+    lane 0 of the x-column of e, u*c^2*e in lane 2 of its y-column and
+    u*c*e^2 in lane 1 of its z-column.  Beta and gamma shift both the
+    columns and the lanes cyclically, as the coordinates of C_u do.  Lane L
+    sits at bit 3m + L*m, above the column tags.  The share is F_2-linear
+    in c.
+    """
     m = ctx.m
     mul, sq = ctx.mul, ctx.square
-    al, be, ga = a
-    a2, b2, g2 = sq(al), sq(be), sq(ga)
-    ua, ub, ug = mul(u, al), mul(u, be), mul(u, ga)
-    ua2, ub2, ug2 = mul(u, a2), mul(u, b2), mul(u, g2)
-    cols = []
-    for j in range(m):
-        e = 1 << j
-        s = sq(e)
-        cols.append((mul(al, s) ^ mul(a2, e))
-                    | (mul(ug2, e) << m)
-                    | (mul(ub, s) << (2 * m)))
-    for j in range(m):
-        e = 1 << j
-        s = sq(e)
-        cols.append(mul(ug, s)
-                    | ((mul(be, s) ^ mul(b2, e)) << m)
-                    | (mul(ua2, e) << (2 * m)))
-    for j in range(m):
-        e = 1 << j
-        s = sq(e)
-        cols.append(mul(ub2, e)
-                    | (mul(ua, s) << m)
-                    | ((mul(ga, s) ^ mul(g2, e)) << (2 * m)))
-    return BitMatrix.from_columns(cols, 3 * m)
+    c2 = sq(c)
+    uc, uc2 = mul(u, c), mul(u, c2)
+    units = [1 << j for j in range(m)]
+    squares = [sq(e) for e in units]
+    parts = ([mul(c, s) ^ mul(c2, e) for e, s in zip(units, squares)],
+             [mul(uc2, e) for e in units],
+             [mul(uc, s) for s in squares])
+    cols = [0] * (3 * m)
+    for b, part in enumerate(parts):
+        lo = (b + k) % 3 * m
+        shift = (3 + (k - b) % 3) * m
+        cols[lo:lo + m] = [v << shift for v in part]
+    return cols
 
 
-def _column_rank(cols: list[int]) -> int:
-    piv: dict[int, int] = {}
-    for col in cols:
-        cur = col
-        while cur:
-            hb = cur.bit_length() - 1
-            p = piv.get(hb)
-            if p is None:
-                piv[hb] = cur
+def derivative_columns(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
+    """The 3m tagged columns of the linear map at a.
+
+    Column j is (M e_j) << 3m | 1 << j, where e_j is the j-th bit of a
+    packed vector and M*v = 0 exactly when v solves the linearized system.
+    """
+    cols = [1 << j for j in range(3 * ctx.m)]
+    for k, c in enumerate(a):
+        cols = list(map(xor, cols, _share(c, k, u, ctx)))
+    return cols
+
+
+def _kernel(tagged: Iterable[int], n: int) -> list[int]:
+    """GF(2) elimination on tagged columns; returns a basis of the kernel.
+
+    Every entry is image << n | tag, with distinct tags below 1 << n.
+    Pivots sit on the highest bit.  A column whose image reduces to zero
+    is left holding the combination of tags that produced it: a kernel
+    vector, independent of the ones found before it.
+    """
+    top = 1 << n
+    piv = [0] * (2 * n + 1)  # indexed by bit length
+    kernel = []
+    for cur in tagged:
+        while cur >= top:
+            length = cur.bit_length()
+            p = piv[length]
+            if p:
+                cur ^= p
+            else:
+                piv[length] = cur
                 break
-            cur ^= p
-    return len(piv)
+        else:
+            kernel.append(cur)
+    return kernel
 
 
-def kernel_dim(M: BitMatrix) -> int:
-    return M.n - _column_rank(M.columns())
+def _reduced(vectors: list[int]) -> list[int]:
+    """The reduced echelon basis of their span, pivoting on the lowest bit.
+
+    Each vector's lowest set bit is set in no other vector, which makes the
+    basis unique; it is returned in increasing pivot order.
+    """
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            if v & b & -b:
+                v ^= b
+        if v:
+            low = v & -v
+            basis = [b ^ v if b & low else b for b in basis]
+            basis.append(v)
+    return sorted(basis, key=lambda b: b & -b)
 
 
-def kernel_basis(M: BitMatrix) -> list[int]:
-    """Basis of {v : M*v = 0}, each vector an n-bit int."""
-    n = M.n
-    pivots: dict[int, int] = {}  # pivot column -> reduced row
-    for row in M.rows:
-        cur = row
-        while cur:
-            c = cur.bit_length() - 1
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = cur
-                break
-            cur ^= p
-    # back-substitution to reduced echelon form
-    for c in sorted(pivots):
-        r = pivots[c]
-        for c2, r2 in pivots.items():
-            if c2 != c and (r2 >> c) & 1:
-                pivots[c2] = r2 ^ r
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for c, r in pivots.items():
-            if (r >> f) & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
+def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
+    """Basis of the solutions at a as packed 3m-bit ints, in `_reduced` form."""
+    return _reduced(_kernel(derivative_columns(a, u, ctx), 3 * ctx.m))
 
 
-def solution_count(a: Triple, u: int, ctx: FieldCtx) -> int:
-    """Exact number of solutions of the linearized system; always a power of 2."""
-    if a == (0, 0, 0):
-        raise ValueError("the difference triple must be nonzero")
-    return 1 << kernel_dim(derivative_matrix(a, u, ctx))
+# -- the exhaustive scan ----------------------------------------------------------------
 
 
-# -- fast per-triple kernel dimensions ------------------------------------------
+@lru_cache(maxsize=8)
+def _share_tables(m: int, modulus: int, u: int) -> list[list[list[int]]]:
+    """Each coordinate's share for every value in F_q; alpha's carries the tags.
 
-_WORK_CACHE: dict[tuple, dict] = {}
-
-
-def _tables(m: int, modulus: int, u: int) -> dict:
-    """Per-process lookup tables for the hot spectrum/search loops."""
-    key = (m, modulus, u)
-    t = _WORK_CACHE.get(key)
-    if t is not None:
-        return t
+    Built by linearity: the share of c is the share of c without its lowest
+    bit, XOR the share of that bit.
+    """
     ctx = make_field(m, modulus)
-    q = ctx.q
-    mul, sq = ctx.mul, ctx.square
-    SQ = [sq(c) for c in range(q)]
-    UMUL = [mul(u, c) for c in range(q)]
-    basis_sq = [sq(1 << j) for j in range(m)]
-    me = [[mul(c, 1 << j) for j in range(m)] for c in range(q)]
-    ms = [[mul(c, basis_sq[j]) for j in range(m)] for c in range(q)]
-    self0 = [[ms[c][j] ^ me[SQ[c]][j] for j in range(m)] for c in range(q)]
-    shift1, shift2 = m, 2 * m
-    t = {
-        "ctx": ctx,
-        "SQ": SQ,
-        "UMUL": UMUL,
-        "ME0": me,
-        "ME1": [[v << shift1 for v in row] for row in me],
-        "ME2": [[v << shift2 for v in row] for row in me],
-        "MS0": ms,
-        "MS1": [[v << shift1 for v in row] for row in ms],
-        "MS2": [[v << shift2 for v in row] for row in ms],
-        "SELF0": self0,
-        "SELF1": [[v << shift1 for v in row] for row in self0],
-        "SELF2": [[v << shift2 for v in row] for row in self0],
-    }
-    _WORK_CACHE[key] = t
-    return t
+    tables = []
+    for k in range(3):
+        units = [_share(1 << i, k, u, ctx) for i in range(m)]
+        table = [[0] * (3 * m)]
+        for c in range(1, ctx.q):
+            low = c & -c
+            table.append(list(map(xor, table[c ^ low], units[low.bit_length() - 1])))
+        tables.append(table)
+    tags = [1 << j for j in range(3 * m)]
+    tables[0] = [list(map(xor, row, tags)) for row in tables[0]]
+    return tables
 
 
 def _chunk_scan(args):
@@ -250,59 +213,21 @@ def _chunk_scan(args):
     Returns (histogram dict or None, first code with dim >= 2 or None).
     """
     m, modulus, u, a_lo, a_hi, want_hist, stop_at_witness = args
-    t = _tables(m, modulus, u)
-    q = 1 << m
-    SQ, UMUL = t["SQ"], t["UMUL"]
-    ME0, ME1, ME2 = t["ME0"], t["ME1"], t["ME2"]
-    MS0, MS1, MS2 = t["MS0"], t["MS1"], t["MS2"]
-    SELF0, SELF1, SELF2 = t["SELF0"], t["SELF1"], t["SELF2"]
+    alphas, betas, gammas = _share_tables(m, modulus, u)
     n = 3 * m
-    rng_m = range(m)
+    q = 1 << m
     hist: dict[int, int] = {} if want_hist else None
     first = None
     for al in range(a_lo, a_hi):
-        selfx = SELF0[al]
-        ua = UMUL[al]
-        ua2 = UMUL[SQ[al]]
-        me2_ua2 = ME2[ua2]
-        ms1_ua = MS1[ua]
+        cols_a = alphas[al]
         for be in range(q):
-            if al == 0 and be == 0:
-                ga_start = 1  # skip the zero triple
-            else:
-                ga_start = 0
-            ub = UMUL[be]
-            ub2 = UMUL[SQ[be]]
-            ms2_ub = MS2[ub]
-            selfy = SELF1[be]
-            me0_ub2 = ME0[ub2]
-            for ga in range(ga_start, q):
-                ug = UMUL[ga]
-                ug2 = UMUL[SQ[ga]]
-                me1_ug2 = ME1[ug2]
-                ms0_ug = MS0[ug]
-                selfz = SELF2[ga]
-                piv = [0] * n
-                deps = 0
-                for j in rng_m:
-                    for cur in (
-                        selfx[j] | me1_ug2[j] | ms2_ub[j],
-                        ms0_ug[j] | selfy[j] | me2_ua2[j],
-                        me0_ub2[j] | ms1_ua[j] | selfz[j],
-                    ):
-                        while cur:
-                            hb = cur.bit_length() - 1
-                            p = piv[hb]
-                            if p:
-                                cur ^= p
-                            else:
-                                piv[hb] = cur
-                                break
-                        else:
-                            deps += 1
+            cols_ab = list(map(xor, cols_a, betas[be]))
+            # skip the zero triple
+            for ga in range(1 if al == be == 0 else 0, q):
+                dim = len(_kernel(map(xor, cols_ab, gammas[ga]), n))
                 if want_hist:
-                    hist[deps] = hist.get(deps, 0) + 1
-                if deps >= 2 and first is None:
+                    hist[dim] = hist.get(dim, 0) + 1
+                if dim >= 2 and first is None:
                     first = (al << (2 * m)) | (be << m) | ga
                     if stop_at_witness:
                         return hist, first
@@ -316,12 +241,13 @@ def _alpha_chunks(q: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(argses, threads):
-    if threads <= 1 or len(argses) <= 1:
-        for a in argses:
-            yield _chunk_scan(a)
+    """Scan results in chunk order, from at most one worker per chunk and core."""
+    workers = min(threads, len(argses), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(_chunk_scan, argses)
         return
     ctxm = multiprocessing.get_context("fork")
-    with ctxm.Pool(threads) as pool:
+    with ctxm.Pool(workers) as pool:
         yield from pool.imap(_chunk_scan, argses)
 
 
@@ -388,14 +314,6 @@ def differential_spectrum(u: int, ctx: FieldCtx, threads: int = 1,
     if total != ctx.q ** 3 - 1:
         raise AssertionError(f"histogram covers {total} triples, expected {ctx.q ** 3 - 1}")
     return SpectrumReport(ctx.m, ctx.modulus, u, hist)
-
-
-def is_apn(u: int, ctx: FieldCtx, threads: int = 1) -> bool:
-    return differential_spectrum(u, ctx, threads).is_apn
-
-
-def differential_uniformity(u: int, ctx: FieldCtx, threads: int = 1) -> int:
-    return differential_spectrum(u, ctx, threads).differential_uniformity
 
 
 # -- permutation test --------------------------------------------------------------
@@ -485,8 +403,9 @@ def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | 
     Every invariant is re-established through direct arithmetic before the
     certificate is returned; a failure there is a hard internal error.
     """
-    M = derivative_matrix(a, u, ctx)
-    basis = kernel_basis(M)
+    if a == (0, 0, 0):
+        raise ValueError("the difference triple must be nonzero")
+    basis = kernel_basis(a, u, ctx)
     k = len(basis)
     if k < 2:
         return None
@@ -512,33 +431,47 @@ def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | 
 
 
 def verify_certificate(cert: WitnessCertificate) -> list[str]:
-    """Re-check a loaded certificate from scratch; returns failure messages."""
-    failures = []
+    """Re-check a loaded certificate from scratch; returns failure messages.
+
+    The sizes are checked before anything is shifted or expanded, so a
+    certificate cannot make the check allocate 2^kernel_dim of anything it
+    did not itself supply.
+    """
     try:
         ctx = make_field(cert.m, cert.modulus)
     except ValueError as err:
         return [f"bad field: {err}"]
     if not 0 < cert.u < ctx.q:
-        failures.append("u out of range")
-        return failures
-    if cert.kernel_dim < 2:
-        failures.append(f"kernel dimension {cert.kernel_dim} < 2")
-    if len(cert.solutions) != 1 << cert.kernel_dim:
+        return ["u out of range"]
+    n, k = 3 * cert.m, cert.kernel_dim
+    if not isinstance(k, int) or not 2 <= k <= n:
+        return [f"kernel dimension {k!r} outside 2..{n}"]
+    failures = []
+    if len(cert.solutions) != 1 << k:
         failures.append("solution count is not 2^kernel_dim")
-    if len(cert.kernel_basis) != cert.kernel_dim:
+    if len(cert.kernel_basis) != k:
         failures.append("basis size differs from kernel dimension")
+    in_range = lambda v: len(v) == 3 and all(0 <= c < ctx.q for c in v)
+    if not all(map(in_range, [cert.triple, *cert.kernel_basis])):
+        failures.append("the triple or a basis vector is out of range")
+    if failures:
+        return failures
+    if cert.triple == (0, 0, 0):
+        failures.append("the difference triple is zero")
     if (0, 0, 0) not in cert.solutions:
         failures.append("zero solution missing")
     if cert.triple not in cert.solutions:
         failures.append("the difference triple is not listed as a solution")
     for v in cert.solutions:
-        if not all(0 <= c < ctx.q for c in v):
+        if not in_range(v):
             failures.append(f"solution {v} out of range")
         elif not verify_solution(cert.triple, v, cert.u, ctx):
             failures.append(f"solution {v} does not solve the system")
     packed = [pack_vec(v, cert.m) for v in cert.kernel_basis]
-    if _column_rank(packed) != len(packed):
+    if _kernel([(b << n) | (1 << i) for i, b in enumerate(packed)], n):
         failures.append("basis vectors are linearly dependent")
+    if failures:
+        return failures
     span = {0}
     for b in packed:
         span |= {v ^ b for v in span}
@@ -621,14 +554,13 @@ def witness_search(
             threads = 1
         argses = [(m, ctx.modulus, u, lo, hi, False, True)
                   for lo, hi in _alpha_chunks(q)]
-        scanned = 0
-        for (lo, hi), (_, code) in zip(_alpha_chunks(q), _run_chunks(argses, threads)):
+        for _, code in _run_chunks(argses, threads):
             if code is not None:
                 cert = build_certificate(decode_triple(code, m), u, ctx)
                 if cert is None:
-                    raise CertificateError("scan reported a witness the matrix path rejects")
-                return SearchResult("exhaustive", True, cert, scanned=code + 1)
-            scanned = (hi << (2 * m))
+                    raise CertificateError("scan reported a witness the kernel basis rejects")
+                # codes 1..code were scanned; the zero triple never is
+                return SearchResult("exhaustive", True, cert, scanned=code)
         return SearchResult("exhaustive", False, None, scanned=q ** 3 - 1)
     if strategy == "sampled":
         bits = 3 * m
@@ -636,9 +568,8 @@ def witness_search(
             code = draw_code(seed, i, bits)
             if code == 0:
                 continue
-            a = decode_triple(code, m)
-            if kernel_dim(derivative_matrix(a, u, ctx)) >= 2:
-                cert = build_certificate(a, u, ctx)
+            cert = build_certificate(decode_triple(code, m), u, ctx)
+            if cert is not None:
                 return SearchResult("sampled", True, cert,
                                     draws_used=i + 1, seed=seed, max_draws=max_draws)
         return SearchResult("sampled", False, None,

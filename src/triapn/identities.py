@@ -498,9 +498,3 @@ def obstruction_polynomial() -> MPoly:
     """The transcribed degree-7 obstruction form in a, b, g."""
     return _p(formulas.OBSTRUCTION_FORM)
 
-
-def clear_caches() -> None:
-    """Drop memoized chain objects (used by negative-control tests)."""
-    linearized_equation.cache_clear()
-    eliminant.cache_clear()
-    surface_polynomial.cache_clear()

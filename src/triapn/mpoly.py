@@ -8,9 +8,9 @@ The canonical variable list for this project is VARS; smaller rings are
 allowed but mixed-ring arithmetic is rejected.
 
 Everything here is exact: addition, multiplication, substitution, exact
-division with remainder reporting, and resultants via the Sylvester
-determinant (cofactor expansion for small matrices, fraction-free Bareiss
-beyond).  MPoly values are immutable; all operations return new objects.
+division with remainder reporting, and resultants as the cofactor expansion
+of the Sylvester determinant (the elimination chain needs at most 5 x 5).
+MPoly values are immutable; all operations return new objects.
 """
 
 from __future__ import annotations
@@ -201,9 +201,6 @@ class MPoly:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def coeff_of(self, var: str, k: int) -> "MPoly":
         """Coefficient of var^k, as a polynomial with that variable cleared."""
         i = self.vars.index(var)
@@ -217,12 +214,6 @@ class MPoly:
         """Coefficient list [c_0, ..., c_d] of the polynomial viewed in var."""
         d = self.degree(var)
         return [self.coeff_of(var, k) for k in range(d + 1)]
-
-    def monomial_or_none(self) -> tuple[tuple[int, ...], int] | None:
-        if len(self.terms) != 1:
-            return None
-        ((e, c),) = self.terms.items()
-        return e, c
 
     # -- substitution ---------------------------------------------------------
 
@@ -374,21 +365,6 @@ def parse(text: str, domain: str = GF2, variables: tuple[str, ...] = VARS) -> MP
     return MPoly(variables, domain, terms)
 
 
-# -- module-level operation names ------------------------------------------------
-
-
-def poly_add(p: MPoly, q: MPoly) -> MPoly:
-    return p + q
-
-
-def poly_mul(p: MPoly, q: MPoly) -> MPoly:
-    return p * q
-
-
-def substitute(p: MPoly, var: str, replacement: MPoly) -> MPoly:
-    return p.substitute(var, replacement)
-
-
 def divide_exact(p: MPoly, d: MPoly) -> MPoly:
     """Exact quotient p/d in the polynomial ring; error if not divisible."""
     p._check_compat(d)
@@ -441,50 +417,33 @@ def sylvester_matrix(p: MPoly, q: MPoly, var: str) -> list[list[MPoly]]:
 
 
 def _det_cofactor(rows: list[list[MPoly]], zero: MPoly) -> MPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    # expand along the row with the fewest nonzero entries (signs vanish in char 2)
-    best = min(range(n), key=lambda i: sum(1 for e in rows[i] if e))
-    acc = zero
-    rest = [rows[i] for i in range(n) if i != best]
-    for j, entry in enumerate(rows[best]):
-        if not entry:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rest]
-        acc = acc + entry * _det_cofactor(minor, zero)
-    return acc
+    """Cofactor expansion, memoized on each minor's rows and columns."""
+    memo: dict = {}
 
+    def det(live: tuple[int, ...], cols: tuple[int, ...]) -> MPoly:
+        if len(live) == 1:
+            return rows[live[0]][cols[0]]
+        key = (live, cols)
+        if key not in memo:
+            # expand along the row with the fewest nonzero entries (signs vanish in char 2)
+            best = min(live, key=lambda i: sum(1 for j in cols if rows[i][j]))
+            rest = tuple(i for i in live if i != best)
+            acc = zero
+            for j in cols:
+                if rows[best][j]:
+                    acc = acc + rows[best][j] * det(rest, tuple(c for c in cols if c != j))
+            memo[key] = acc
+        return memo[key]
 
-def _det_bareiss(rows: list[list[MPoly]], zero: MPoly) -> MPoly:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    one = MPoly.const(1, zero.vars, zero.domain)
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return zero
-            m[k], m[swap] = m[swap], m[k]  # no sign bookkeeping in char 2
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = piv * m[i][j] + m[i][k] * m[k][j]
-                m[i][j] = divide_exact(num, prev) if prev != one else num
-            m[i][k] = zero
-        prev = piv
-    return m[n - 1][n - 1]
+    every = tuple(range(len(rows)))
+    return det(every, every)
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Determinant of the Sylvester matrix of p and q with respect to var."""
     p._check_compat(q)
     rows = sylvester_matrix(p, q, var)
-    zero = MPoly.zero(p.vars, p.domain)
-    if len(rows) <= 6:
-        return _det_cofactor(rows, zero)
-    return _det_bareiss(rows, zero)
+    return _det_cofactor(rows, MPoly.zero(p.vars, p.domain))
 
 
 _EMBED_CACHE: dict[FieldCtx, list[int]] = {}

@@ -1,7 +1,9 @@
-"""Kernel engine: matrix vs brute force, spectra, permutations, witnesses."""
+"""Kernel engine: columns vs brute force, spectra, permutations, witnesses."""
 
 import json
+import pathlib
 import random
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from triapn.gf2m import make_field, smallest_non_seventh_power
 
 F3 = make_field(3)
 F6 = make_field(6)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def brute_solution_count(a, u, ctx):
@@ -46,46 +49,56 @@ def test_eval_cu_dual_path():
         assert dv.eval_cu(x, y, z, u, ctx) == expected
 
 
-# -- the matrix realization ---------------------------------------------------------
+# -- the columns of the linear map -------------------------------------------------
+
+
+def apply(cols, v):
+    """M*v: the XOR of the tagged columns that v selects, tags dropped."""
+    out = 0
+    for j, col in enumerate(cols):
+        if v >> j & 1:
+            out ^= col
+    return out >> len(cols)
 
 
 def test_zero_triple_gives_zero_matrix():
-    M = dv.derivative_matrix((0, 0, 0), 2, F3)
-    assert all(r == 0 for r in M.rows)
-    assert dv.kernel_dim(M) == 9
-
-
-def test_identity_matrix_kernel():
-    M = dv.BitMatrix(4, (1, 2, 4, 8))
-    assert dv.kernel_dim(M) == 0
-    assert dv.kernel_basis(M) == []
-
-
-def test_bitmatrix_column_roundtrip():
-    rng = random.Random(4)
-    for _ in range(20):
-        rows = tuple(rng.randrange(1 << 9) for _ in range(9))
-        M = dv.BitMatrix(9, rows)
-        assert dv.BitMatrix.from_columns(M.columns(), 9).rows == rows
+    cols = dv.derivative_columns((0, 0, 0), 2, F3)
+    assert cols == [1 << j for j in range(9)]  # nothing but the tags
+    assert dv.kernel_basis((0, 0, 0), 2, F3) == [1 << j for j in range(9)]
 
 
 def test_triple_is_always_in_the_kernel():
     for code in range(1, 512, 7):
         a = dv.decode_triple(code, 3)
-        M = dv.derivative_matrix(a, 2, F3)
-        assert M.mul_vec(dv.pack_vec(a, 3)) == 0
+        assert apply(dv.derivative_columns(a, 2, F3), dv.pack_vec(a, 3)) == 0
 
 
 def test_matrix_agrees_with_brute_force_exhaustively_m3():
     u = 2
     for code in range(1, 512):
         a = dv.decode_triple(code, 3)
-        M = dv.derivative_matrix(a, u, F3)
-        k = dv.kernel_dim(M)
-        assert brute_solution_count(a, u, F3) == 1 << k
-        for b in dv.kernel_basis(M):
-            assert M.mul_vec(b) == 0
+        cols = dv.derivative_columns(a, u, F3)
+        basis = dv.kernel_basis(a, u, F3)
+        assert brute_solution_count(a, u, F3) == 1 << len(basis)
+        for b in basis:
+            assert apply(cols, b) == 0
             assert dv.verify_solution(a, dv.unpack_vec(b, 3), u, F3)
+
+
+def test_kernel_basis_is_in_reduced_echelon_form_m6():
+    # the form is unique, so certificates do not depend on elimination order
+    multi = 0
+    for al in range(1, 16):
+        for be in range(1, 16):
+            a = (al, be, 1)
+            basis = dv.kernel_basis(a, 2, F6)
+            multi += len(basis) >= 2
+            pivots = [b & -b for b in basis]
+            assert pivots == sorted(pivots)
+            for b, low in zip(basis, pivots):
+                assert sum(1 for c in basis if c & low) == 1
+                assert dv.verify_solution(a, dv.unpack_vec(b, 6), 2, F6)
+    assert multi > 20
 
 
 def test_matrix_matches_direct_derivative_condition():
@@ -95,7 +108,7 @@ def test_matrix_matches_direct_derivative_condition():
     c0 = dv.eval_cu(0, 0, 0, u, F3)
     for code in (1, 9, 73, 100, 311, 511):
         a = dv.decode_triple(code, 3)
-        M = dv.derivative_matrix(a, u, F3)
+        cols = dv.derivative_columns(a, u, F3)
         ca = dv.eval_cu(*a, u, F3)
         for w in range(512):
             v = dv.unpack_vec(w, 3)
@@ -103,13 +116,14 @@ def test_matrix_matches_direct_derivative_condition():
             s = tuple(
                 p ^ q ^ r ^ t
                 for p, q, r, t in zip(dv.eval_cu(*vpa, u, F3), dv.eval_cu(*v, u, F3), ca, c0))
-            assert (s == (0, 0, 0)) == (M.mul_vec(w) == 0)
+            assert (s == (0, 0, 0)) == (apply(cols, w) == 0)
 
 
 def test_solution_count_guards_and_bounds():
-    with pytest.raises(ValueError):
-        dv.solution_count((0, 0, 0), 2, F3)
-    assert dv.solution_count((1, 0, 0), 2, F3) >= 2
+    with pytest.raises(ValueError, match="nonzero"):
+        dv.build_certificate((0, 0, 0), 2, F3)
+    # the triple solves its own system, so there are always >= 2 solutions
+    assert len(dv.kernel_basis((1, 0, 0), 2, F3)) >= 1
 
 
 # -- spectra ----------------------------------------------------------------------------
@@ -134,10 +148,7 @@ def test_spectrum_guards():
 
 
 def test_spectrum_m6_matches_golden_and_thread_count():
-    import pathlib
-
-    golden = json.loads((pathlib.Path(__file__).parent / "golden"
-                         / "spectrum_m6_u0x02.json").read_text())
+    golden = json.loads((GOLDEN / "spectrum_m6_u0x02.json").read_text())
     rep = dv.differential_spectrum(2, F6, threads=2)
     assert {str(k): v for k, v in rep.histogram.items()} == golden["histogram"]
     assert sum(rep.histogram.values()) == 64 ** 3 - 1
@@ -159,16 +170,16 @@ def test_rotation_symmetry_of_kernel_dims():
     u = 2
     for code in range(1, 512):
         a = dv.decode_triple(code, 3)
-        k1 = dv.kernel_dim(dv.derivative_matrix(a, u, F3))
-        k2 = dv.kernel_dim(dv.derivative_matrix(dv.rotate_triple(a), u, F3))
+        k1 = len(dv.kernel_basis(a, u, F3))
+        k2 = len(dv.kernel_basis(dv.rotate_triple(a), u, F3))
         assert k1 == k2
     rng = random.Random(13)
     for _ in range(100):
         a = tuple(rng.randrange(64) for _ in range(3))
         if a == (0, 0, 0):
             continue
-        k1 = dv.kernel_dim(dv.derivative_matrix(a, 2, F6))
-        k2 = dv.kernel_dim(dv.derivative_matrix(dv.rotate_triple(a), 2, F6))
+        k1 = len(dv.kernel_basis(a, 2, F6))
+        k2 = len(dv.kernel_basis(dv.rotate_triple(a), 2, F6))
         assert k1 == k2
 
 
@@ -200,6 +211,8 @@ def test_witness_exhaustive_m6():
     assert len(cert.solutions) == 1 << cert.kernel_dim >= 4
     # first witness in encoding order, frozen from the first verified run
     assert cert.triple == (1, 1, 2)
+    # codes 1..code(triple) were scanned
+    assert res.scanned == dv.encode_triple(cert.triple, 6)
     assert dv.verify_certificate(cert) == []
     # thread count never changes the result
     res2 = dv.witness_search(2, F6, threads=2)
@@ -218,6 +231,43 @@ def test_witness_certificate_roundtrip_and_tamper():
     bad2 = json.loads(json.dumps(doc))
     bad2["kernel_dim"] = 1
     assert dv.verify_certificate(dv.WitnessCertificate.from_json(bad2))
+    bad3 = json.loads(json.dumps(doc))
+    bad3["kernel_basis"][1] = bad3["kernel_basis"][0]
+    assert "basis vectors are linearly dependent" in \
+        dv.verify_certificate(dv.WitnessCertificate.from_json(bad3))
+
+
+def test_verify_certificate_rejects_oversized_claims_quickly():
+    f21 = make_field(21)
+    basis = [(1 << i, 0, 0) for i in range(21)] + [(0, 1 << i, 0) for i in range(19)]
+    planted = dv.WitnessCertificate(
+        m=21, modulus=f21.modulus, u=smallest_non_seventh_power(f21), triple=(1, 0, 0),
+        kernel_dim=40, kernel_basis=basis, solutions=[(0, 0, 0), (1, 0, 0)])
+    huge = dv.WitnessCertificate(
+        m=21, modulus=f21.modulus, u=2, triple=(1, 0, 0), kernel_dim=10 ** 12,
+        kernel_basis=basis, solutions=[(0, 0, 0), (1, 0, 0)])
+    for cert in (planted, huge):
+        t0 = time.perf_counter()
+        assert dv.verify_certificate(cert)
+        assert time.perf_counter() - t0 < 1.0
+    # malformed entries are reported, not raised
+    short = dv.WitnessCertificate(
+        m=6, modulus=F6.modulus, u=2, triple=(1, 1), kernel_dim=2,
+        kernel_basis=[(1, 1, 2), (64, 0, 0)], solutions=[(0, 0, 0)] * 4)
+    assert dv.verify_certificate(short) == ["the triple or a basis vector is out of range"]
+    zero = dv.WitnessCertificate(
+        m=3, modulus=F3.modulus, u=2, triple=(0, 0, 0), kernel_dim=9,
+        kernel_basis=[dv.unpack_vec(1 << j, 3) for j in range(9)],
+        solutions=[dv.unpack_vec(w, 3) for w in range(512)])
+    assert dv.verify_certificate(zero) == ["the difference triple is zero"]
+
+
+def test_frozen_certificates():
+    golden = json.loads((GOLDEN / "certificates.json").read_text())
+    f9 = make_field(9)
+    assert dv.witness_search(2, F6).certificate.to_json() == golden["witness --m 6 --u 0x2"]
+    sampled = dv.witness_search(smallest_non_seventh_power(f9), f9, strategy="sampled", seed=1)
+    assert sampled.certificate.to_json() == golden["witness --m 9 --sampled --seed 1"]
 
 
 def test_witness_sampled_m9():
@@ -230,6 +280,32 @@ def test_witness_sampled_m9():
     assert dv.verify_certificate(res.certificate) == []
     again = dv.witness_search(u, f9, strategy="sampled", seed=1, max_draws=10 ** 6)
     assert again.to_json() == res.to_json()
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    requested = []
+
+    class FakePool:
+        def __init__(self, workers):
+            requested.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        imap = staticmethod(map)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(dv.multiprocessing, "get_context", lambda method: FakeContext)
+    for cores, expected in ((1000, 64), (8, 8)):
+        monkeypatch.setattr(dv.os, "cpu_count", lambda: cores)
+        res = dv.witness_search(2, F6, threads=10 ** 6)
+        assert res.certificate.triple == (1, 1, 2)
+        assert requested[-1] == expected
 
 
 def test_witness_strategy_validation():
