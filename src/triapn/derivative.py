@@ -34,6 +34,10 @@ from .gf2m import FieldCtx, elem_to_hex, make_field
 Triple = tuple[int, int, int]
 
 SPECTRUM_MAX_M = 9
+# Largest m a loaded certificate may name.  The field's irreducibility test
+# grows about cubically in m, so an unbounded m lets a certificate file keep
+# verify-cert busy for hours; the sampled search is exercised up to m = 21.
+CERT_MAX_M = 63
 WITNESS_SCHEMA = "witness/1"
 
 
@@ -382,19 +386,35 @@ class WitnessCertificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "WitnessCertificate":
-        if doc.get("schema") != WITNESS_SCHEMA:
-            raise ValueError(f"unexpected certificate schema {doc.get('schema')!r}")
-        tri = lambda t: tuple(int(c, 16) for c in t)
+        """Parse a certificate document; raises ValueError on wrong types."""
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != WITNESS_SCHEMA:
+            raise ValueError(f"unexpected certificate schema {schema!r}")
+        for key in ("m", "kernel_dim"):
+            if type(doc[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+
+        def tri(t) -> tuple[int, ...]:
+            if not isinstance(t, list):
+                raise ValueError(f"expected a list of hex strings, got {t!r}")
+            return tuple(map(_hex, t))
+
         return cls(
             m=doc["m"],
-            modulus=int(doc["modulus"], 16),
-            u=int(doc["u"], 16),
+            modulus=_hex(doc["modulus"]),
+            u=_hex(doc["u"]),
             triple=tri(doc["triple"]),
             kernel_dim=doc["kernel_dim"],
             kernel_basis=[tri(t) for t in doc["kernel_basis"]],
             solutions=[tri(t) for t in doc["solutions"]],
             reverified=dict(doc.get("reverified", {})),
         )
+
+
+def _hex(s) -> int:
+    if not isinstance(s, str):
+        raise ValueError(f"expected a hex string, got {s!r}")
+    return int(s, 16)
 
 
 def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | None:
@@ -435,8 +455,10 @@ def verify_certificate(cert: WitnessCertificate) -> list[str]:
 
     The sizes are checked before anything is shifted or expanded, so a
     certificate cannot make the check allocate 2^kernel_dim of anything it
-    did not itself supply.
+    did not itself supply, and m is bounded before the field is built.
     """
+    if cert.m % 3 or not 3 <= cert.m <= CERT_MAX_M:
+        return [f"m={cert.m} is not a multiple of 3 in 3..{CERT_MAX_M}"]
     try:
         ctx = make_field(cert.m, cert.modulus)
     except ValueError as err:

@@ -3,11 +3,13 @@
 The verified degree-6 factor P from the identity layer defines, in the
 gamma = 1 chart, a surface whose F_q-rational points (alpha, beta, y) with
 P_{alpha,beta,1}(y) = 0 reconstruct difference triples with at least four
-solutions.  This module enumerates those points, rebuilds witness
+solutions.  This module finds those roots in one place
+(``SurfaceEvaluator.roots``), enumerates the points, rebuilds witness
 certificates from them, cross-validates the surface pipeline against the
-kernel pipeline, and evaluates the point-count lower bound that closes the
-argument for large fields - in exact integer arithmetic, with every
-rounding taken in the direction that weakens the bound.
+kernel pipeline in one sweep of the chart, and evaluates the point-count
+lower bound that closes the argument for large fields - in exact integer
+arithmetic, with every rounding taken in the direction that weakens the
+bound.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import identities
-from .derivative import (Triple, WitnessCertificate, build_certificate,
-                         kernel_basis, unpack_vec, verify_solution)
+from .derivative import Triple, WitnessCertificate, build_certificate, verify_solution
 from .gf2m import FieldCtx, elem_to_hex
 from .mpoly import MPoly
 
@@ -113,13 +114,21 @@ class SurfaceEvaluator:
         apow, bpow = self._powers(alpha), self._powers(beta)
         return [self._value(t, apow, bpow) for t in self._surface]
 
-    def surface_value(self, alpha: int, beta: int, y: int) -> int:
+    def roots(self, alpha: int, beta: int) -> list[int]:
+        """The y in F_q with P_{alpha,beta,1}(y) = 0, in increasing order.
+
+        This Horner scan over y is the only place P is evaluated in y.
+        """
         coeffs = self.surface_coeffs(alpha, beta)
         mul = self.ctx.mul
-        acc = coeffs[6]
-        for k in range(5, -1, -1):
-            acc = mul(acc, y) ^ coeffs[k]
-        return acc
+        out = []
+        for y in range(self.ctx.q):
+            acc = coeffs[6]
+            for k in range(5, -1, -1):
+                acc = mul(acc, y) ^ coeffs[k]
+            if not acc:
+                out.append(y)
+        return out
 
     def linearized_rhs_value(self, alpha: int, beta: int, y: int) -> int:
         apow, bpow = self._powers(alpha), self._powers(beta)
@@ -142,36 +151,29 @@ def _guard_surface(ctx: FieldCtx) -> None:
         raise ValueError(f"exhaustive surface enumeration is limited to m <= {SURFACE_MAX_M}")
 
 
+def _on_curve(alpha: int, beta: int, u2: int, ctx: FieldCtx) -> bool:
+    return alpha ^ ctx.mul(u2, ctx.pow(beta, 3)) == 0
+
+
 def iter_surface_points(
     u: int,
     ctx: FieldCtx,
-    filtered: bool = False,
     evaluator: SurfaceEvaluator | None = None,
 ) -> Iterator[SurfacePoint]:
     """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0, in encoding order."""
     _guard_surface(ctx)
     ev = evaluator or SurfaceEvaluator(u, ctx)
     q = ctx.q
-    mul = ctx.mul
     u2 = ctx.square(u)
     for alpha in range(q):
         for beta in range(q):
-            coeffs = ev.surface_coeffs(alpha, beta)
-            on_curve = alpha ^ mul(u2, ctx.pow(beta, 3)) == 0
-            for y in range(q):
-                acc = coeffs[6]
-                for k in range(5, -1, -1):
-                    acc = mul(acc, y) ^ coeffs[k]
-                if acc:
-                    continue
-                pt = SurfacePoint(
+            on_curve = _on_curve(alpha, beta, u2, ctx)
+            for y in ev.roots(alpha, beta):
+                yield SurfacePoint(
                     alpha, beta, y,
                     on_excluded_lines=alpha == 0 or beta == 0 or y == 0 or y == beta,
                     on_degree44_curve=on_curve,
                 )
-                if filtered and not pt.passes_filters:
-                    continue
-                yield pt
 
 
 def surface_report(
@@ -182,7 +184,12 @@ def surface_report(
     emit_witness: bool = False,
     progress=None,
 ) -> dict:
-    """Exact point counts (and optionally the points and one witness)."""
+    """Exact point counts (and optionally the points and one witness).
+
+    The witness comes from the first filtered point where the obstruction
+    form is nonzero; it is None when there is no such point, as for a u
+    that is a 7th power.
+    """
     _guard_surface(ctx)
     ev = SurfaceEvaluator(u, ctx)
     counts = {"total": 0, "on_excluded_lines": 0, "on_degree44_curve": 0, "filtered": 0}
@@ -198,7 +205,7 @@ def surface_report(
             counts["on_degree44_curve"] += 1
         if pt.passes_filters:
             counts["filtered"] += 1
-            if emit_witness and witness is None:
+            if emit_witness and witness is None and ev.obstruction_value(pt.alpha, pt.beta):
                 witness = point_to_witness(pt, u, ctx, evaluator=ev)
         if points is not None and (not filtered or pt.passes_filters):
             points.append(pt)
@@ -225,27 +232,40 @@ def point_to_witness(
     if not p.passes_filters:
         raise ValueError("point lies on an excluded line or the degree-44 curve")
     ev = evaluator or SurfaceEvaluator(u, ctx)
-    alpha, beta, y = p.alpha, p.beta, p.y
-    h = ev.obstruction_value(alpha, beta)
+    h = ev.obstruction_value(p.alpha, p.beta)
     if h == 0:
         raise ValueError("the obstruction form vanishes here; witness reconstruction is undefined")
+    a: Triple = (p.alpha, p.beta, 1)
+    cert = build_certificate(a, u, ctx)
+    _check_root(ev, a, p.y, h, cert)
+    return cert
+
+
+def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int,
+                cert: WitnessCertificate | None) -> None:
+    """Rebuild x and z from a surface root y and check (x, y, z) against the kernel.
+
+    h is the nonzero obstruction value at (alpha, beta) and cert the
+    triple's certificate (None when its kernel has dimension < 2).  Raises
+    GeometryError when the vector does not solve the system, is trivial or
+    is missing from the kernel; ZeroDivisionError when u = 0.
+    """
+    ctx, u = ev.ctx, ev.u
+    alpha, beta, _ = a
     mul, sq = ctx.mul, ctx.square
     denom = mul(ctx.pow(u, 3), mul(ctx.pow(beta, 6), h))
     x = mul(ev.linearized_rhs_value(alpha, beta, y), ctx.inv(denom))
     z = mul(mul(alpha, sq(x)) ^ mul(sq(alpha), x) ^ mul(u, sq(y)),
             ctx.inv(mul(u, sq(beta))))
-    a: Triple = (alpha, beta, 1)
     v: Triple = (x, y, z)
     if not verify_solution(a, v, u, ctx):
         raise GeometryError(f"reconstructed vector {v} does not solve the system at {a}")
     if v in ((0, 0, 0), a):
         raise GeometryError(f"reconstructed vector {v} is a trivial solution")
-    cert = build_certificate(a, u, ctx)
     if cert is None:
         raise GeometryError(f"kernel at {a} has dimension < 2 despite a surface point")
     if v not in cert.solutions:
         raise GeometryError(f"reconstructed vector {v} missing from the kernel solutions")
-    return cert
 
 
 @dataclass
@@ -273,93 +293,55 @@ class CrossValidationReport:
         }
 
 
-def cross_validate(
-    u: int,
-    ctx: FieldCtx,
-    skip_curve_filter: bool = False,
-    skip_obstruction_filter: bool = False,
-    skip_lines_filter: bool = False,
-) -> CrossValidationReport:
+def cross_validate(u: int, ctx: FieldCtx) -> CrossValidationReport:
     """Check the kernel and surface pipelines against each other.
 
-    Kernel to surface: every triple (alpha, beta, 1) off the degree-44
-    curve with alpha*beta != 0 and kernel dimension >= 2 must expose a
-    kernel solution whose y coordinate avoids {0, beta} and is a root of
-    the specialized P.  Surface to kernel: every filtered surface point
-    must reconstruct into a certificate with kernel dimension >= 2.  The
-    skip flags disable individual filters so tests can plant faults; note
-    that the obstruction filter never fires for a valid u (the form provably
-    has no nonzero roots then), so skipping the excluded-lines filter is the
-    control that reliably breaks reconstruction.
+    One sweep over the pairs (alpha, beta) with alpha*beta != 0 off the
+    degree-44 curve builds each triple's certificate and its surface roots
+    y outside {0, beta} once.  Kernel to surface: a triple with kernel
+    dimension >= 2 must have a solution whose y is such a root.  Surface to
+    kernel: where the obstruction form is nonzero (always, for a u that is
+    not a 7th power), every such root must rebuild a nontrivial solution
+    that is in the kernel.  Mismatches list every kernel-to-surface entry
+    first, then every surface-to-kernel entry, each in encoding order.
     """
     _guard_surface(ctx)
     if ctx.m > 6:
         raise ValueError("cross validation is exhaustive; use m in {3, 6}")
     ev = SurfaceEvaluator(u, ctx)
-    q = ctx.q
-    mul = ctx.mul
     u2 = ctx.square(u)
     report = CrossValidationReport(ctx.m, u, 0, 0, 0)
-
-    for alpha in range(1, q):
-        for beta in range(1, q):
-            if not skip_curve_filter and alpha ^ mul(u2, ctx.pow(beta, 3)) == 0:
+    to_kernel = []
+    for alpha in range(1, ctx.q):
+        for beta in range(1, ctx.q):
+            if _on_curve(alpha, beta, u2, ctx):
                 continue
             report.kernel_triples_checked += 1
             a: Triple = (alpha, beta, 1)
-            basis = kernel_basis(a, u, ctx)
-            if len(basis) < 2:
+            roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
+            cert = build_certificate(a, u, ctx)
+            if cert is not None:
+                report.kernel_witness_triples += 1
+                if not any(v[1] in roots for v in cert.solutions):
+                    report.mismatches.append({
+                        "direction": "kernel_to_surface",
+                        "triple": [elem_to_hex(c) for c in a],
+                        "detail": "no kernel solution has a surface root y outside {0, beta}",
+                    })
+            if not roots or not (h := ev.obstruction_value(alpha, beta)):
                 continue
-            report.kernel_witness_triples += 1
-            vecs = {0}
-            for b in basis:
-                vecs |= {v ^ b for v in vecs}
-            good = False
-            for w in vecs:
-                y = unpack_vec(w, ctx.m)[1]
-                if y not in (0, beta) and ev.surface_value(alpha, beta, y) == 0:
-                    good = True
-                    break
-            if not good:
-                report.mismatches.append({
-                    "direction": "kernel_to_surface",
-                    "triple": [elem_to_hex(c) for c in a],
-                    "detail": "no kernel solution has a surface root y outside {0, beta}",
-                })
-
-    for pt in iter_surface_points(u, ctx, evaluator=ev):
-        if not skip_lines_filter and pt.on_excluded_lines:
-            continue
-        if not skip_curve_filter and pt.on_degree44_curve:
-            continue
-        if not skip_obstruction_filter and ev.obstruction_value(pt.alpha, pt.beta) == 0:
-            continue
-        report.surface_points_checked += 1
-        try:
-            cert = point_to_witness(pt, u, ctx, evaluator=ev) \
-                if pt.passes_filters else _forced_witness(pt, u, ctx, ev)
-            ok = cert.kernel_dim >= 2
-        except (GeometryError, ValueError, ZeroDivisionError) as err:
-            report.mismatches.append({
-                "direction": "surface_to_kernel",
-                "point": pt.to_json(),
-                "detail": str(err),
-            })
-            continue
-        if not ok:
-            report.mismatches.append({
-                "direction": "surface_to_kernel",
-                "point": pt.to_json(),
-                "detail": f"kernel dimension {cert.kernel_dim} < 2",
-            })
+            for y in roots:
+                report.surface_points_checked += 1
+                try:
+                    _check_root(ev, a, y, h, cert)
+                except (GeometryError, ValueError, ZeroDivisionError) as err:
+                    to_kernel.append({
+                        "direction": "surface_to_kernel",
+                        "point": SurfacePoint(alpha, beta, y, False, False).to_json(),
+                        "detail": str(err),
+                    })
+    report.mismatches += to_kernel
     return report
-
-
-def _forced_witness(pt: SurfacePoint, u: int, ctx: FieldCtx,
-                    ev: SurfaceEvaluator) -> WitnessCertificate:
-    """Witness reconstruction with the filter gate bypassed (fault planting)."""
-    forced = SurfacePoint(pt.alpha, pt.beta, pt.y, False, False)
-    return point_to_witness(forced, u, ctx, evaluator=ev)
 
 
 # -- exact lower-bound arithmetic -----------------------------------------------
@@ -487,8 +469,10 @@ def bound_check(delta: int = 16, m_from: int = 3, m_to: int = 40) -> BoundReport
 def count_vs_band(u: int, ctx: FieldCtx, delta: int = 16) -> dict:
     """Exact affine point count of the surface against the estimate band.
 
-    The count is re-summed in two independent evaluation orders with two
-    univariate evaluation schemes; only that exactness is asserted.  The
+    The count is the number of points ``iter_surface_points`` yields; it is
+    re-summed beta-major with explicit power sums, an evaluation of P
+    independent of ``SurfaceEvaluator.roots``, and only that exactness is
+    asserted.  The
     band is informational: it formally applies to an absolutely irreducible
     component of possibly smaller degree, and at small m it is vacuous
     (wider than q^2), which the report states explicitly.
@@ -499,17 +483,7 @@ def count_vs_band(u: int, ctx: FieldCtx, delta: int = 16) -> dict:
     ev = SurfaceEvaluator(u, ctx)
     q = ctx.q
     mul = ctx.mul
-
-    count_a = 0  # alpha-major, Horner
-    for alpha in range(q):
-        for beta in range(q):
-            coeffs = ev.surface_coeffs(alpha, beta)
-            for y in range(q):
-                acc = coeffs[6]
-                for k in range(5, -1, -1):
-                    acc = mul(acc, y) ^ coeffs[k]
-                if acc == 0:
-                    count_a += 1
+    count_a = sum(1 for _ in iter_surface_points(u, ctx, evaluator=ev))
 
     count_b = 0  # beta-major, explicit power sums
     for beta in range(q):

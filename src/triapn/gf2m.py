@@ -93,6 +93,8 @@ class FieldCtx:
     def __init__(self, m: int, modulus: int):
         if m < 2:
             raise ValueError(f"extension degree must be >= 2, got {m}")
+        if modulus < 0:
+            raise ValueError(f"modulus {modulus:#x} is negative")
         if modulus.bit_length() - 1 != m:
             raise ValueError(
                 f"modulus {modulus:#x} has degree {modulus.bit_length() - 1}, expected {m}"
@@ -240,9 +242,3 @@ def smallest_non_seventh_power(ctx: FieldCtx) -> int:
 def elem_to_hex(v: int) -> str:
     return f"0x{v:X}"
 
-
-def hex_to_elem(s: str, ctx: FieldCtx | None = None) -> int:
-    v = int(s, 16)
-    if v < 0 or (ctx is not None and v >= ctx.q):
-        raise ValueError(f"element {s} out of range for the field")
-    return v

@@ -68,20 +68,6 @@ class CheckResult:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "CheckResult":
-        return cls(
-            name=doc["name"],
-            passed=doc["status"] == "pass",
-            lhs_hash=doc["lhs_hash"],
-            rhs_hash=doc["rhs_hash"],
-            lhs_terms=doc["lhs_terms"],
-            rhs_terms=doc["rhs_terms"],
-            scale=doc.get("scale"),
-            discrepancy=doc.get("discrepancy"),
-            notes=tuple(doc.get("notes", ())),
-        )
-
 
 @dataclass
 class IdentityReport:
@@ -97,12 +83,6 @@ class IdentityReport:
             "all_pass": self.all_pass,
             "checks": [c.to_json() for c in self.checks],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "IdentityReport":
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise ValueError(f"unexpected report schema {doc.get('schema')!r}")
-        return cls([CheckResult.from_json(c) for c in doc["checks"]])
 
 
 def _compare(name, lhs, rhs, scale=None, notes=(), extra_ok=True) -> CheckResult:

@@ -99,12 +99,6 @@ class MPoly:
         z = (0,) * len(variables)
         return cls(variables, domain, {z: c} if c else {})
 
-    @classmethod
-    def var(cls, name: str, variables=VARS, domain=GF2):
-        i = tuple(variables).index(name)
-        e = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls._make(tuple(variables), domain, {e: 1})
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -165,13 +159,6 @@ class MPoly:
                 else:
                     del out[e]
         return MPoly._make(self.vars, self.domain, out)
-
-    def scaled(self, c: int) -> "MPoly":
-        """Multiply by a coefficient-domain constant."""
-        if c == 0:
-            return MPoly._make(self.vars, self.domain, {})
-        row = GF8_MUL[c]
-        return MPoly._make(self.vars, self.domain, {e: row[k] for e, k in self.terms.items()})
 
     def square(self) -> "MPoly":
         """Frobenius: squaring is term-wise in characteristic 2."""
@@ -297,12 +284,6 @@ class MPoly:
 
     def to_gf8(self) -> "MPoly":
         return MPoly._make(self.vars, GF8, dict(self.terms))
-
-    def to_gf2(self) -> "MPoly":
-        bad = {c for c in self.terms.values() if c > 1}
-        if bad:
-            raise ValueError(f"coefficients {sorted(bad)} do not lie in GF(2)")
-        return MPoly._make(self.vars, GF2, dict(self.terms))
 
     # -- text format -------------------------------------------------------------
 

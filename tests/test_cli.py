@@ -1,10 +1,13 @@
 """CLI: JSON documents, exit codes, determinism, certificate round trips."""
 
 import json
+import pathlib
 
 import pytest
 
 from triapn import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -50,6 +53,10 @@ def test_explicit_seventh_power_u_warns_but_runs(capsys):
     code, doc, _ = run(capsys, "apn-check", "--m", "3", "--u", "0x1")
     assert code == 0
     assert any("7th power" in w for w in doc["params"]["warnings"])
+    # every filtered point has a vanishing obstruction form here: no witness
+    code, doc, _ = run(capsys, "surface", "--m", "3", "--u", "0x1", "--emit-witness")
+    assert code == 0
+    assert doc["counts"]["filtered"] == 126 and doc["certificate"] is None
 
 
 def test_u_zero_warns(capsys):
@@ -98,6 +105,11 @@ def test_verify_cert_usage_errors(capsys, tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{\"schema\": \"witness/1\"}")
     assert run(capsys, "verify-cert", str(garbled))[0] == 2
+    golden = json.loads((GOLDEN / "certificates.json").read_text())
+    for bad in ({**golden["witness --m 6 --u 0x2"], "m": "6"}, [golden]):
+        garbled.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "verify-cert", str(garbled))
+        assert code == 2 and "malformed certificate" in err
 
 
 def test_witness_not_found_is_exit_zero(capsys):

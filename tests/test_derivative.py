@@ -6,6 +6,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triapn import derivative as dv
 from triapn.gf2m import make_field, smallest_non_seventh_power
@@ -246,7 +248,11 @@ def test_verify_certificate_rejects_oversized_claims_quickly():
     huge = dv.WitnessCertificate(
         m=21, modulus=f21.modulus, u=2, triple=(1, 0, 0), kernel_dim=10 ** 12,
         kernel_basis=basis, solutions=[(0, 0, 0), (1, 0, 0)])
-    for cert in (planted, huge):
+    # a huge m with a trinomial modulus would take hours to build a field for
+    far = [dv.WitnessCertificate(
+        m=m, modulus=(1 << m) | (1 << 7) | 1, u=2, triple=(1, 0, 0), kernel_dim=2,
+        kernel_basis=basis[:2], solutions=[(0, 0, 0), (1, 0, 0)]) for m in (100003, 100002)]
+    for cert in (planted, huge, *far):
         t0 = time.perf_counter()
         assert dv.verify_certificate(cert)
         assert time.perf_counter() - t0 < 1.0
@@ -260,6 +266,38 @@ def test_verify_certificate_rejects_oversized_claims_quickly():
         kernel_basis=[dv.unpack_vec(1 << j, 3) for j in range(9)],
         solutions=[dv.unpack_vec(w, 3) for w in range(512)])
     assert dv.verify_certificate(zero) == ["the difference triple is zero"]
+
+
+_JUNK = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+                     lambda inner: st.lists(inner, max_size=3), max_leaves=4)
+_HEX = st.integers(-3, 300).map(hex)
+_VEC = st.lists(_HEX, max_size=4) | _JUNK
+_FIELDS = {
+    "m": st.sampled_from([3, 6, 0, -3, 64, 66, 100002]) | _JUNK,
+    "modulus": st.sampled_from(["0xB", "0xD", "0x43", "0x9", "0x0", "-0xB"]) | _JUNK,
+    "u": _HEX | _JUNK,
+    "triple": _VEC,
+    "kernel_dim": st.integers(-2, 20) | _JUNK,
+    "kernel_basis": st.lists(_VEC, max_size=4) | _JUNK,
+    "solutions": st.lists(_VEC, max_size=9) | _JUNK,
+    "reverified": _JUNK,
+}
+_M6 = json.loads((GOLDEN / "certificates.json").read_text())["witness --m 6 --u 0x2"]
+_CERT_DOCS = (
+    st.fixed_dictionaries({"schema": st.just(dv.WITNESS_SCHEMA)}, optional=_FIELDS)
+    | st.one_of([v.map(lambda x, k=k: {**_M6, k: x}) for k, v in _FIELDS.items()])
+    | _JUNK)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_CERT_DOCS)
+def test_certificate_loading_fuzz(doc):
+    # parsing may only reject; a parsed certificate is checked, never raised on
+    try:
+        cert = dv.WitnessCertificate.from_json(doc)
+    except (KeyError, ValueError, TypeError):
+        return
+    assert isinstance(dv.verify_certificate(cert), list)
 
 
 def test_frozen_certificates():

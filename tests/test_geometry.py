@@ -97,6 +97,18 @@ def test_surface_points_reverify_through_trivariate_evaluation():
         assert val == 0
 
 
+def test_roots_match_trivariate_evaluation_exhaustively_m3():
+    # completeness: no root of P is missed, for every u and every (alpha, beta)
+    P = identities.surface_polynomial()
+    for u in range(1, 8):
+        ev = geo.SurfaceEvaluator(u, F3)
+        for alpha in range(8):
+            for beta in range(8):
+                point = {"a": alpha, "b": beta, "g": 1, "u": u}
+                expected = [y for y in range(8) if P.eval({**point, "y": y}, F3) == 0]
+                assert ev.roots(alpha, beta) == expected
+
+
 def test_surface_counts_m6_frozen():
     doc = geo.surface_report(2, F6)
     assert doc["counts"] == {"total": 4390, "on_excluded_lines": 190,
@@ -112,7 +124,7 @@ def test_surface_guards():
 
 
 def test_filtered_iteration_respects_flags():
-    pts = list(geo.iter_surface_points(2, F6, filtered=True))
+    pts = [p for p in geo.iter_surface_points(2, F6) if p.passes_filters]
     assert pts
     for p in pts[:50]:
         assert p.passes_filters
@@ -125,7 +137,7 @@ def test_filtered_iteration_respects_flags():
 
 def test_point_to_witness_m6():
     ev = geo.SurfaceEvaluator(2, F6)
-    pt = next(geo.iter_surface_points(2, F6, filtered=True, evaluator=ev))
+    pt = next(p for p in geo.iter_surface_points(2, F6, evaluator=ev) if p.passes_filters)
     cert = geo.point_to_witness(pt, 2, F6, evaluator=ev)
     assert cert.kernel_dim >= 2
     assert cert.triple == (pt.alpha, pt.beta, 1)
@@ -147,8 +159,16 @@ def test_cross_validation_consistent_m3():
     assert rep.surface_points_checked == 0
 
 
-def test_cross_validation_consistent_m6():
+def test_cross_validation_consistent_m6(monkeypatch):
+    # one sweep: one certificate per checked triple, no per-point rebuild
+    built = []
+    build = geo.build_certificate
+    monkeypatch.setattr(geo, "build_certificate",
+                        lambda a, u, ctx: built.append(a) or build(a, u, ctx))
+    monkeypatch.setattr(geo, "point_to_witness",
+                        lambda *args, **kwargs: pytest.fail("point_to_witness was called"))
     rep = geo.cross_validate(2, F6)
+    assert len(built) == len(set(built)) == rep.kernel_triples_checked == 3906
     assert rep.consistent
     assert rep.kernel_witness_triples > 0
     assert rep.surface_points_checked == 4144
@@ -156,12 +176,16 @@ def test_cross_validation_consistent_m6():
     assert doc["consistent"] and doc["mismatches"] == []
 
 
-def test_cross_validation_planted_fault_is_detected():
-    # dropping the excluded-lines filter feeds degenerate points into the
-    # reconstruction, which must surface as mismatches
-    rep = geo.cross_validate(2, F3, skip_lines_filter=True)
-    assert not rep.consistent
-    assert all(mm["direction"] == "surface_to_kernel" for mm in rep.mismatches)
+def test_cross_validation_planted_fault_is_detected(monkeypatch):
+    # a wrong constant term of P moves its roots: both directions must fire,
+    # every kernel-to-surface mismatch listed before any surface-to-kernel one
+    coeffs = geo.SurfaceEvaluator.surface_coeffs
+    monkeypatch.setattr(geo.SurfaceEvaluator, "surface_coeffs",
+                        lambda ev, alpha, beta: [c ^ (k == 0) for k, c in
+                                                 enumerate(coeffs(ev, alpha, beta))])
+    rep = geo.cross_validate(2, F6)
+    directions = [mm["direction"] for mm in rep.mismatches]
+    assert directions == ["kernel_to_surface"] * 1680 + ["surface_to_kernel"] * 3704
 
 
 def test_cross_validation_guards():

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from triapn.gf2m import (FieldCtx, default_modulus, elem_to_hex, hex_to_elem,
-                         is_irreducible, is_seventh_power, make_field,
-                         smallest_non_seventh_power)
+from triapn.gf2m import (FieldCtx, default_modulus, elem_to_hex, is_irreducible,
+                         is_seventh_power, make_field, smallest_non_seventh_power)
 
 
 def test_default_modulus_m3_by_enumeration():
@@ -42,6 +41,8 @@ def test_wrong_degree_and_constant_term_rejected():
         make_field(4, 0b1011)
     with pytest.raises(ValueError, match="constant term"):
         make_field(3, 0b1010)
+    with pytest.raises(ValueError, match="negative"):
+        make_field(3, -0b1011)  # the irreducibility test would never return
     with pytest.raises(ValueError):
         make_field(1)
 
@@ -154,12 +155,7 @@ def test_smallest_non_seventh_power():
 
 
 def test_hex_roundtrip():
-    ctx = make_field(6)
-    for v in (0, 1, 2, 63):
-        assert hex_to_elem(elem_to_hex(v), ctx) == v
     assert elem_to_hex(0x2B) == "0x2B"
-    with pytest.raises(ValueError):
-        hex_to_elem("0x40", ctx)
 
 
 def test_ctx_equality_and_repr():
