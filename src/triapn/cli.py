@@ -24,28 +24,25 @@ from .derivative import CertificateError, WitnessCertificate
 from .geometry import GeometryError
 from .gf2m import (FieldCtx, elem_to_hex, is_seventh_power, make_field,
                    smallest_non_seventh_power)
+from .identities import IdentityError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def resolve_u(ctx: FieldCtx, spec: str) -> tuple[int, list[str]]:
     """Resolve a u argument: "auto" or a hex element; returns (u, warnings)."""
     if spec == "auto":
         if ctx.m % 3 != 0:
-            raise UsageError("u=auto needs 3 | m (the 7th-power condition is vacuous otherwise)")
+            raise ValueError("u=auto needs 3 | m (the 7th-power condition is vacuous otherwise)")
         return smallest_non_seventh_power(ctx), []
     try:
         u = int(spec, 16)
     except ValueError:
-        raise UsageError(f"u must be 'auto' or a hex element, got {spec!r}") from None
+        raise ValueError(f"u must be 'auto' or a hex element, got {spec!r}") from None
     if not 0 <= u < ctx.q:
-        raise UsageError(f"u={spec} is out of range for q={ctx.q}")
+        raise ValueError(f"u={spec} is out of range for q={ctx.q}")
     warnings = []
     if u == 0:
         warnings.append("u = 0 lies outside the family (u must be nonzero)")
@@ -55,16 +52,15 @@ def resolve_u(ctx: FieldCtx, spec: str) -> tuple[int, list[str]]:
 
 
 def _field(args) -> FieldCtx:
+    if not 2 <= args.m <= derivative.CERT_MAX_M:
+        raise ValueError(f"--m must be in 2..{derivative.CERT_MAX_M}, got {args.m}")
     modulus = None
     if getattr(args, "modulus", None):
         try:
             modulus = int(args.modulus, 16)
         except ValueError:
-            raise UsageError(f"modulus must be hex, got {args.modulus!r}") from None
-    try:
-        return make_field(args.m, modulus)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+            raise ValueError(f"modulus must be hex, got {args.modulus!r}") from None
+    return make_field(args.m, modulus)
 
 
 def _params(ctx: FieldCtx, u: int | None = None, warnings: list[str] | None = None, **extra) -> dict:
@@ -102,9 +98,8 @@ def cmd_field_info(args) -> tuple[dict, int]:
             "three_divides_m": family_ok,
             "smallest_non_seventh_power":
                 elem_to_hex(smallest_non_seventh_power(ctx)) if family_ok else None,
-            "seventh_power_count": sum(
-                1 for v in range(1, ctx.q) if ctx.pow(v, (ctx.q - 1) // 7) == 1
-            ) if family_ok else None,
+            # the 7th powers are the index-7 subgroup of the cyclic group F_q^*
+            "seventh_power_count": (ctx.q - 1) // 7 if family_ok else None,
         },
     }
     print(f"F_2^{ctx.m}, modulus {elem_to_hex(ctx.modulus)}, q={ctx.q}", file=sys.stderr)
@@ -183,13 +178,13 @@ def cmd_verify_cert(args) -> tuple[dict, int]:
         with open(args.path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise UsageError(f"cannot read certificate: {err}") from None
+        raise ValueError(f"cannot read certificate: {err}") from None
     if isinstance(raw, dict) and "certificate" in raw:
         raw = raw["certificate"]  # accept a whole witness-search document
     try:
         cert = WitnessCertificate.from_json(raw)
     except (KeyError, ValueError, TypeError) as err:
-        raise UsageError(f"malformed certificate: {err}") from None
+        raise ValueError(f"malformed certificate: {err}") from None
     failures = derivative.verify_certificate(cert)
     doc = {
         "schema": "verify-cert/1",
@@ -203,10 +198,7 @@ def cmd_verify_cert(args) -> tuple[dict, int]:
 
 
 def cmd_verify_identities(args) -> tuple[dict, int]:
-    try:
-        report = identities.run_all(only=args.check)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    report = identities.run_all(only=args.check)
     doc = report.to_json()
     doc["params"] = {"check": args.check}
     for c in report.checks:
@@ -253,10 +245,7 @@ def cmd_cross_validate(args) -> tuple[dict, int]:
 
 
 def cmd_bound(args) -> tuple[dict, int]:
-    try:
-        rep = geometry.bound_check(delta=args.delta, m_from=args.m_from, m_to=args.m_to)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    rep = geometry.bound_check(delta=args.delta, m_from=args.m_from, m_to=args.m_to)
     doc = rep.to_json()
     doc["params"] = {"delta": args.delta, "m_from": args.m_from, "m_to": args.m_to}
     print(f"bound closes from m={rep.minimal_closing_m} "
@@ -341,14 +330,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         doc, code = args.handler(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as err:
-        # library precondition violations (3 | m, feasibility guards, ranges)
+        # usage errors and library precondition violations (3 | m, feasibility guards, ranges)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (CertificateError, GeometryError, AssertionError) as err:
+    except (CertificateError, GeometryError, IdentityError, AssertionError) as err:
         print(f"internal verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFY
     _emit(doc, args, started)

@@ -211,17 +211,17 @@ def _share_tables(m: int, modulus: int, u: int) -> list[list[list[int]]]:
 
 
 def _chunk_scan(args):
-    """Kernel-dimension histogram (and optionally first witness) per alpha block.
+    """Kernel-dimension histogram, or else the first witness, of one alpha block.
 
-    args = (m, modulus, u, a_lo, a_hi, want_histogram, stop_at_witness).
-    Returns (histogram dict or None, first code with dim >= 2 or None).
+    args = (m, modulus, u, a_lo, a_hi, histogram).  Returns the histogram
+    dict if histogram is true, else the code of the first triple in encoding
+    order with dim >= 2, or None if the block has none.
     """
-    m, modulus, u, a_lo, a_hi, want_hist, stop_at_witness = args
+    m, modulus, u, a_lo, a_hi, histogram = args
     alphas, betas, gammas = _share_tables(m, modulus, u)
     n = 3 * m
     q = 1 << m
-    hist: dict[int, int] = {} if want_hist else None
-    first = None
+    hist: dict[int, int] | None = {} if histogram else None
     for al in range(a_lo, a_hi):
         cols_a = alphas[al]
         for be in range(q):
@@ -229,13 +229,11 @@ def _chunk_scan(args):
             # skip the zero triple
             for ga in range(1 if al == be == 0 else 0, q):
                 dim = len(_kernel(map(xor, cols_ab, gammas[ga]), n))
-                if want_hist:
+                if histogram:
                     hist[dim] = hist.get(dim, 0) + 1
-                if dim >= 2 and first is None:
-                    first = (al << (2 * m)) | (be << m) | ga
-                    if stop_at_witness:
-                        return hist, first
-    return hist, first
+                elif dim >= 2:
+                    return (al << (2 * m)) | (be << m) | ga
+    return hist
 
 
 def _alpha_chunks(q: int) -> list[tuple[int, int]]:
@@ -279,17 +277,6 @@ class SpectrumReport:
     def is_apn(self) -> bool:
         return self.max_kernel_dim == 1
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "modulus": elem_to_hex(self.modulus),
-            "u": elem_to_hex(self.u),
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "max_kernel_dim": self.max_kernel_dim,
-            "differential_uniformity": self.differential_uniformity,
-            "is_apn": self.is_apn,
-        }
-
 
 def _guard_family(ctx: FieldCtx) -> None:
     if ctx.m % 3 != 0:
@@ -306,10 +293,9 @@ def differential_spectrum(u: int, ctx: FieldCtx, threads: int = 1,
             f"(q^3 = 2^{3 * ctx.m} triples); use sampled witness search instead")
     if ctx.q ** 3 < (1 << 15):
         threads = 1
-    argses = [(ctx.m, ctx.modulus, u, lo, hi, True, False)
-              for lo, hi in _alpha_chunks(ctx.q)]
+    argses = [(ctx.m, ctx.modulus, u, lo, hi, True) for lo, hi in _alpha_chunks(ctx.q)]
     hist: dict[int, int] = {}
-    for i, (part, _) in enumerate(_run_chunks(argses, threads)):
+    for i, part in enumerate(_run_chunks(argses, threads)):
         for k, v in part.items():
             hist[k] = hist.get(k, 0) + v
         if progress is not None:
@@ -574,9 +560,8 @@ def witness_search(
     if strategy == "exhaustive":
         if ctx.q ** 3 < (1 << 15):
             threads = 1
-        argses = [(m, ctx.modulus, u, lo, hi, False, True)
-                  for lo, hi in _alpha_chunks(q)]
-        for _, code in _run_chunks(argses, threads):
+        argses = [(m, ctx.modulus, u, lo, hi, False) for lo, hi in _alpha_chunks(q)]
+        for code in _run_chunks(argses, threads):
             if code is not None:
                 cert = build_certificate(decode_triple(code, m), u, ctx)
                 if cert is None:

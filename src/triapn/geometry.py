@@ -24,6 +24,9 @@ from .gf2m import FieldCtx, elem_to_hex
 from .mpoly import MPoly
 
 SURFACE_MAX_M = 9
+# the closure scan stops here: the argument closes at m = 20, and every int in
+# a row stays below about 620 decimal digits, well inside the JSON encoder's limit
+BOUND_MAX_M = 1024
 SURFACE_SCHEMA = "surface/1"
 BOUND_SCHEMA = "bound/1"
 
@@ -439,6 +442,8 @@ def bound_check(delta: int = 16, m_from: int = 3, m_to: int = 40) -> BoundReport
         raise ValueError("delta must be at least 3")
     if m_from < 1 or m_to < m_from:
         raise ValueError("bad m range")
+    if m_to > BOUND_MAX_M:
+        raise ValueError(f"m_to={m_to} exceeds {BOUND_MAX_M}")
     r = 2
     applicability = 2 * (r + 1) * delta * delta
     c_sqrt = (delta - 1) * (delta - 2)

@@ -8,7 +8,8 @@ means the discrepancy polynomial is identically zero; tolerances do not
 exist at this layer.  Several reference objects are only reproducible up
 to a monomial factor (ad-hoc scalings applied between elimination steps);
 those factors are fixed constants in `formulas` and are recorded in the
-check results.
+check results.  `CHECKS` lists the checks by name in dependency order, and
+each derived object of the chain is built in one function.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import formulas
-from .gf2m import FieldCtx, make_field, smallest_non_seventh_power
+from .gf2m import make_field, smallest_non_seventh_power
 from .mpoly import (GF2, GF8, VARS, ExactDivisionError, MPoly, divide_exact,
                     parse, resultant)
 
 REPORT_SCHEMA = "identities/1"
+
+
+class IdentityError(RuntimeError):
+    """A chain object the geometry layer consumes failed its identity check."""
 
 
 def _p(text: str) -> MPoly:
@@ -34,6 +39,14 @@ def _product(factors) -> MPoly:
     acc = MPoly.const(1, VARS, GF2)
     for text, power in factors:
         acc = acc * _p(text) ** power
+    return acc
+
+
+def _expand(*terms) -> MPoly:
+    """Sum of transcribed factor products, each times its monomial."""
+    acc = MPoly.zero(VARS, GF2)
+    for factors, monomial in terms:
+        acc = acc + _product(factors) * _p(monomial)
     return acc
 
 
@@ -117,7 +130,7 @@ def verify_trivial_solutions() -> CheckResult:
     for f in (e1, e2, e3):
         s = f
         for var, repl in (("x", "a"), ("y", "b"), ("z", "g")):
-            s = s.substitute(var, _p(repl))
+            s = s.substitute_cleared(var, _p(repl), _p("1"))
         subs.append(s)
     ok = ok and all(s.is_zero for s in subs[1:])
     notes.append("substituting the difference triple for the point gives 0 in all three equations"
@@ -126,18 +139,13 @@ def verify_trivial_solutions() -> CheckResult:
     return _compare("trivial_solutions", subs[0], zero, notes=notes, extra_ok=ok)
 
 
-def verify_z_elimination() -> tuple[CheckResult, CheckResult]:
-    """Eliminating z against the first equation reproduces the two quartics."""
-    e1, e2, e3 = build_system()
-    res1 = resultant(e1, e2, "z")
-    c1 = _compare("z_elimination_1", res1,
-                  _p(formulas.Z_ELIMINANT_1_SCALE) * _p(formulas.Z_ELIMINANT_1),
-                  scale=formulas.Z_ELIMINANT_1_SCALE)
-    res2 = resultant(e1, e3, "z")
-    c2 = _compare("z_elimination_2", res2,
-                  _p(formulas.Z_ELIMINANT_2_SCALE) * _p(formulas.Z_ELIMINANT_2),
-                  scale=formulas.Z_ELIMINANT_2_SCALE)
-    return c1, c2
+def verify_z_elimination(k: int) -> CheckResult:
+    """Eliminating z between equations 1 and k+1 reproduces quartic k (k = 1, 2)."""
+    system = build_system()
+    scale = getattr(formulas, f"Z_ELIMINANT_{k}_SCALE")
+    quartic = _p(scale) * _p(getattr(formulas, f"Z_ELIMINANT_{k}"))
+    return _compare(f"z_elimination_{k}", resultant(system[0], system[k], "z"), quartic,
+                    scale=scale)
 
 
 def verify_quadratic_combination() -> CheckResult:
@@ -151,6 +159,12 @@ def verify_quadratic_combination() -> CheckResult:
                     notes=notes, extra_ok=x4_gone)
 
 
+def _x4_cleared() -> MPoly:
+    """The transcribed den^3 * x^4 = A*x + B*y^4 + C*y^2 + D*y, den the x^2 denominator."""
+    return _expand((formulas.X4_A_FACTORS, "x"), (formulas.X4_B_FACTORS, "y^4"),
+                   (formulas.X4_C_FACTORS, "y^2"), (formulas.X4_D_FACTORS, "y"))
+
+
 def verify_x4_coefficients() -> CheckResult:
     """The cleared x^4 expansion matches the transcribed A, B, C, D."""
     den = _p(formulas.X2_DENOMINATOR)
@@ -160,28 +174,24 @@ def verify_x4_coefficients() -> CheckResult:
     cy1 = num.coeff_of("y", 1).coeff_of("x", 0)
     # square the numerator and substitute the cleared x^2 back in
     lhs = cx.square() * num + den * cy2.square() * _p("y^4") + den * cy1.square() * _p("y^2")
-    A = _product(formulas.X4_A_FACTORS)
-    B = _product(formulas.X4_B_FACTORS)
-    C = _product(formulas.X4_C_FACTORS)
-    D = _product(formulas.X4_D_FACTORS)
-    rhs = A * _p("x") + B * _p("y^4") + C * _p("y^2") + D * _p("y")
     notes = []
     ok = True
-    for label, poly, factor in (("B", B, _p("u*a*g^2 + b^3") ** 2),
-                                ("D", D, _p("a^3 + u*b^2*g") ** 2)):
+    for label, factors, square in (("B", formulas.X4_B_FACTORS, "u*a*g^2 + b^3"),
+                                   ("D", formulas.X4_D_FACTORS, "a^3 + u*b^2*g")):
         try:
-            divide_exact(poly, factor)
+            divide_exact(_product(factors), _p(square) ** 2)
             notes.append(f"{label} divisible by its transcribed square factor")
         except ExactDivisionError:
             notes.append(f"{label} NOT divisible by its transcribed square factor")
             ok = False
-    return _compare("x4_coefficients", lhs, rhs, notes=notes, extra_ok=ok)
+    return _compare("x4_coefficients", lhs, _x4_cleared(), notes=notes, extra_ok=ok)
 
 
-def _linearized_rhs_from_transcription() -> MPoly:
-    return (_product(formulas.LINEARIZED_RHS_Y4_FACTORS) * _p("y^4")
-            + _product(formulas.LINEARIZED_RHS_Y2_FACTORS) * _p("y^2")
-            + _product(formulas.LINEARIZED_RHS_Y1_FACTORS) * _p("y"))
+def linearized_rhs_polynomial() -> MPoly:
+    """The transcribed right-hand side of the linearized equation."""
+    return _expand((formulas.LINEARIZED_RHS_Y4_FACTORS, "y^4"),
+                   (formulas.LINEARIZED_RHS_Y2_FACTORS, "y^2"),
+                   (formulas.LINEARIZED_RHS_Y1_FACTORS, "y"))
 
 
 @lru_cache(maxsize=1)
@@ -189,20 +199,15 @@ def linearized_equation() -> MPoly:
     """The transcribed linear-in-x equation: u^3*b^6*g^2*(obstruction)*x + rhs."""
     return (_product(formulas.LINEARIZED_X_COEFF_FACTORS)
             * _p(formulas.OBSTRUCTION_FORM) * _p("x")
-            + _linearized_rhs_from_transcription())
+            + linearized_rhs_polynomial())
 
 
 def verify_linearization() -> CheckResult:
     """Substituting the x^2 and x^4 expressions into Z1 linearizes it."""
     den = _p(formulas.X2_DENOMINATOR)
     num = _p(formulas.X2_NUMERATOR)
-    A = _product(formulas.X4_A_FACTORS)
-    B = _product(formulas.X4_B_FACTORS)
-    C = _product(formulas.X4_C_FACTORS)
-    D = _product(formulas.X4_D_FACTORS)
-    x4_cleared = A * _p("x") + B * _p("y^4") + C * _p("y^2") + D * _p("y")
     z1 = _p(formulas.Z_ELIMINANT_1)
-    built = (z1.coeff_of("x", 4) * x4_cleared
+    built = (z1.coeff_of("x", 4) * _x4_cleared()
              + z1.coeff_of("x", 2) * den.square() * num
              + den ** 3 * (z1.coeff_of("x", 1) * _p("x") + z1.coeff_of("x", 0)))
     rhs = _p(formulas.LINEARIZED_SCALE) * linearized_equation()
@@ -247,6 +252,12 @@ def eliminant() -> MPoly:
     return resultant(linearized_equation(), _p(formulas.QUADRATIC_EQ), "x")
 
 
+def _eliminant_frame() -> MPoly:
+    """The transcribed factors of the eliminant around the surface polynomial."""
+    return (_p(formulas.ELIMINANT_MONOMIAL) * _p(formulas.ELIMINANT_CUBE_FACTOR) ** 3
+            * _p("y") * _p("y + b"))
+
+
 @lru_cache(maxsize=1)
 def surface_polynomial() -> MPoly:
     """The degree-6-in-y factor carved out of the eliminant.
@@ -254,10 +265,7 @@ def surface_polynomial() -> MPoly:
     Raises ExactDivisionError if the structural factorization fails, which
     verify_eliminant_factorization reports as a failing check.
     """
-    divisor = (_p(formulas.ELIMINANT_MONOMIAL)
-               * _p(formulas.ELIMINANT_CUBE_FACTOR) ** 3
-               * _p("y") * _p("y + b"))
-    return divide_exact(eliminant(), divisor)
+    return divide_exact(eliminant(), _eliminant_frame())
 
 
 def surface_coefficient(k: int) -> MPoly:
@@ -273,16 +281,14 @@ def verify_eliminant_factorization() -> CheckResult:
     plus the b-multiple relation between the y^1 and y^2 coefficients.
     """
     R = eliminant()
-    divisor = (_p(formulas.ELIMINANT_MONOMIAL)
-               * _p(formulas.ELIMINANT_CUBE_FACTOR) ** 3
-               * _p("y") * _p("y + b"))
     try:
         P = surface_polynomial()
     except ExactDivisionError as err:
+        frame = _eliminant_frame()
         return CheckResult(
             name="eliminant_factorization", passed=False,
-            lhs_hash=_poly_hash(R), rhs_hash=_poly_hash(divisor),
-            lhs_terms=len(R), rhs_terms=len(divisor),
+            lhs_hash=_poly_hash(R), rhs_hash=_poly_hash(frame),
+            lhs_terms=len(R), rhs_terms=len(frame),
             scale=formulas.ELIMINANT_DISPLAY_SCALE,
             discrepancy=str(err.remainder),
             notes=("eliminant is not divisible by the reference factor frame",),
@@ -291,12 +297,10 @@ def verify_eliminant_factorization() -> CheckResult:
     ok = R.degree("y") == 8
     notes.append(f"eliminant y-degree {R.degree('y')} (expected 8)")
     c2 = P.coeff_of("y", 2)
-    rebuilt = (_product(formulas.SURFACE_COEFF_6_FACTORS) * _p("y^6")
-               + _product(formulas.SURFACE_COEFF_5_FACTORS) * _p("y^5")
-               + _product(formulas.SURFACE_COEFF_4_FACTORS) * _p("y^4")
-               + _product(formulas.SURFACE_COEFF_3_FACTORS) * _p("y^3")
-               + c2 * _p("y^2") + _p("b") * c2 * _p("y")
-               + _product(formulas.SURFACE_COEFF_0_FACTORS))
+    rebuilt = c2 * _p("y^2 + b*y") + _expand(
+        (formulas.SURFACE_COEFF_6_FACTORS, "y^6"), (formulas.SURFACE_COEFF_5_FACTORS, "y^5"),
+        (formulas.SURFACE_COEFF_4_FACTORS, "y^4"), (formulas.SURFACE_COEFF_3_FACTORS, "y^3"),
+        (formulas.SURFACE_COEFF_0_FACTORS, "1"))
     try:
         divide_exact(P.coeff_of("y", 0), _p(formulas.OBSTRUCTION_FORM))
         notes.append("constant coefficient divisible by the obstruction form")
@@ -310,11 +314,11 @@ def verify_eliminant_factorization() -> CheckResult:
 
 def verify_gamma0_curve() -> CheckResult:
     """The surface polynomial collapses to the reference curve when g = 0."""
-    P = surface_polynomial()
-    lhs = P.substitute("g", MPoly.zero(VARS, GF2))
+    zero, one = _p("0"), _p("1")
+    lhs = surface_polynomial().substitute_cleared("g", zero, one)
     rhs = _product(formulas.GAMMA0_CURVE_FACTORS)
     deg_ok = lhs.degree("y") == 2
-    vanish_ok = all(surface_coefficient(k).substitute("g", MPoly.zero(VARS, GF2)).is_zero
+    vanish_ok = all(surface_coefficient(k).substitute_cleared("g", zero, one).is_zero
                     for k in (6, 5, 4, 3, 0))
     notes = [
         f"restricted y-degree {lhs.degree('y')} (expected 2)",
@@ -372,17 +376,15 @@ def verify_degenerate_locus() -> CheckResult:
         notes=notes, extra_ok=ok and deg_ok and div_ok and lead_ok)
 
 
-def verify_u_nonroot_of_unity(ctx: FieldCtx | None = None, u: int | None = None) -> CheckResult:
-    """Concrete field check that u+1 and u^2+u+1 are nonzero for the chosen u."""
-    if ctx is None:
-        ctx = make_field(6)
-    if u is None:
-        u = smallest_non_seventh_power(ctx)
+def verify_u_nonroot_of_unity(m: int) -> CheckResult:
+    """Concrete check in F_{2^m} that u+1 and u^2+u+1 are nonzero for the default u."""
+    ctx = make_field(m)
+    u = smallest_non_seventh_power(ctx)
     v1 = ctx.add(u, 1)
     v2 = ctx.add(ctx.add(ctx.square(u), u), 1)
     ok = v1 != 0 and v2 != 0
-    notes = [f"m={ctx.m}, u={u:#x}: u+1={v1:#x}, u^2+u+1={v2:#x}"]
-    if ctx.m % 2 == 0:
+    notes = [f"m={m}, u={u:#x}: u+1={v1:#x}, u^2+u+1={v2:#x}"]
+    if m % 2 == 0:
         # for even m a cube root of unity is a 7th power: 3 | (q-1)/7
         even_ok = (ctx.q - 1) // 7 % 3 == 0
         cube_roots = [w for w in range(1, ctx.q) if ctx.pow(w, 3) == 1]
@@ -398,63 +400,35 @@ def verify_u_nonroot_of_unity(ctx: FieldCtx | None = None, u: int | None = None)
     fact = f"u+1={v1:#x};u^2+u+1={v2:#x}"
     h = hashlib.sha256(fact.encode()).hexdigest()[:16]
     return CheckResult(
-        name=f"u_nonroot_of_unity_m{ctx.m}", passed=ok,
+        name=f"u_nonroot_of_unity_m{m}", passed=ok,
         lhs_hash=h, rhs_hash=h, lhs_terms=0, rhs_terms=0,
         discrepancy=None if ok else fact, notes=tuple(notes))
 
 
-CHECK_ORDER = (
-    "trivial_solutions",
-    "z_elimination_1",
-    "z_elimination_2",
-    "quadratic_combination",
-    "x4_coefficients",
-    "linearization",
-    "obstruction_factorization",
-    "eliminant_factorization",
-    "gamma0_curve",
-    "degenerate_locus",
-    "u_nonroot_of_unity_m3",
-    "u_nonroot_of_unity_m6",
-)
+# every check by name, in dependency order
+CHECKS = {
+    "trivial_solutions": verify_trivial_solutions,
+    "z_elimination_1": lambda: verify_z_elimination(1),
+    "z_elimination_2": lambda: verify_z_elimination(2),
+    "quadratic_combination": verify_quadratic_combination,
+    "x4_coefficients": verify_x4_coefficients,
+    "linearization": verify_linearization,
+    "obstruction_factorization": verify_obstruction_factorization,
+    "eliminant_factorization": verify_eliminant_factorization,
+    "gamma0_curve": verify_gamma0_curve,
+    "degenerate_locus": verify_degenerate_locus,
+    "u_nonroot_of_unity_m3": lambda: verify_u_nonroot_of_unity(3),
+    "u_nonroot_of_unity_m6": lambda: verify_u_nonroot_of_unity(6),
+}
+CHECK_ORDER = tuple(CHECKS)
 
 
 def run_all(only: str | None = None) -> IdentityReport:
-    """Run every check in dependency order; optionally restrict to one name."""
-    report = IdentityReport()
-
-    def want(name: str) -> bool:
-        return only is None or name == only
-
-    if want("trivial_solutions"):
-        report.checks.append(verify_trivial_solutions())
-    if want("z_elimination_1") or want("z_elimination_2"):
-        c1, c2 = verify_z_elimination()
-        if want("z_elimination_1"):
-            report.checks.append(c1)
-        if want("z_elimination_2"):
-            report.checks.append(c2)
-    if want("quadratic_combination"):
-        report.checks.append(verify_quadratic_combination())
-    if want("x4_coefficients"):
-        report.checks.append(verify_x4_coefficients())
-    if want("linearization"):
-        report.checks.append(verify_linearization())
-    if want("obstruction_factorization"):
-        report.checks.append(verify_obstruction_factorization())
-    if want("eliminant_factorization"):
-        report.checks.append(verify_eliminant_factorization())
-    if want("gamma0_curve"):
-        report.checks.append(verify_gamma0_curve())
-    if want("degenerate_locus"):
-        report.checks.append(verify_degenerate_locus())
-    if want("u_nonroot_of_unity_m3"):
-        report.checks.append(verify_u_nonroot_of_unity(make_field(3)))
-    if want("u_nonroot_of_unity_m6"):
-        report.checks.append(verify_u_nonroot_of_unity(make_field(6)))
-    if only is not None and not report.checks:
+    """Run every check in table order; optionally restrict to one name."""
+    if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check {only!r}; known: {', '.join(CHECK_ORDER)}")
-    return report
+    names = CHECK_ORDER if only is None else (only,)
+    return IdentityReport([CHECKS[name]() for name in names])
 
 
 # -- verified objects consumed by the geometry layer ---------------------------
@@ -464,17 +438,11 @@ def verified_surface_coefficients() -> tuple[MPoly, ...]:
     """Coefficients (low to high) of the surface polynomial, post-verification."""
     result = verify_eliminant_factorization()
     if not result.passed:
-        raise RuntimeError("surface polynomial failed verification; "
-                           "run the identity suite for details")
+        raise IdentityError("surface polynomial failed verification; "
+                            "run the identity suite for details")
     return tuple(surface_coefficient(k) for k in range(7))
-
-
-def linearized_rhs_polynomial() -> MPoly:
-    """The transcribed right-hand side of the linearized equation."""
-    return _linearized_rhs_from_transcription()
 
 
 def obstruction_polynomial() -> MPoly:
     """The transcribed degree-7 obstruction form in a, b, g."""
     return _p(formulas.OBSTRUCTION_FORM)
-

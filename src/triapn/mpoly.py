@@ -15,6 +15,8 @@ MPoly values are immutable; all operations return new objects.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .gf2m import FieldCtx
 
 VARS = ("x", "y", "z", "a", "b", "g", "u", "xi")
@@ -204,28 +206,11 @@ class MPoly:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute(self, var: str, replacement: "MPoly") -> "MPoly":
-        """Exact substitution var <- replacement (same ring)."""
-        self._check_compat(replacement)
-        i = self.vars.index(var)
-        powers = {0: MPoly.const(1, self.vars, self.domain)}
-
-        def rpow(k: int) -> "MPoly":
-            if k not in powers:
-                powers[k] = rpow(k - 1) * replacement
-            return powers[k]
-
-        acc = MPoly._make(self.vars, self.domain, {})
-        for e, c in self.terms.items():
-            base = MPoly._make(self.vars, self.domain, {e[:i] + (0,) + e[i + 1 :]: c})
-            acc = acc + base * rpow(e[i])
-        return acc
-
     def substitute_cleared(self, var: str, num: "MPoly", den: "MPoly") -> "MPoly":
         """Substitute var <- num/den with denominators cleared by den^deg.
 
         Returns den^d * p(var <- num/den) where d = degree of p in var, which
-        stays inside the polynomial ring.
+        stays inside the polynomial ring; den = 1 gives p(var <- num).
         """
         self._check_compat(num)
         self._check_compat(den)
@@ -427,14 +412,9 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     return _det_cofactor(rows, MPoly.zero(p.vars, p.domain))
 
 
-_EMBED_CACHE: dict[FieldCtx, list[int]] = {}
-
-
-def _gf8_embedding(ctx: FieldCtx) -> list[int]:
+@lru_cache(maxsize=8)
+def _gf8_embedding(ctx: FieldCtx) -> tuple[int, ...]:
     """Images of the 8 GF(8) encodings in F_{2^m}; needs 3 | m."""
-    cached = _EMBED_CACHE.get(ctx)
-    if cached is not None:
-        return cached
     if ctx.m % 3 != 0:
         raise ValueError(f"GF(8) does not embed in F_(2^{ctx.m}) (3 must divide m)")
     root = None
@@ -458,5 +438,4 @@ def _gf8_embedding(ctx: FieldCtx) -> list[int]:
         if c & 4:
             v ^= r2
         images.append(v)
-    _EMBED_CACHE[ctx] = images
-    return images
+    return tuple(images)

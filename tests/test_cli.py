@@ -2,10 +2,11 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
-from triapn import cli
+from triapn import cli, formulas
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -77,6 +78,18 @@ def test_bad_u_and_bad_modulus(capsys):
     assert run(capsys, "field-info", "--m", "4", "--modulus", "0x15")[0] == 2
 
 
+def test_field_size_is_bounded_before_building_the_field(capsys):
+    for m in ("64", "20001"):
+        t0 = time.monotonic()
+        code, doc, err = run(capsys, "field-info", "--m", m)
+        assert code == 2 and doc is None and "--m must be in 2..63" in err
+        assert time.monotonic() - t0 < 1
+    t0 = time.monotonic()
+    code, doc, _ = run(capsys, "field-info", "--m", "63")
+    assert time.monotonic() - t0 < 1
+    assert code == 0 and doc["verdicts"]["seventh_power_count"] == (2 ** 63 - 1) // 7
+
+
 def test_witness_and_verify_cert_roundtrip(capsys, tmp_path):
     code, doc, _ = run(capsys, "witness", "--m", "6", "--u", "auto", "--threads", "1")
     assert code == 0 and doc["verdicts"]["found"] is True
@@ -130,6 +143,21 @@ def test_verify_identities(capsys):
     assert run(capsys, "verify-identities", "--check", "nope")[0] == 2
 
 
+def test_verify_identities_matches_frozen_json(capsys):
+    # the full document as recorded before the checks were kept in one table
+    code, doc, _ = run(capsys, "verify-identities")
+    assert code == 0
+    assert without_meta(doc) == json.loads((GOLDEN / "identities.json").read_text())
+
+
+def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch):
+    monkeypatch.setattr(formulas, "SURFACE_COEFF_6_FACTORS",
+                        formulas.SURFACE_COEFF_6_FACTORS + (("u", 1),))
+    code, doc, err = run(capsys, "surface", "--m", "3", "--u", "0x2")
+    assert code == 3 and doc is None
+    assert "internal verification failure" in err
+
+
 def test_surface_command(capsys):
     code, doc, _ = run(capsys, "surface", "--m", "3", "--u", "0x2", "--list-points")
     assert code == 0
@@ -155,6 +183,9 @@ def test_bound_command(capsys):
     assert doc["minimal_closing_m"] == 20
     assert doc["reference"]["threshold_m"] == 20
     assert run(capsys, "bound", "--delta", "2")[0] == 2
+    # past m = 1024 the scan is refused instead of overflowing the JSON encoder
+    code, doc, err = run(capsys, "bound", "--m-from", "7200", "--m-to", "7200")
+    assert code == 2 and doc is None and "exceeds 1024" in err
 
 
 def test_out_file_and_empty_stdout(capsys, tmp_path):

@@ -56,6 +56,11 @@ def test_a2_computed_value_frozen():
     assert identities.surface_coefficient(1) == parse("b") * identities.surface_coefficient(2)
 
 
+def test_every_table_entry_selects_its_own_check(report):
+    for name, full in zip(identities.CHECK_ORDER, report.checks):
+        assert identities.run_all(only=name).checks == [full]
+
+
 def test_report_json_roundtrip(report):
     doc = report.to_json()
     assert json.loads(json.dumps(doc, sort_keys=True)) == doc
@@ -64,7 +69,7 @@ def test_report_json_roundtrip(report):
 
 def test_failing_check_reports_parseable_discrepancy(monkeypatch):
     monkeypatch.setattr(formulas, "Z_ELIMINANT_1", formulas.Z_ELIMINANT_1 + " + x*y")
-    c1, _ = identities.verify_z_elimination()
+    c1 = identities.verify_z_elimination(1)
     assert not c1.passed
     diff = parse(c1.discrepancy)
     assert len(diff) == 1  # a single corrupted term, scaled by u
@@ -96,11 +101,14 @@ def test_single_check_selection():
         identities.run_all(only="nope")
 
 
-def test_u_nonroot_of_unity_cases():
-    assert identities.verify_u_nonroot_of_unity(make_field(3), 2).passed
-    assert identities.verify_u_nonroot_of_unity(make_field(6)).passed
+def test_u_nonroot_of_unity_cases(monkeypatch):
+    m3 = identities.verify_u_nonroot_of_unity(3)
+    assert m3.passed and m3.notes[0].startswith("m=3, u=0x2:")
+    assert identities.verify_u_nonroot_of_unity(6).passed
     # u = 1 is a 7th power and u + 1 = 0: the precondition check must flag it
-    assert not identities.verify_u_nonroot_of_unity(make_field(6), 1).passed
+    monkeypatch.setattr(identities, "smallest_non_seventh_power", lambda ctx: 1)
+    planted = identities.verify_u_nonroot_of_unity(6)
+    assert not planted.passed and planted.discrepancy == "u+1=0x0;u^2+u+1=0x1"
 
 
 def test_randomized_evaluation_smoke():

@@ -76,8 +76,9 @@ def test_immutability():
 
 
 def test_substitute_examples():
-    assert P("z^2").substitute("z", P("x + y")) == P("x^2 + y^2")
-    assert P("x").substitute("y", P("u^5 + 1")) == P("x")
+    # den = 1 is plain substitution
+    assert P("z^2").substitute_cleared("z", P("x + y"), P("1")) == P("x^2 + y^2")
+    assert P("x").substitute_cleared("y", P("u^5 + 1"), P("1")) == P("x")
 
 
 def test_substitute_first_equation_self_consistency():
