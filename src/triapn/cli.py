@@ -4,7 +4,9 @@ Structured output goes to stdout (or --out), human summaries and progress
 to stderr.  Exit codes: 0 for any computed verdict (including "not APN"
 and "witness not found"), 2 for usage errors, 3 for verification failures
 such as a failing identity check, a certificate that does not re-verify,
-or a cross-validation mismatch.
+or a cross-validation mismatch.  A malformed transcription in `formulas`
+(an inexact division or an unparseable factor) fails the identity checks
+that build on it, so it too is a verification failure (exit 3).
 
 Identical configurations (including seeds) produce byte-identical JSON
 except for the "meta" object, which carries the timestamp and runtime.
@@ -106,13 +108,13 @@ def cmd_field_info(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def _spectrum_doc(args, schema: str) -> tuple[dict, int]:
+def cmd_spectrum(args) -> tuple[dict, int]:
     ctx = _field(args)
     u, warnings = resolve_u(ctx, args.u)
     progress = _progress("spectrum") if ctx.m >= 6 else None
     rep = derivative.differential_spectrum(u, ctx, threads=args.threads, progress=progress)
     doc = {
-        "schema": schema,
+        "schema": args.schema,
         "params": _params(ctx, u, warnings),
         "verdicts": {
             "is_apn": rep.is_apn,
@@ -124,14 +126,6 @@ def _spectrum_doc(args, schema: str) -> tuple[dict, int]:
     print(f"m={ctx.m} u={elem_to_hex(u)}: is_apn={rep.is_apn} "
           f"uniformity={rep.differential_uniformity}", file=sys.stderr)
     return doc, EXIT_OK
-
-
-def cmd_apn_check(args) -> tuple[dict, int]:
-    return _spectrum_doc(args, "apn/1")
-
-
-def cmd_spectrum(args) -> tuple[dict, int]:
-    return _spectrum_doc(args, "spectrum/1")
 
 
 def cmd_permutation(args) -> tuple[dict, int]:
@@ -155,14 +149,11 @@ def cmd_witness(args) -> tuple[dict, int]:
             u, ctx, strategy="sampled", seed=args.seed, max_draws=args.max_draws)
     else:
         result = derivative.witness_search(u, ctx, threads=args.threads)
-    res_doc = result.to_json()
-    res_doc.pop("strategy")
-    res_doc.pop("found")
     doc = {
         "schema": "witness-search/1",
         "params": _params(ctx, u, warnings, strategy=result.strategy),
         "verdicts": {"found": result.found},
-        **res_doc,
+        **result.to_json(),
     }
     if result.found:
         print(f"witness: triple={[elem_to_hex(c) for c in result.certificate.triple]} "
@@ -280,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("field-info", cmd_field_info, "field parameters and 7th-power data", u=False)
-    add("apn-check", cmd_apn_check, "exhaustive APN verdict via the kernel spectrum", threads=True)
-    add("spectrum", cmd_spectrum, "exact kernel-dimension histogram", threads=True)
+    add("apn-check", cmd_spectrum, "exhaustive APN verdict via the kernel spectrum",
+        threads=True).set_defaults(schema="apn/1")
+    add("spectrum", cmd_spectrum, "exact kernel-dimension histogram",
+        threads=True).set_defaults(schema="spectrum/1")
     add("permutation", cmd_permutation, "injectivity check of C_u on F_q^3")
     w = add("witness", cmd_witness, "search for a triple with >= 4 solutions", threads=True)
     w.add_argument("--sampled", action="store_true", help="seeded sampling instead of exhaustive scan")
@@ -293,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("verify-identities", help="run the exact identity suite")
     i.set_defaults(handler=cmd_verify_identities)
     i.add_argument("--check", help="run a single named check")
-    i.add_argument("--json", dest="out_json", help="also write the report to this path")
     s = add("surface", cmd_surface, "enumerate rational points of the witness surface")
     s.add_argument("--filtered", action="store_true",
                    help="restrict the point list to points passing all filters")
@@ -315,11 +307,9 @@ def _emit(doc: dict, args, started: float) -> None:
         "runtime_s": round(time.monotonic() - started, 3),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    paths = [p for p in (args.out, getattr(args, "out_json", None)) if p]
-    if paths:
-        for path in paths:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

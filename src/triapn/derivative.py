@@ -232,7 +232,7 @@ def _chunk_scan(args):
                 if histogram:
                     hist[dim] = hist.get(dim, 0) + 1
                 elif dim >= 2:
-                    return (al << (2 * m)) | (be << m) | ga
+                    return encode_triple((al, be, ga), m)
     return hist
 
 
@@ -502,11 +502,7 @@ class SearchResult:
     max_draws: int | None = None
 
     def to_json(self) -> dict:
-        doc = {
-            "strategy": self.strategy,
-            "found": self.found,
-            "certificate": self.certificate.to_json() if self.certificate else None,
-        }
+        doc = {"certificate": self.certificate.to_json() if self.certificate else None}
         if self.scanned is not None:
             doc["scanned"] = self.scanned
         if self.strategy == "sampled":

@@ -237,7 +237,8 @@ def point_to_witness(
     ev = evaluator or SurfaceEvaluator(u, ctx)
     h = ev.obstruction_value(p.alpha, p.beta)
     if h == 0:
-        raise ValueError("the obstruction form vanishes here; witness reconstruction is undefined")
+        raise GeometryError("the obstruction form vanishes here; "
+                            "witness reconstruction is undefined")
     a: Triple = (p.alpha, p.beta, 1)
     cert = build_certificate(a, u, ctx)
     _check_root(ev, a, p.y, h, cert)
@@ -337,7 +338,7 @@ def cross_validate(u: int, ctx: FieldCtx) -> CrossValidationReport:
                 report.surface_points_checked += 1
                 try:
                     _check_root(ev, a, y, h, cert)
-                except (GeometryError, ValueError, ZeroDivisionError) as err:
+                except (GeometryError, ZeroDivisionError) as err:
                     to_kernel.append({
                         "direction": "surface_to_kernel",
                         "point": SurfacePoint(alpha, beta, y, False, False).to_json(),

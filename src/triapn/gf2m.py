@@ -130,18 +130,10 @@ class FieldCtx:
         n = self.q - 1
         cofactors = [n // p for p in _prime_factors(n)]
         for g in range(2, self.q):
-            if all(self._pow_slow(g, c) != 1 for c in cofactors):
+            # the tables are not built yet, so pow multiplies by shift-and-reduce
+            if all(self.pow(g, c) != 1 for c in cofactors):
                 return g
         raise ValueError("no generator found")  # unreachable for a field
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = _gf2_mulmod(r, a, self.modulus)
-            a = _gf2_mulmod(a, a, self.modulus)
-            e >>= 1
-        return r
 
     # -- arithmetic --------------------------------------------------------
 

@@ -9,7 +9,10 @@ exist at this layer.  Several reference objects are only reproducible up
 to a monomial factor (ad-hoc scalings applied between elimination steps);
 those factors are fixed constants in `formulas` and are recorded in the
 check results.  `CHECKS` lists the checks by name in dependency order, and
-each derived object of the chain is built in one function.
+each derived object of the chain is built in one function.  The checks read
+no input from outside the program, so an error raised while building a
+chain object is a wrong transcription: `run_all` reports it as a failure of
+the check that raised it.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class CheckResult:
 
     name: str
     passed: bool
-    lhs_hash: str
-    rhs_hash: str
+    lhs_hash: str | None  # None when a fault stopped the check before its sides existed
+    rhs_hash: str | None
     lhs_terms: int
     rhs_terms: int
     scale: str | None = None
@@ -111,6 +114,14 @@ def _compare(name, lhs, rhs, scale=None, notes=(), extra_ok=True) -> CheckResult
         discrepancy=None if lhs == rhs else str(lhs + rhs),
         notes=tuple(notes),
     )
+
+
+def _divides(d: MPoly, p: MPoly) -> bool:
+    try:
+        divide_exact(p, d)
+    except ExactDivisionError:
+        return False
+    return True
 
 
 # -- the chain, step by step --------------------------------------------------
@@ -178,12 +189,10 @@ def verify_x4_coefficients() -> CheckResult:
     ok = True
     for label, factors, square in (("B", formulas.X4_B_FACTORS, "u*a*g^2 + b^3"),
                                    ("D", formulas.X4_D_FACTORS, "a^3 + u*b^2*g")):
-        try:
-            divide_exact(_product(factors), _p(square) ** 2)
-            notes.append(f"{label} divisible by its transcribed square factor")
-        except ExactDivisionError:
-            notes.append(f"{label} NOT divisible by its transcribed square factor")
-            ok = False
+        divisible = _divides(_p(square) ** 2, _product(factors))
+        notes.append(f"{label} divisible by its transcribed square factor" if divisible
+                     else f"{label} NOT divisible by its transcribed square factor")
+        ok = ok and divisible
     return _compare("x4_coefficients", lhs, _x4_cleared(), notes=notes, extra_ok=ok)
 
 
@@ -252,20 +261,17 @@ def eliminant() -> MPoly:
     return resultant(linearized_equation(), _p(formulas.QUADRATIC_EQ), "x")
 
 
-def _eliminant_frame() -> MPoly:
-    """The transcribed factors of the eliminant around the surface polynomial."""
-    return (_p(formulas.ELIMINANT_MONOMIAL) * _p(formulas.ELIMINANT_CUBE_FACTOR) ** 3
-            * _p("y") * _p("y + b"))
-
-
 @lru_cache(maxsize=1)
 def surface_polynomial() -> MPoly:
     """The degree-6-in-y factor carved out of the eliminant.
 
-    Raises ExactDivisionError if the structural factorization fails, which
-    verify_eliminant_factorization reports as a failing check.
+    The eliminant is divided by its transcribed factors around P.  Raises
+    ExactDivisionError if that division is inexact, which `run_all` reports
+    as a failure of each check that builds P.
     """
-    return divide_exact(eliminant(), _eliminant_frame())
+    frame = (_p(formulas.ELIMINANT_MONOMIAL) * _p(formulas.ELIMINANT_CUBE_FACTOR) ** 3
+             * _p("y") * _p("y + b"))
+    return divide_exact(eliminant(), frame)
 
 
 def surface_coefficient(k: int) -> MPoly:
@@ -281,18 +287,7 @@ def verify_eliminant_factorization() -> CheckResult:
     plus the b-multiple relation between the y^1 and y^2 coefficients.
     """
     R = eliminant()
-    try:
-        P = surface_polynomial()
-    except ExactDivisionError as err:
-        frame = _eliminant_frame()
-        return CheckResult(
-            name="eliminant_factorization", passed=False,
-            lhs_hash=_poly_hash(R), rhs_hash=_poly_hash(frame),
-            lhs_terms=len(R), rhs_terms=len(frame),
-            scale=formulas.ELIMINANT_DISPLAY_SCALE,
-            discrepancy=str(err.remainder),
-            notes=("eliminant is not divisible by the reference factor frame",),
-        )
+    P = surface_polynomial()
     notes = [f"reference full eliminant = {formulas.ELIMINANT_DISPLAY_SCALE} * computed resultant"]
     ok = R.degree("y") == 8
     notes.append(f"eliminant y-degree {R.degree('y')} (expected 8)")
@@ -301,12 +296,10 @@ def verify_eliminant_factorization() -> CheckResult:
         (formulas.SURFACE_COEFF_6_FACTORS, "y^6"), (formulas.SURFACE_COEFF_5_FACTORS, "y^5"),
         (formulas.SURFACE_COEFF_4_FACTORS, "y^4"), (formulas.SURFACE_COEFF_3_FACTORS, "y^3"),
         (formulas.SURFACE_COEFF_0_FACTORS, "1"))
-    try:
-        divide_exact(P.coeff_of("y", 0), _p(formulas.OBSTRUCTION_FORM))
-        notes.append("constant coefficient divisible by the obstruction form")
-    except ExactDivisionError:
-        notes.append("constant coefficient NOT divisible by the obstruction form")
-        ok = False
+    divisible = _divides(_p(formulas.OBSTRUCTION_FORM), P.coeff_of("y", 0))
+    notes.append("constant coefficient divisible by the obstruction form" if divisible
+                 else "constant coefficient NOT divisible by the obstruction form")
+    ok = ok and divisible
     notes.append(f"computed y^2 coefficient: {c2}")
     return _compare("eliminant_factorization", P, rebuilt,
                     scale=formulas.ELIMINANT_DISPLAY_SCALE, notes=notes, extra_ok=ok)
@@ -357,13 +350,9 @@ def verify_degenerate_locus() -> CheckResult:
 
     deg_ok = RQ.degree("y") == 8
     notes.append(f"eliminant y-degree {RQ.degree('y')} (expected 8)")
-    try:
-        divide_exact(RQ, _p("y") * _p("y + b"))
-        notes.append("eliminant divisible by y*(y+b)")
-        div_ok = True
-    except ExactDivisionError:
-        notes.append("eliminant NOT divisible by y*(y+b)")
-        div_ok = False
+    div_ok = _divides(_p("y") * _p("y + b"), RQ)
+    notes.append("eliminant divisible by y*(y+b)" if div_ok
+                 else "eliminant NOT divisible by y*(y+b)")
     lead_expected = (_product(formulas.DEGENERATE_ELIMINANT_MONOMIAL_FACTORS).coeff_of("y", 2)
                      * _product(formulas.DEGENERATE_ELIMINANT_LEADING_BLOCK_FACTORS))
     lead_ok = lhs.coeff_of("y", 8) == lead_expected
@@ -423,12 +412,26 @@ CHECKS = {
 CHECK_ORDER = tuple(CHECKS)
 
 
+def _run_check(name: str) -> CheckResult:
+    """Run one check; a ValueError or ArithmeticError inside it fails it.
+
+    The discrepancy is the remainder of an inexact division, or else the
+    error text.
+    """
+    try:
+        return CHECKS[name]()
+    except (ValueError, ArithmeticError) as err:
+        discrepancy = err.remainder if isinstance(err, ExactDivisionError) else err
+        return CheckResult(name, False, None, None, 0, 0, discrepancy=str(discrepancy),
+                           notes=(f"{type(err).__name__} while building the chain: {err}",))
+
+
 def run_all(only: str | None = None) -> IdentityReport:
     """Run every check in table order; optionally restrict to one name."""
     if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check {only!r}; known: {', '.join(CHECK_ORDER)}")
     names = CHECK_ORDER if only is None else (only,)
-    return IdentityReport([CHECKS[name]() for name in names])
+    return IdentityReport([_run_check(name) for name in names])
 
 
 # -- verified objects consumed by the geometry layer ---------------------------
@@ -436,8 +439,7 @@ def run_all(only: str | None = None) -> IdentityReport:
 
 def verified_surface_coefficients() -> tuple[MPoly, ...]:
     """Coefficients (low to high) of the surface polynomial, post-verification."""
-    result = verify_eliminant_factorization()
-    if not result.passed:
+    if not run_all("eliminant_factorization").all_pass:
         raise IdentityError("surface polynomial failed verification; "
                             "run the identity suite for details")
     return tuple(surface_coefficient(k) for k in range(7))

@@ -52,7 +52,7 @@ for _k in range(6):
 ETA_LOG = {c: k for k, c in enumerate(ETA_POW)}
 
 
-class ExactDivisionError(ValueError):
+class ExactDivisionError(ArithmeticError):
     """Raised when divide_exact hits a non-divisible remainder."""
 
     def __init__(self, message: str, remainder: "MPoly"):

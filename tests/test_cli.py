@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from triapn import cli, formulas
+from triapn import cli, formulas, identities
+from triapn.mpoly import ExactDivisionError, divide_exact, parse
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -156,6 +157,63 @@ def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch)
     code, doc, err = run(capsys, "surface", "--m", "3", "--u", "0x2")
     assert code == 3 and doc is None
     assert "internal verification failure" in err
+
+
+# a wrong transcription, and the checks it must fail
+PLANTED_FAULTS = [
+    ("ELIMINANT_CUBE_FACTOR", "a*g^2 + u*b^3",
+     {"eliminant_factorization", "gamma0_curve"}),
+    ("OBSTRUCTION_FORM", formulas.OBSTRUCTION_FORM + " + q",
+     {"linearization", "obstruction_factorization", "eliminant_factorization", "gamma0_curve"}),
+    ("LINEARIZED_RHS_Y1_FACTORS", formulas.LINEARIZED_RHS_Y1_FACTORS + (("q", 1),),
+     {"linearization", "eliminant_factorization", "gamma0_curve"}),
+]
+
+
+@pytest.fixture
+def fresh_chain():
+    """Empty the cached chain objects around a test that plants a fault."""
+    cached = (identities.linearized_equation, identities.eliminant,
+              identities.surface_polynomial)
+    for fn in cached:
+        fn.cache_clear()
+    yield
+    for fn in cached:
+        fn.cache_clear()
+
+
+FAULT_IDS = [f[0] for f in PLANTED_FAULTS]
+
+
+@pytest.mark.parametrize("attr, value, failing", PLANTED_FAULTS, ids=FAULT_IDS)
+def test_planted_transcription_fault_fails_its_checks(capsys, monkeypatch, fresh_chain,
+                                                      attr, value, failing):
+    monkeypatch.setattr(formulas, attr, value)
+    code, doc, _ = run(capsys, "verify-identities")
+    assert code == 3
+    assert {c["name"] for c in doc["checks"] if c["status"] == "fail"} == failing
+
+
+@pytest.mark.parametrize("command", ["surface", "cross-validate"])
+@pytest.mark.parametrize("attr, value, failing", PLANTED_FAULTS, ids=FAULT_IDS)
+def test_planted_transcription_fault_stops_the_surface(capsys, monkeypatch, fresh_chain,
+                                                       attr, value, failing, command):
+    monkeypatch.setattr(formulas, attr, value)
+    code, doc, err = run(capsys, command, "--m", "3")
+    assert code == 3 and doc is None
+    assert "internal verification failure" in err
+
+
+def test_inexact_eliminant_division_reports_its_remainder(capsys, monkeypatch, fresh_chain):
+    attr, cube, _ = PLANTED_FAULTS[0]
+    monkeypatch.setattr(formulas, attr, cube)
+    frame = (parse(formulas.ELIMINANT_MONOMIAL) * parse(cube) ** 3
+             * parse("y") * parse("y + b"))
+    with pytest.raises(ExactDivisionError) as err:
+        divide_exact(identities.eliminant(), frame)
+    _, doc, _ = run(capsys, "verify-identities", "--check", "eliminant_factorization")
+    remainder = parse(doc["checks"][0]["discrepancy"])
+    assert remainder == err.value.remainder and not remainder.is_zero
 
 
 def test_surface_command(capsys):

@@ -151,6 +151,15 @@ def test_point_to_witness_rejects_flagged_points():
         geo.point_to_witness(pt, 2, F6)
 
 
+def test_point_to_witness_vanishing_obstruction_is_a_geometry_error():
+    # for u = 0x6, a 7th power, the obstruction form vanishes at filtered points
+    ev = geo.SurfaceEvaluator(6, F6)
+    pt = next(p for p in geo.iter_surface_points(6, F6, evaluator=ev)
+              if p.passes_filters and not ev.obstruction_value(p.alpha, p.beta))
+    with pytest.raises(geo.GeometryError, match="obstruction form vanishes"):
+        geo.point_to_witness(pt, 6, F6, evaluator=ev)
+
+
 def test_cross_validation_consistent_m3():
     rep = geo.cross_validate(2, F3)
     assert rep.consistent
