@@ -3,16 +3,16 @@
 C_u(x, y, z) = (x^3 + u*y^2*z, y^3 + u*x*z^2, z^3 + u*x^2*y).
 
 Because C_u is quadratic, the solutions of C_u(v + a) + C_u(v) + C_u(a) +
-C_u(0) = 0 for a fixed difference triple a form the kernel of an
-F_2-linear map on F_q^3.  This module builds the 3m columns of that map,
-the XOR of one share per coordinate of a, and finds their kernel with a
-single GF(2) elimination.  Every path runs through those two pieces: the
-exhaustive scan, which tabulates the shares over F_q and counts kernel
-vectors to get differential spectra and the first witness, and the
-per-triple kernel basis behind sampled search, certificates and their
-re-verification.  A witness is a difference triple whose kernel has
-dimension >= 2 (at least 4 solutions); it is packaged as an independently
-re-verified certificate.
+C_u(0) = 0 for a fixed difference triple a form the kernel of an F_2-linear
+map on F_q^3.  This module builds the 3m columns of that map, the XOR of one
+share per coordinate of a, and finds their kernel with a single GF(2)
+elimination.  Every path runs through those two pieces: the spectrum and the
+permutation test, over one triple per projective point (the kernel at
+lambda*a is lambda times the kernel at a, so the spectrum weights each point
+by q - 1); the exhaustive witness scan; and the per-triple kernel basis
+behind sampled search, certificates and their re-verification.  A witness is
+a difference triple whose kernel has dimension >= 2 (at least 4 solutions);
+it is packaged as an independently re-verified certificate.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
 bits, then y, then z; column j of the map is the image of bit j.
@@ -62,11 +62,6 @@ def pack_vec(v: Triple, m: int) -> int:
 def unpack_vec(w: int, m: int) -> Triple:
     mask = (1 << m) - 1
     return (w & mask, (w >> m) & mask, (w >> (2 * m)) & mask)
-
-
-def rotate_triple(a: Triple) -> Triple:
-    """Cyclic shift matching the coordinate symmetry of C_u."""
-    return (a[1], a[2], a[0])
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -200,28 +195,47 @@ def _share_tables(m: int, modulus: int, u: int) -> list[list[list[int]]]:
     tables = []
     for k in range(3):
         units = [_share(1 << i, k, u, ctx) for i in range(m)]
-        table = [[0] * (3 * m)]
+        table = [[1 << j for j in range(3 * m)] if k == 0 else [0] * (3 * m)]
         for c in range(1, ctx.q):
             low = c & -c
             table.append(list(map(xor, table[c ^ low], units[low.bit_length() - 1])))
         tables.append(table)
-    tags = [1 << j for j in range(3 * m)]
-    tables[0] = [list(map(xor, row, tags)) for row in tables[0]]
     return tables
+
+
+def _representatives(m: int, modulus: int, u: int, a_lo: int, a_hi: int):
+    """(triple, columns) of one triple per projective point, split by alpha.
+
+    For each alpha in [a_lo, a_hi): (alpha, beta, 1) for every beta, then
+    (alpha, 1, 0); the block of alpha = 1 also holds (1, 0, 0).
+    """
+    alphas, betas, gammas = _share_tables(m, modulus, u)
+    for al in range(a_lo, a_hi):
+        cols_a1 = list(map(xor, alphas[al], gammas[1]))
+        for be, cols_b in enumerate(betas):
+            yield (al, be, 1), map(xor, cols_a1, cols_b)
+        yield (al, 1, 0), map(xor, alphas[al], betas[1])
+    if a_lo <= 1 < a_hi:
+        yield (1, 0, 0), alphas[1]
 
 
 def _chunk_scan(args):
     """Kernel-dimension histogram, or else the first witness, of one alpha block.
 
     args = (m, modulus, u, a_lo, a_hi, histogram).  Returns the histogram
-    dict if histogram is true, else the code of the first triple in encoding
-    order with dim >= 2, or None if the block has none.
+    dict of the block's projective points if histogram is true, else the
+    code of the first triple in encoding order with dim >= 2, or None.
     """
     m, modulus, u, a_lo, a_hi, histogram = args
-    alphas, betas, gammas = _share_tables(m, modulus, u)
     n = 3 * m
+    if histogram:
+        hist: dict[int, int] = {}
+        for _, cols in _representatives(m, modulus, u, a_lo, a_hi):
+            dim = len(_kernel(cols, n))
+            hist[dim] = hist.get(dim, 0) + 1
+        return hist
+    alphas, betas, gammas = _share_tables(m, modulus, u)
     q = 1 << m
-    hist: dict[int, int] | None = {} if histogram else None
     for al in range(a_lo, a_hi):
         cols_a = alphas[al]
         for be in range(q):
@@ -229,11 +243,9 @@ def _chunk_scan(args):
             # skip the zero triple
             for ga in range(1 if al == be == 0 else 0, q):
                 dim = len(_kernel(map(xor, cols_ab, gammas[ga]), n))
-                if histogram:
-                    hist[dim] = hist.get(dim, 0) + 1
-                elif dim >= 2:
+                if dim >= 2:
                     return encode_triple((al, be, ga), m)
-    return hist
+    return None
 
 
 def _alpha_chunks(q: int) -> list[tuple[int, int]]:
@@ -242,10 +254,13 @@ def _alpha_chunks(q: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, q)) for lo in range(0, q, step)]
 
 
-def _run_chunks(argses, threads):
-    """Scan results in chunk order, from at most one worker per chunk and core."""
+def _run_chunks(argses, threads, triples):
+    """Scan results in chunk order, from at most one worker per chunk and core.
+
+    Fewer than 2^15 triples in all are scanned in-process.
+    """
     workers = min(threads, len(argses), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or triples < (1 << 15):
         yield from map(_chunk_scan, argses)
         return
     ctxm = multiprocessing.get_context("fork")
@@ -253,16 +268,13 @@ def _run_chunks(argses, threads):
         yield from pool.imap(_chunk_scan, argses)
 
 
-# -- spectra ---------------------------------------------------------------------
+# -- spectra and the permutation test ----------------------------------------------
 
 
 @dataclass
 class SpectrumReport:
     """Histogram of kernel dimensions over all nonzero difference triples."""
 
-    m: int
-    modulus: int
-    u: int
     histogram: dict[int, int]
 
     @property
@@ -285,59 +297,49 @@ def _guard_family(ctx: FieldCtx) -> None:
 
 def differential_spectrum(u: int, ctx: FieldCtx, threads: int = 1,
                           progress=None) -> SpectrumReport:
-    """Exact kernel-dimension histogram over all q^3 - 1 nonzero triples."""
+    """Exact kernel-dimension histogram over all q^3 - 1 nonzero triples.
+
+    Each of the q^2 + q + 1 projective points counts for its q - 1 multiples.
+    """
     _guard_family(ctx)
+    q = ctx.q
     if ctx.m > SPECTRUM_MAX_M:
-        raise ValueError(
-            f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M} "
-            f"(q^3 = 2^{3 * ctx.m} triples); use sampled witness search instead")
-    if ctx.q ** 3 < (1 << 15):
-        threads = 1
-    argses = [(ctx.m, ctx.modulus, u, lo, hi, True) for lo, hi in _alpha_chunks(ctx.q)]
+        raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M} "
+                         "(q^2 + q + 1 projective points); use sampled witness search instead")
+    argses = [(ctx.m, ctx.modulus, u, lo, hi, True) for lo, hi in _alpha_chunks(q)]
     hist: dict[int, int] = {}
-    for i, part in enumerate(_run_chunks(argses, threads)):
+    for i, part in enumerate(_run_chunks(argses, threads, q * q + q + 1)):
         for k, v in part.items():
-            hist[k] = hist.get(k, 0) + v
+            hist[k] = hist.get(k, 0) + v * (q - 1)
         if progress is not None:
             progress((i + 1) / len(argses))
     total = sum(hist.values())
-    if total != ctx.q ** 3 - 1:
-        raise AssertionError(f"histogram covers {total} triples, expected {ctx.q ** 3 - 1}")
-    return SpectrumReport(ctx.m, ctx.modulus, u, hist)
+    if total != q ** 3 - 1:
+        raise AssertionError(f"histogram covers {total} triples, expected {q ** 3 - 1}")
+    return SpectrumReport(hist)
 
 
-# -- permutation test --------------------------------------------------------------
+def _in_image(cols: list[int], w: int, n: int) -> bool:
+    """Whether w is an image of the map with these tagged columns.
+
+    The untagged column w << n joins the kernel iff its image part reduces
+    to zero; what is left of it then is the pivots' tags, not 0.
+    """
+    return len(_kernel([*cols, w << n], n)) > len(_kernel(cols, n))
 
 
 def is_permutation(u: int, ctx: FieldCtx) -> bool:
-    """True iff C_u is injective on F_q^3, by marking images in a bitmap."""
+    """True iff C_u is injective on F_q^3.
+
+    C_u is quadratic with C_u(0) = 0, so C_u(v + a) = C_u(v) exactly when
+    the map at a sends v to C_u(a).  Scaling a by lambda scales that map's
+    image and C_u(a) by lambda^3, so one triple per projective point decides.
+    """
     _guard_family(ctx)
     if ctx.m > SPECTRUM_MAX_M:
         raise ValueError(f"permutation check is limited to m <= {SPECTRUM_MAX_M}")
-    m, q = ctx.m, ctx.q
-    mul, sq = ctx.mul, ctx.square
-    CUBE = [ctx.pow(c, 3) for c in range(q)]
-    SQ = [sq(c) for c in range(q)]
-    seen = bytearray(1 << max(0, 3 * m - 3))
-    for x in range(q):
-        x3 = CUBE[x]
-        ux = mul(u, x)
-        ux2 = mul(u, SQ[x])
-        for y in range(q):
-            c1_base = x3
-            uy2 = mul(u, SQ[y])
-            y3 = CUBE[y]
-            w3 = mul(ux2, y)
-            for z in range(q):
-                c1 = c1_base ^ mul(uy2, z)
-                c2 = y3 ^ mul(ux, SQ[z])
-                c3 = CUBE[z] ^ w3
-                idx = (c1 << (2 * m)) | (c2 << m) | c3
-                bit = 1 << (idx & 7)
-                if seen[idx >> 3] & bit:
-                    return False
-                seen[idx >> 3] |= bit
-    return True
+    return not any(_in_image(list(cols), pack_vec(eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
+                   for a, cols in _representatives(ctx.m, ctx.modulus, u, 0, ctx.q))
 
 
 # -- witness certificates -----------------------------------------------------------
@@ -554,10 +556,8 @@ def witness_search(
     _guard_family(ctx)
     m, q = ctx.m, ctx.q
     if strategy == "exhaustive":
-        if ctx.q ** 3 < (1 << 15):
-            threads = 1
         argses = [(m, ctx.modulus, u, lo, hi, False) for lo, hi in _alpha_chunks(q)]
-        for code in _run_chunks(argses, threads):
+        for code in _run_chunks(argses, threads, q ** 3):
             if code is not None:
                 cert = build_certificate(decode_triple(code, m), u, ctx)
                 if cert is None:

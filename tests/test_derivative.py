@@ -149,8 +149,45 @@ def test_spectrum_guards():
         dv.differential_spectrum(2, make_field(12))
 
 
-def test_spectrum_m6_matches_golden_and_thread_count():
+def test_spectrum_m3_matches_per_triple_kernels():
+    # every nonzero triple, through kernel_basis: no share tables, no reduction
+    for u in range(8):
+        hist = {}
+        for code in range(1, 512):
+            dim = len(dv.kernel_basis(dv.decode_triple(code, 3), u, F3))
+            hist[dim] = hist.get(dim, 0) + 1
+        assert dv.differential_spectrum(u, F3).histogram == hist
+
+
+def test_kernels_scale_with_the_triple():
+    # the premise of the projective reduction: ker D_{lambda*a} = lambda*ker D_a
+    rng = random.Random(5)
+    for ctx in (F6, make_field(9)):
+        u = smallest_non_seventh_power(ctx)
+        for _ in range(50):
+            a = tuple(rng.randrange(ctx.q) for _ in range(3))
+            lam = rng.randrange(1, ctx.q)
+            if a == (0, 0, 0):
+                continue
+            la = tuple(ctx.mul(lam, c) for c in a)
+            basis = dv.kernel_basis(a, u, ctx)
+            assert len(dv.kernel_basis(la, u, ctx)) == len(basis)
+            span = {0}
+            for b in basis:
+                span |= {v ^ b for v in span}
+            for w in span:
+                lv = tuple(ctx.mul(lam, c) for c in dv.unpack_vec(w, ctx.m))
+                assert dv.verify_solution(la, lv, u, ctx)
+
+
+def test_spectrum_m6_matches_golden_and_thread_count(monkeypatch):
     golden = json.loads((GOLDEN / "spectrum_m6_u0x02.json").read_text())
+
+    def no_pool(method):
+        raise AssertionError("4161 representatives must not start a pool")
+
+    # the in-process path: m=6 starts no pool, whatever threads says
+    monkeypatch.setattr(dv.multiprocessing, "get_context", no_pool)
     rep = dv.differential_spectrum(2, F6, threads=2)
     assert {str(k): v for k, v in rep.histogram.items()} == golden["histogram"]
     assert sum(rep.histogram.values()) == 64 ** 3 - 1
@@ -173,7 +210,7 @@ def test_rotation_symmetry_of_kernel_dims():
     for code in range(1, 512):
         a = dv.decode_triple(code, 3)
         k1 = len(dv.kernel_basis(a, u, F3))
-        k2 = len(dv.kernel_basis(dv.rotate_triple(a), u, F3))
+        k2 = len(dv.kernel_basis((a[1], a[2], a[0]), u, F3))
         assert k1 == k2
     rng = random.Random(13)
     for _ in range(100):
@@ -181,11 +218,31 @@ def test_rotation_symmetry_of_kernel_dims():
         if a == (0, 0, 0):
             continue
         k1 = len(dv.kernel_basis(a, 2, F6))
-        k2 = len(dv.kernel_basis(dv.rotate_triple(a), 2, F6))
+        k2 = len(dv.kernel_basis((a[1], a[2], a[0]), 2, F6))
         assert k1 == k2
 
 
+def test_spectrum_m9_matches_golden_on_the_pool_path():
+    golden = json.loads((GOLDEN / "spectrum_m9_u0x07.json").read_text())
+    f9 = make_field(9)
+    assert f9.modulus == int(golden["modulus"], 16)
+    rep = dv.differential_spectrum(7, f9, threads=2)
+    assert {str(k): v for k, v in rep.histogram.items()} == golden["histogram"]
+
+
 # -- permutation --------------------------------------------------------------------------
+
+
+def test_image_test_matches_brute_force_collisions_m3():
+    # C_u(x + a) = C_u(x) for some x iff C_u(a) is an image of the map at a
+    for u in range(8):
+        img = [dv.eval_cu(*dv.unpack_vec(w, 3), u, F3) for w in range(512)]
+        for code in range(1, 512):
+            a = dv.decode_triple(code, 3)
+            d = dv.pack_vec(a, 3)
+            collides = any(img[w] == img[w ^ d] for w in range(512))
+            cu_a = dv.pack_vec(dv.eval_cu(*a, u, F3), 3)
+            assert dv._in_image(dv.derivative_columns(a, u, F3), cu_a, 9) == collides
 
 
 def test_permutation_m3():
