@@ -3,8 +3,11 @@
 The verified degree-6 factor P from the identity layer defines, in the
 gamma = 1 chart, a surface whose F_q-rational points (alpha, beta, y) with
 P_{alpha,beta,1}(y) = 0 reconstruct difference triples with at least four
-solutions.  This module finds those roots in one place
-(``SurfaceEvaluator.roots``), enumerates the points, rebuilds witness
+solutions.  The identity layer vouches that P = c6*w^3 + c2*w + c0 with
+w = y^2 + beta*y, so this module finds those roots in one place
+(``SurfaceEvaluator.roots``) in closed form: a depressed cubic in w, then
+an Artin-Schreier quadratic in y, both read from tables built once per
+field.  It enumerates the points, rebuilds witness
 certificates from them, cross-validates the surface pipeline against the
 kernel pipeline in one sweep of the chart, and evaluates the point-count
 lower bound that closes the argument for large fields - in exact integer
@@ -98,6 +101,21 @@ class SurfaceEvaluator:
         for terms in [*self._surface, *self._rhs.values(), self._obstruction]:
             for ea, eb, _ in terms:
                 self._max_e = max(self._max_e, ea, eb)
+        # one pass over the field: v^2 -> v, the smallest s with s^2 + s = c,
+        # v^3 + v -> [v], v^3 -> [v] (lists in increasing order)
+        q = ctx.q
+        self._sqrt = [0] * q
+        self._artin_schreier = [None] * q
+        self._depressed = [[] for _ in range(q)]
+        self._cbrt = [[] for _ in range(q)]
+        for v in range(q):
+            v2 = ctx.square(v)
+            v3 = ctx.mul(v2, v)
+            self._sqrt[v2] = v
+            if self._artin_schreier[v2 ^ v] is None:
+                self._artin_schreier[v2 ^ v] = v
+            self._depressed[v3 ^ v].append(v)
+            self._cbrt[v3].append(v)
 
     def _powers(self, v: int) -> list[int]:
         out = [1] * (self._max_e + 1)
@@ -117,21 +135,50 @@ class SurfaceEvaluator:
         apow, bpow = self._powers(alpha), self._powers(beta)
         return [self._value(t, apow, bpow) for t in self._surface]
 
+    def _cubic_coeffs(self, alpha: int, beta: int) -> tuple[int, int, int]:
+        """(c_0, c_2, c_6): the coefficients of P as a cubic in w = y^2 + beta*y."""
+        apow, bpow = self._powers(alpha), self._powers(beta)
+        return tuple(self._value(self._surface[k], apow, bpow) for k in (0, 2, 6))
+
+    def _solve(self, c0: int, c2: int, c6: int, beta: int) -> list[int]:
+        """The y in F_q with c6*w^3 + c2*w + c0 = 0 for w = y^2 + beta*y, sorted."""
+        ctx = self.ctx
+        mul, inv = ctx.mul, ctx.inv
+        if c6:
+            p, r = mul(c2, inv(c6)), mul(c0, inv(c6))
+            if p:
+                # w = s*v turns w^3 + p*w + r into v^3 + v = r/s^3, s = sqrt(p)
+                s = self._sqrt[p]
+                ws = [mul(s, v) for v in self._depressed[mul(r, inv(mul(p, s)))]]
+            else:
+                ws = self._cbrt[r]
+        elif c2:
+            ws = [mul(c0, inv(c2))]
+        elif c0:
+            return []
+        else:
+            return list(range(ctx.q))
+        out = []
+        if beta:
+            # y = beta*t with t^2 + t = w/beta^2; distinct w give disjoint pairs of y
+            ib2 = inv(ctx.square(beta))
+            for w in ws:
+                t = self._artin_schreier[mul(w, ib2)]
+                if t is not None:
+                    out += (mul(beta, t), mul(beta, t ^ 1))
+        else:
+            out = [self._sqrt[w] for w in ws]
+        return sorted(out)
+
     def roots(self, alpha: int, beta: int) -> list[int]:
         """The y in F_q with P_{alpha,beta,1}(y) = 0, in increasing order.
 
-        This Horner scan over y is the only place P is evaluated in y.
+        This is the only place P is evaluated in y.  It reads c_0, c_2 and
+        c_6 alone, since P = c_6*w^3 + c_2*w + c_0 with w = y^2 + beta*y,
+        solves the cubic for w and then y^2 + beta*y = w for y, from the
+        tables, with no scan over the field.
         """
-        coeffs = self.surface_coeffs(alpha, beta)
-        mul = self.ctx.mul
-        out = []
-        for y in range(self.ctx.q):
-            acc = coeffs[6]
-            for k in range(5, -1, -1):
-                acc = mul(acc, y) ^ coeffs[k]
-            if not acc:
-                out.append(y)
-        return out
+        return self._solve(*self._cubic_coeffs(alpha, beta), beta)
 
     def linearized_rhs_value(self, alpha: int, beta: int, y: int) -> int:
         apow, bpow = self._powers(alpha), self._powers(beta)
@@ -310,8 +357,6 @@ def cross_validate(u: int, ctx: FieldCtx) -> CrossValidationReport:
     first, then every surface-to-kernel entry, each in encoding order.
     """
     _guard_surface(ctx)
-    if ctx.m > 6:
-        raise ValueError("cross validation is exhaustive; use m in {3, 6}")
     ev = SurfaceEvaluator(u, ctx)
     u2 = ctx.square(u)
     report = CrossValidationReport(ctx.m, u, 0, 0, 0)

@@ -305,6 +305,20 @@ def verify_eliminant_factorization() -> CheckResult:
                     scale=formulas.ELIMINANT_DISPLAY_SCALE, notes=notes, extra_ok=ok)
 
 
+def verify_surface_w_cubic() -> CheckResult:
+    """The transcribed y^6..y^3 terms are c6*(y^2 + b*y)^3.
+
+    With the eliminant factorization this makes the surface polynomial a
+    cubic in w = y^2 + b*y: P = c6*w^3 + c2*w + c0, the form the geometry
+    layer solves in closed form.
+    """
+    lhs = _expand(
+        (formulas.SURFACE_COEFF_6_FACTORS, "y^6"), (formulas.SURFACE_COEFF_5_FACTORS, "y^5"),
+        (formulas.SURFACE_COEFF_4_FACTORS, "y^4"), (formulas.SURFACE_COEFF_3_FACTORS, "y^3"))
+    rhs = _product(formulas.SURFACE_COEFF_6_FACTORS) * _p("y^2 + b*y") ** 3
+    return _compare("surface_w_cubic", lhs, rhs)
+
+
 def verify_gamma0_curve() -> CheckResult:
     """The surface polynomial collapses to the reference curve when g = 0."""
     zero, one = _p("0"), _p("1")
@@ -404,6 +418,7 @@ CHECKS = {
     "linearization": verify_linearization,
     "obstruction_factorization": verify_obstruction_factorization,
     "eliminant_factorization": verify_eliminant_factorization,
+    "surface_w_cubic": verify_surface_w_cubic,
     "gamma0_curve": verify_gamma0_curve,
     "degenerate_locus": verify_degenerate_locus,
     "u_nonroot_of_unity_m3": lambda: verify_u_nonroot_of_unity(3),
@@ -438,8 +453,13 @@ def run_all(only: str | None = None) -> IdentityReport:
 
 
 def verified_surface_coefficients() -> tuple[MPoly, ...]:
-    """Coefficients (low to high) of the surface polynomial, post-verification."""
-    if not run_all("eliminant_factorization").all_pass:
+    """Coefficients (low to high) of the surface polynomial, post-verification.
+
+    Both the factorization of P and its cubic form in w = y^2 + b*y must
+    pass, since the geometry layer solves P through that form.
+    """
+    if not all(_run_check(name).passed
+               for name in ("eliminant_factorization", "surface_w_cubic")):
         raise IdentityError("surface polynomial failed verification; "
                             "run the identity suite for details")
     return tuple(surface_coefficient(k) for k in range(7))

@@ -145,7 +145,8 @@ def test_verify_identities(capsys):
 
 
 def test_verify_identities_matches_frozen_json(capsys):
-    # the full document as recorded before the checks were kept in one table
+    # the full document as recorded before the checks were kept in one table,
+    # plus the surface_w_cubic row
     code, doc, _ = run(capsys, "verify-identities")
     assert code == 0
     assert without_meta(doc) == json.loads((GOLDEN / "identities.json").read_text())
@@ -155,6 +156,28 @@ def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch)
     monkeypatch.setattr(formulas, "SURFACE_COEFF_6_FACTORS",
                         formulas.SURFACE_COEFF_6_FACTORS + (("u", 1),))
     code, doc, err = run(capsys, "surface", "--m", "3", "--u", "0x2")
+    assert code == 3 and doc is None
+    assert "internal verification failure" in err
+
+
+def test_surface_w_cubic_fault_stops_the_surface(capsys, monkeypatch):
+    monkeypatch.setattr(formulas, "SURFACE_COEFF_5_FACTORS",
+                        formulas.SURFACE_COEFF_5_FACTORS + (("u", 1),))
+    code, doc, _ = run(capsys, "verify-identities")
+    assert code == 3
+    assert {c["name"] for c in doc["checks"] if c["status"] == "fail"} == \
+        {"eliminant_factorization", "surface_w_cubic"}
+    code, doc, err = run(capsys, "surface", "--m", "3")
+    assert code == 3 and doc is None
+    assert "internal verification failure" in err
+
+
+def test_surface_needs_the_w_cubic_check_alone(capsys, monkeypatch):
+    # the factorization still passes: the cubic-form check must stop the surface by itself
+    failed = identities.CheckResult("surface_w_cubic", False, None, None, 0, 0)
+    monkeypatch.setitem(identities.CHECKS, "surface_w_cubic", lambda: failed)
+    assert identities.run_all("eliminant_factorization").all_pass
+    code, doc, err = run(capsys, "surface", "--m", "3")
     assert code == 3 and doc is None
     assert "internal verification failure" in err
 

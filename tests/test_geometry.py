@@ -1,6 +1,7 @@
 """Surface pipeline, cross-validation, and the exact bound arithmetic."""
 
 import math
+import random
 
 import pytest
 
@@ -87,7 +88,7 @@ def test_surface_counts_m3_frozen():
 
 
 def test_surface_points_reverify_through_trivariate_evaluation():
-    # independent re-evaluation: full multivariate polynomial vs the Horner scan
+    # independent re-evaluation: full multivariate polynomial vs the cubic solve
     P = identities.surface_polynomial()
     doc = geo.surface_report(2, F3, collect_points=True)
     assert len(doc["points"]) == doc["counts"]["total"]
@@ -107,6 +108,55 @@ def test_roots_match_trivariate_evaluation_exhaustively_m3():
                 point = {"a": alpha, "b": beta, "g": 1, "u": u}
                 expected = [y for y in range(8) if P.eval({**point, "y": y}, F3) == 0]
                 assert ev.roots(alpha, beta) == expected
+
+
+def _brute_roots(ev, alpha, beta):
+    """The y where all seven specialized coefficients of P sum to zero."""
+    coeffs = ev.surface_coeffs(alpha, beta)
+    mul = ev.ctx.mul
+    out = []
+    for y in range(ev.ctx.q):
+        acc = coeffs[6]
+        for k in range(5, -1, -1):
+            acc = mul(acc, y) ^ coeffs[k]
+        if not acc:
+            out.append(y)
+    return out
+
+
+def test_solver_matches_brute_force_on_every_branch_f8():
+    # made-up (c0, c2, c6, beta) over all of F_8^4 reach every branch,
+    # c6 = c2 = 0 != c0 included, which the surface itself never does
+    ev = geo.SurfaceEvaluator(2, F3)
+    mul = F3.mul
+    for c0 in range(8):
+        for c2 in range(8):
+            for c6 in range(8):
+                for beta in range(8):
+                    expected = []
+                    for y in range(8):
+                        w = F3.square(y) ^ mul(beta, y)
+                        if mul(c6, F3.pow(w, 3)) ^ mul(c2, w) ^ c0 == 0:
+                            expected.append(y)
+                    assert ev._solve(c0, c2, c6, beta) == expected, (c0, c2, c6, beta)
+
+
+def test_roots_match_brute_force_m6_every_pair():
+    for u in (0x2, 0x3, 0x7, 0xF):
+        ev = geo.SurfaceEvaluator(u, F6)
+        for alpha in range(64):
+            for beta in range(64):
+                assert ev.roots(alpha, beta) == _brute_roots(ev, alpha, beta), (u, alpha, beta)
+
+
+def test_roots_match_brute_force_m9_sampled():
+    F9 = make_field(9)
+    ev = geo.SurfaceEvaluator(0x7, F9)
+    rng = random.Random(9)
+    pairs = [(rng.randrange(512), rng.randrange(512)) for _ in range(2000)]
+    pairs += [(0, beta) for beta in range(512)] + [(alpha, 0) for alpha in range(512)]
+    for alpha, beta in pairs:
+        assert ev.roots(alpha, beta) == _brute_roots(ev, alpha, beta), (alpha, beta)
 
 
 def test_surface_counts_m6_frozen():
@@ -188,10 +238,13 @@ def test_cross_validation_consistent_m6(monkeypatch):
 def test_cross_validation_planted_fault_is_detected(monkeypatch):
     # a wrong constant term of P moves its roots: both directions must fire,
     # every kernel-to-surface mismatch listed before any surface-to-kernel one
-    coeffs = geo.SurfaceEvaluator.surface_coeffs
-    monkeypatch.setattr(geo.SurfaceEvaluator, "surface_coeffs",
-                        lambda ev, alpha, beta: [c ^ (k == 0) for k, c in
-                                                 enumerate(coeffs(ev, alpha, beta))])
+    coeffs = geo.SurfaceEvaluator._cubic_coeffs
+
+    def flipped(ev, alpha, beta):
+        c0, c2, c6 = coeffs(ev, alpha, beta)
+        return c0 ^ 1, c2, c6
+
+    monkeypatch.setattr(geo.SurfaceEvaluator, "_cubic_coeffs", flipped)
     rep = geo.cross_validate(2, F6)
     directions = [mm["direction"] for mm in rep.mismatches]
     assert directions == ["kernel_to_surface"] * 1680 + ["surface_to_kernel"] * 3704
@@ -199,7 +252,7 @@ def test_cross_validation_planted_fault_is_detected(monkeypatch):
 
 def test_cross_validation_guards():
     with pytest.raises(ValueError):
-        geo.cross_validate(2, make_field(9))
+        geo.cross_validate(2, make_field(12))
 
 
 # -- count vs band -----------------------------------------------------------------------
