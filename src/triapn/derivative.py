@@ -6,17 +6,21 @@ Because C_u is quadratic, the solutions of C_u(v + a) + C_u(v) + C_u(a) +
 C_u(0) = 0 for a fixed difference triple a form the kernel of an F_2-linear
 map on F_q^3.  This module builds the 3m columns of that map, the XOR of one
 share per coordinate of a, and finds their kernel with a single GF(2)
-elimination.  Every path runs through those two pieces: the spectrum and the
-permutation test, over one triple per projective point (the kernel at
-lambda*a is lambda times the kernel at a, so the spectrum weights each point
-by q - 1); the exhaustive witness scan; and the per-triple kernel basis
-behind sampled search, certificates and their re-verification.  A witness is
-a difference triple whose kernel has dimension >= 2 (at least 4 solutions);
-it is packaged as an independently re-verified certificate.
+elimination.  Every path runs through those two pieces: the spectrum, the
+permutation test and the exhaustive witness search, over one triple per
+projective point; and the per-triple kernel basis behind sampled search,
+certificates and their re-verification.  A witness is a difference triple
+whose kernel has dimension >= 2 (at least 4 solutions); it is packaged as an
+independently re-verified certificate.
+
+The kernel at lambda*a is lambda times the kernel at a, so the spectrum
+weights each point by q - 1.  The rotation (x, y, z) -> (z, x, y) commutes
+with C_u, so the witness search eliminates the rotations of the points with
+leading coordinate 1, in code order; no multiple of one has a smaller code.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
 bits, then y, then z; column j of the map is the image of bit j.
-Difference triples are scanned in encoding order:
+Difference triples are ordered by their code:
 code(a) = (alpha << 2m) | (beta << m) | gamma.
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import xor
@@ -181,7 +186,7 @@ def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
     return _reduced(_kernel(derivative_columns(a, u, ctx), 3 * ctx.m))
 
 
-# -- the exhaustive scan ----------------------------------------------------------------
+# -- the scan over projective points -----------------------------------------------
 
 
 @lru_cache(maxsize=8)
@@ -206,46 +211,37 @@ def _share_tables(m: int, modulus: int, u: int) -> list[list[list[int]]]:
 def _representatives(m: int, modulus: int, u: int, a_lo: int, a_hi: int):
     """(triple, columns) of one triple per projective point, split by alpha.
 
-    For each alpha in [a_lo, a_hi): (alpha, beta, 1) for every beta, then
-    (alpha, 1, 0); the block of alpha = 1 also holds (1, 0, 0).
+    The block holding alpha = 0 starts with the line gamma = 0: (0, 1, 0),
+    then (1, beta, 0) for every beta.  Then come (alpha, beta, 1) for each
+    alpha in [a_lo, a_hi) and every beta.  Rotated to (gamma, alpha, beta),
+    the points of the blocks, taken in order, are the triples with leading
+    coordinate 1 in increasing code.
     """
     alphas, betas, gammas = _share_tables(m, modulus, u)
+    if a_lo == 0:
+        yield (0, 1, 0), map(xor, alphas[0], betas[1])
+        for be, cols_b in enumerate(betas):
+            yield (1, be, 0), map(xor, alphas[1], cols_b)
     for al in range(a_lo, a_hi):
         cols_a1 = list(map(xor, alphas[al], gammas[1]))
         for be, cols_b in enumerate(betas):
             yield (al, be, 1), map(xor, cols_a1, cols_b)
-        yield (al, 1, 0), map(xor, alphas[al], betas[1])
-    if a_lo <= 1 < a_hi:
-        yield (1, 0, 0), alphas[1]
 
 
 def _chunk_scan(args):
     """Kernel-dimension histogram, or else the first witness, of one alpha block.
 
     args = (m, modulus, u, a_lo, a_hi, histogram).  Returns the histogram
-    dict of the block's projective points if histogram is true, else the
-    code of the first triple in encoding order with dim >= 2, or None.
+    of the block's projective points if histogram is true, else the code of
+    the first witness among their rotations (gamma, alpha, beta), or None.
     """
     m, modulus, u, a_lo, a_hi, histogram = args
     n = 3 * m
+    points = _representatives(m, modulus, u, a_lo, a_hi)
     if histogram:
-        hist: dict[int, int] = {}
-        for _, cols in _representatives(m, modulus, u, a_lo, a_hi):
-            dim = len(_kernel(cols, n))
-            hist[dim] = hist.get(dim, 0) + 1
-        return hist
-    alphas, betas, gammas = _share_tables(m, modulus, u)
-    q = 1 << m
-    for al in range(a_lo, a_hi):
-        cols_a = alphas[al]
-        for be in range(q):
-            cols_ab = list(map(xor, cols_a, betas[be]))
-            # skip the zero triple
-            for ga in range(1 if al == be == 0 else 0, q):
-                dim = len(_kernel(map(xor, cols_ab, gammas[ga]), n))
-                if dim >= 2:
-                    return encode_triple((al, be, ga), m)
-    return None
+        return Counter(len(_kernel(cols, n)) for _, cols in points)
+    return next((encode_triple((ga, al, be), m) for (al, be, ga), cols in points
+                 if len(_kernel(cols, n)) >= 2), None)
 
 
 def _alpha_chunks(q: int) -> list[tuple[int, int]]:
@@ -548,21 +544,22 @@ def witness_search(
 ) -> SearchResult:
     """Find a triple whose kernel has dimension >= 2, or report not-found.
 
-    Exhaustive mode scans triples in increasing encoding order and returns
-    the first witness, which makes an exhaustive not-found a proof that no
-    witness exists.  Sampled mode draws triples from the seeded generator;
-    not-found there is merely inconclusive.
+    Exhaustive mode decides triples through at most q^2 + q + 1
+    eliminations and returns the witness with the smallest code; its
+    not-found proves that no witness exists.  `scanned` counts the triples
+    it decided, codes 1..code (q^3 - 1 if none).  Sampled mode draws triples
+    from the seeded generator; not-found there is merely inconclusive.
     """
     _guard_family(ctx)
     m, q = ctx.m, ctx.q
     if strategy == "exhaustive":
         argses = [(m, ctx.modulus, u, lo, hi, False) for lo, hi in _alpha_chunks(q)]
-        for code in _run_chunks(argses, threads, q ** 3):
+        for code in _run_chunks(argses, threads, q * q + q + 1):
             if code is not None:
                 cert = build_certificate(decode_triple(code, m), u, ctx)
                 if cert is None:
                     raise CertificateError("scan reported a witness the kernel basis rejects")
-                # codes 1..code were scanned; the zero triple never is
+                # codes 1..code are decided, not eliminated; zero never is
                 return SearchResult("exhaustive", True, cert, scanned=code)
         return SearchResult("exhaustive", False, None, scanned=q ** 3 - 1)
     if strategy == "sampled":

@@ -206,12 +206,13 @@ def test_uniformity_second_non_residue_m6():
 
 
 def test_rotation_symmetry_of_kernel_dims():
-    u = 2
-    for code in range(1, 512):
-        a = dv.decode_triple(code, 3)
-        k1 = len(dv.kernel_basis(a, u, F3))
-        k2 = len(dv.kernel_basis((a[1], a[2], a[0]), u, F3))
-        assert k1 == k2
+    # the exhaustive witness search relies on this for every u
+    for u in range(1, 8):
+        for code in range(1, 512):
+            a = dv.decode_triple(code, 3)
+            k1 = len(dv.kernel_basis(a, u, F3))
+            k2 = len(dv.kernel_basis((a[1], a[2], a[0]), u, F3))
+            assert k1 == k2
     rng = random.Random(13)
     for _ in range(100):
         a = tuple(rng.randrange(64) for _ in range(3))
@@ -220,6 +221,23 @@ def test_rotation_symmetry_of_kernel_dims():
         k1 = len(dv.kernel_basis(a, 2, F6))
         k2 = len(dv.kernel_basis((a[1], a[2], a[0]), 2, F6))
         assert k1 == k2
+
+
+def test_rotated_representatives_are_the_leading_one_triples_in_code_order():
+    # the order contract the exhaustive witness search relies on
+    for ctx in (F3, F6):
+        q = ctx.q
+        points = [(a, list(cols)) for lo, hi in dv._alpha_chunks(q)
+                  for a, cols in dv._representatives(ctx.m, ctx.modulus, 2, lo, hi)]
+        assert len(points) == q * q + q + 1
+        codes = []
+        for (al, be, ga), cols in points:
+            rotated = (ga, al, be)
+            assert next(c for c in rotated if c) == 1
+            codes.append(dv.encode_triple(rotated, ctx.m))
+            if ctx is F3:
+                assert cols == dv.derivative_columns((al, be, ga), 2, ctx)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_spectrum_m9_matches_golden_on_the_pool_path():
@@ -262,7 +280,7 @@ def test_witness_exhaustive_m3_not_found():
     assert res.to_json() == {"certificate": None, "scanned": 511}  # q^3 - 1 triples
 
 
-def test_witness_exhaustive_m6():
+def test_witness_exhaustive_m6(monkeypatch):
     res = dv.witness_search(2, F6)
     assert res.found
     cert = res.certificate
@@ -270,12 +288,34 @@ def test_witness_exhaustive_m6():
     assert len(cert.solutions) == 1 << cert.kernel_dim >= 4
     # first witness in encoding order, frozen from the first verified run
     assert cert.triple == (1, 1, 2)
-    # codes 1..code(triple) were scanned
+    # codes 1..code(triple) were decided
     assert res.scanned == dv.encode_triple(cert.triple, 6)
     assert dv.verify_certificate(cert) == []
-    # thread count never changes the result
+    # thread count never changes the result; 4161 points start no pool
+    monkeypatch.setattr(dv.multiprocessing, "get_context", pytest.fail)
     res2 = dv.witness_search(2, F6, threads=2)
     assert res2.certificate.to_json() == cert.to_json()
+
+
+def first_witness_by_brute_force(u, ctx, below):
+    """The smallest code under `below` whose triple has dim >= 2, or None."""
+    return next((code for code in range(1, below)
+                 if len(dv.kernel_basis(dv.decode_triple(code, ctx.m), u, ctx)) >= 2), None)
+
+
+@pytest.mark.parametrize("u, m", [*((u, 3) for u in range(1, 8)),
+                                  *((u, 6) for u in (0x2, 0x3, 0x7, 0xF)), (0x2, 9)])
+def test_witness_exhaustive_matches_brute_force_encoding_order(u, m):
+    # kernel_basis on unrotated triples, every code up to the returned one
+    ctx = make_field(m)
+    res = dv.witness_search(u, ctx)
+    if not res.found:
+        assert first_witness_by_brute_force(u, ctx, ctx.q ** 3) is None
+        assert res.scanned == ctx.q ** 3 - 1
+        return
+    code = dv.encode_triple(res.certificate.triple, m)
+    assert first_witness_by_brute_force(u, ctx, code + 1) == code
+    assert res.scanned == code
 
 
 def test_witness_certificate_roundtrip_and_tamper():
@@ -396,10 +436,12 @@ def test_worker_count_is_clamped(monkeypatch):
         Pool = FakePool
 
     monkeypatch.setattr(dv.multiprocessing, "get_context", lambda method: FakeContext)
+    # the 4161 points of m=6 stay in-process, so ask for the pool directly
+    argses = [(6, F6.modulus, 2, lo, hi, False) for lo, hi in dv._alpha_chunks(64)]
     for cores, expected in ((1000, 64), (8, 8)):
         monkeypatch.setattr(dv.os, "cpu_count", lambda: cores)
-        res = dv.witness_search(2, F6, threads=10 ** 6)
-        assert res.certificate.triple == (1, 1, 2)
+        codes = list(dv._run_chunks(argses, 10 ** 6, 1 << 15))
+        assert next(filter(None, codes)) == dv.encode_triple((1, 1, 2), 6)
         assert requested[-1] == expected
 
 
