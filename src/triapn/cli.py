@@ -144,11 +144,8 @@ def cmd_permutation(args) -> tuple[dict, int]:
 def cmd_witness(args) -> tuple[dict, int]:
     ctx = _field(args)
     u, warnings = resolve_u(ctx, args.u)
-    if args.sampled:
-        result = derivative.witness_search(
-            u, ctx, strategy="sampled", seed=args.seed, max_draws=args.max_draws)
-    else:
-        result = derivative.witness_search(u, ctx, threads=args.threads)
+    result = derivative.witness_search(u, ctx, "sampled" if args.sampled else "exhaustive",
+                                       seed=args.seed, max_draws=args.max_draws)
     doc = {
         "schema": "witness-search/1",
         "params": _params(ctx, u, warnings, strategy=result.strategy),
@@ -236,9 +233,9 @@ def cmd_cross_validate(args) -> tuple[dict, int]:
 
 
 def cmd_bound(args) -> tuple[dict, int]:
-    rep = geometry.bound_check(delta=args.delta, m_from=args.m_from, m_to=args.m_to)
+    rep = geometry.bound_check(m_from=args.m_from, m_to=args.m_to)
     doc = rep.to_json()
-    doc["params"] = {"delta": args.delta, "m_from": args.m_from, "m_to": args.m_to}
+    doc["params"] = {"delta": rep.delta, "m_from": args.m_from, "m_to": args.m_to}
     print(f"bound closes from m={rep.minimal_closing_m} "
           f"(multiples of 3: m={rep.minimal_closing_m_multiple_of_3}); "
           f"applicable once q > {rep.applicability_threshold}", file=sys.stderr)
@@ -276,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("spectrum", cmd_spectrum, "exact kernel-dimension histogram",
         threads=True).set_defaults(schema="spectrum/1")
     add("permutation", cmd_permutation, "injectivity check of C_u on F_q^3")
-    w = add("witness", cmd_witness, "search for a triple with >= 4 solutions", threads=True)
+    w = add("witness", cmd_witness, "search for a triple with >= 4 solutions")
+    w.add_argument("--threads", type=int, help="ignored: the witness search runs in one process")
     w.add_argument("--sampled", action="store_true", help="seeded sampling instead of exhaustive scan")
     w.add_argument("--seed", type=int, default=0, help="sampling seed")
     w.add_argument("--max-draws", type=int, default=10 ** 6, help="sampling budget")
@@ -295,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("cross-validate", cmd_cross_validate, "check kernel and surface pipelines against each other")
     b = sub.add_parser("bound", help="exact lower-bound closure scan")
     b.set_defaults(handler=cmd_bound)
-    b.add_argument("--delta", type=int, default=16, help="surface degree bound")
     b.add_argument("--m-from", type=int, default=3)
     b.add_argument("--m-to", type=int, default=40)
     return parser

@@ -9,9 +9,9 @@ share per coordinate of a, and finds their kernel with a single GF(2)
 elimination.  Every path runs through those two pieces: the spectrum, the
 permutation test and the exhaustive witness search, over one triple per
 projective point; and the per-triple kernel basis behind sampled search,
-certificates and their re-verification.  A witness is a difference triple
-whose kernel has dimension >= 2 (at least 4 solutions); it is packaged as an
-independently re-verified certificate.
+certificates and their re-verification; only the spectrum fans out to
+worker processes.  A witness is a triple whose kernel has dimension >= 2
+(at least 4 solutions), packaged as an independently re-verified certificate.
 
 The kernel at lambda*a is lambda times the kernel at a, so the spectrum
 weights each point by q - 1.  The rotation (x, y, z) -> (z, x, y) commutes
@@ -39,6 +39,9 @@ from .gf2m import FieldCtx, elem_to_hex, make_field
 Triple = tuple[int, int, int]
 
 SPECTRUM_MAX_M = 9
+# The exhaustive witness search builds `_share_tables`, 3q lists of 3m ints:
+# 1.7 MiB at m = 9, 18.6 MiB at m = 12, about 200 MiB at m = 15 (measured).
+WITNESS_MAX_M = 15
 # Largest m a loaded certificate may name.  The field's irreducibility test
 # grows about cubically in m, so an unbounded m lets a certificate file keep
 # verify-cert busy for hours; the sampled search is exercised up to m = 21.
@@ -228,30 +231,18 @@ def _representatives(m: int, modulus: int, u: int, a_lo: int, a_hi: int):
             yield (al, be, 1), map(xor, cols_a1, cols_b)
 
 
-def _chunk_scan(args):
-    """Kernel-dimension histogram, or else the first witness, of one alpha block.
+def _chunk_scan(args) -> Counter:
+    """Kernel-dimension histogram of one alpha block's projective points.
 
-    args = (m, modulus, u, a_lo, a_hi, histogram).  Returns the histogram
-    of the block's projective points if histogram is true, else the code of
-    the first witness among their rotations (gamma, alpha, beta), or None.
+    args = (m, modulus, u, a_lo, a_hi).
     """
-    m, modulus, u, a_lo, a_hi, histogram = args
-    n = 3 * m
-    points = _representatives(m, modulus, u, a_lo, a_hi)
-    if histogram:
-        return Counter(len(_kernel(cols, n)) for _, cols in points)
-    return next((encode_triple((ga, al, be), m) for (al, be, ga), cols in points
-                 if len(_kernel(cols, n)) >= 2), None)
-
-
-def _alpha_chunks(q: int) -> list[tuple[int, int]]:
-    """Fixed alpha-block partition, independent of the worker count."""
-    step = max(1, q // 64)
-    return [(lo, min(lo + step, q)) for lo in range(0, q, step)]
+    m, modulus, u, a_lo, a_hi = args
+    return Counter(len(_kernel(cols, 3 * m))
+                   for _, cols in _representatives(m, modulus, u, a_lo, a_hi))
 
 
 def _run_chunks(argses, threads, triples):
-    """Scan results in chunk order, from at most one worker per chunk and core.
+    """The spectrum's chunk histograms in order, from at most one worker per chunk and core.
 
     Fewer than 2^15 triples in all are scanned in-process.
     """
@@ -259,8 +250,7 @@ def _run_chunks(argses, threads, triples):
     if workers <= 1 or triples < (1 << 15):
         yield from map(_chunk_scan, argses)
         return
-    ctxm = multiprocessing.get_context("fork")
-    with ctxm.Pool(workers) as pool:
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         yield from pool.imap(_chunk_scan, argses)
 
 
@@ -302,7 +292,8 @@ def differential_spectrum(u: int, ctx: FieldCtx, threads: int = 1,
     if ctx.m > SPECTRUM_MAX_M:
         raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M} "
                          "(q^2 + q + 1 projective points); use sampled witness search instead")
-    argses = [(ctx.m, ctx.modulus, u, lo, hi, True) for lo, hi in _alpha_chunks(q)]
+    step = max(1, q // 64)  # fixed alpha blocks, independent of the worker count
+    argses = [(ctx.m, ctx.modulus, u, lo, min(lo + step, q)) for lo in range(0, q, step)]
     hist: dict[int, int] = {}
     for i, part in enumerate(_run_chunks(argses, threads, q * q + q + 1)):
         for k, v in part.items():
@@ -534,33 +525,28 @@ def draw_code(seed: int, index: int, bits: int) -> int:
     return v & ((1 << bits) - 1)
 
 
-def witness_search(
-    u: int,
-    ctx: FieldCtx,
-    strategy: str = "exhaustive",
-    seed: int = 0,
-    max_draws: int = 10 ** 6,
-    threads: int = 1,
-) -> SearchResult:
+def witness_search(u: int, ctx: FieldCtx, strategy: str = "exhaustive", seed: int = 0,
+                   max_draws: int = 10 ** 6) -> SearchResult:
     """Find a triple whose kernel has dimension >= 2, or report not-found.
 
-    Exhaustive mode decides triples through at most q^2 + q + 1
-    eliminations and returns the witness with the smallest code; its
-    not-found proves that no witness exists.  `scanned` counts the triples
-    it decided, codes 1..code (q^3 - 1 if none).  Sampled mode draws triples
-    from the seeded generator; not-found there is merely inconclusive.
+    Exhaustive mode walks the q^2 + q + 1 projective points in-process and
+    returns the witness with the smallest code; its not-found proves that
+    no witness exists.  `scanned` counts the triples it decided, codes
+    1..code (q^3 - 1 if none).  Sampled mode draws triples from the seeded
+    generator; not-found there is merely inconclusive.
     """
     _guard_family(ctx)
     m, q = ctx.m, ctx.q
     if strategy == "exhaustive":
-        argses = [(m, ctx.modulus, u, lo, hi, False) for lo, hi in _alpha_chunks(q)]
-        for code in _run_chunks(argses, threads, q * q + q + 1):
-            if code is not None:
-                cert = build_certificate(decode_triple(code, m), u, ctx)
+        if m > WITNESS_MAX_M:
+            raise ValueError(f"exhaustive witness search needs m <= {WITNESS_MAX_M}; use --sampled")
+        for (al, be, ga), cols in _representatives(m, ctx.modulus, u, 0, q):
+            if len(_kernel(cols, 3 * m)) >= 2:
+                cert = build_certificate((ga, al, be), u, ctx)
                 if cert is None:
                     raise CertificateError("scan reported a witness the kernel basis rejects")
                 # codes 1..code are decided, not eliminated; zero never is
-                return SearchResult("exhaustive", True, cert, scanned=code)
+                return SearchResult("exhaustive", True, cert, scanned=encode_triple(cert.triple, m))
         return SearchResult("exhaustive", False, None, scanned=q ** 3 - 1)
     if strategy == "sampled":
         bits = 3 * m

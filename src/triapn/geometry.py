@@ -472,7 +472,19 @@ class BoundReport:
         }
 
 
-def bound_check(delta: int = 16, m_from: int = 3, m_to: int = 40) -> BoundReport:
+def surface_degree() -> int:
+    """delta: the homogeneous degree in (a, b, g, y) of the verified surface P.
+
+    Raises IdentityError if P fails verification or is not homogeneous.
+    """
+    degrees = {k + sum(e[c.vars.index(v)] for v in "abg")
+               for k, c in enumerate(identities.verified_surface_coefficients()) for e in c.terms}
+    if len(degrees) != 1:
+        raise identities.IdentityError(f"surface polynomial is not homogeneous: {sorted(degrees)}")
+    return degrees.pop()
+
+
+def bound_check(m_from: int = 3, m_to: int = 40) -> BoundReport:
     """Exact evaluation of the point-count lower bound across a range of m.
 
     For an absolutely irreducible surface (dimension r = 2) of degree at
@@ -484,12 +496,11 @@ def bound_check(delta: int = 16, m_from: int = 3, m_to: int = 40) -> BoundReport
     Non-multiples of 3 are reported but flagged: the family itself is only
     defined when 3 divides m.
     """
-    if delta < 3:
-        raise ValueError("delta must be at least 3")
     if m_from < 1 or m_to < m_from:
         raise ValueError("bad m range")
     if m_to > BOUND_MAX_M:
         raise ValueError(f"m_to={m_to} exceeds {BOUND_MAX_M}")
+    delta = surface_degree()
     r = 2
     applicability = 2 * (r + 1) * delta * delta
     c_sqrt = (delta - 1) * (delta - 2)
@@ -517,7 +528,7 @@ def bound_check(delta: int = 16, m_from: int = 3, m_to: int = 40) -> BoundReport
         minimal_closing_m_multiple_of_3=closed3[0] if closed3 else None)
 
 
-def count_vs_band(u: int, ctx: FieldCtx, delta: int = 16) -> dict:
+def count_vs_band(u: int, ctx: FieldCtx) -> dict:
     """Exact affine point count of the surface against the estimate band.
 
     The count is the number of points ``iter_surface_points`` yields; it is
@@ -550,6 +561,7 @@ def count_vs_band(u: int, ctx: FieldCtx, delta: int = 16) -> dict:
                 if acc == 0:
                     count_b += 1
 
+    delta = surface_degree()
     width = (delta - 1) * (delta - 2) * ceil_q_pow_3_2(ctx.m) + 5 * ceil_cbrt(delta ** 13) * q
     return {
         "m": ctx.m,

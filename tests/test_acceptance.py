@@ -126,7 +126,7 @@ def test_criterion_6_cross_validation():
 
 @criterion(7, "bound: applicability q > 1536, minimal closing m <= 20, exact and monotone")
 def test_criterion_7_bound_closure(capsys):
-    code, doc = run_cli(capsys, "bound", "--delta", "16", "--m-from", "3", "--m-to", "40")
+    code, doc = run_cli(capsys, "bound", "--m-from", "3", "--m-to", "40")
     assert code == 0
     assert doc["applicability_threshold"] == 1536
     assert doc["minimal_closing_m"] is not None and doc["minimal_closing_m"] <= 20

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from triapn import cli, formulas, identities
+from triapn import cli, derivative, formulas, identities
 from triapn.mpoly import ExactDivisionError, divide_exact, parse
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -126,6 +126,24 @@ def test_verify_cert_usage_errors(capsys, tmp_path):
         assert code == 2 and "malformed certificate" in err
 
 
+def test_exhaustive_witness_starts_no_pool(capsys, monkeypatch):
+    # 262,657 points at m=9, but the search ends at its first witness in-process
+    one = run(capsys, "witness", "--m", "9", "--u", "0x7", "--threads", "1")
+    monkeypatch.setattr(derivative.multiprocessing, "get_context", pytest.fail)
+    two = run(capsys, "witness", "--m", "9", "--u", "0x7", "--threads", "2")
+    assert one[0] == two[0] == 0 and one[2] == two[2]
+    assert without_meta(one[1]) == without_meta(two[1])
+
+
+def test_exhaustive_witness_is_capped_before_any_table(capsys, monkeypatch):
+    monkeypatch.setattr(derivative, "_share_tables", pytest.fail)
+    code, doc, err = run(capsys, "witness", "--m", "18")
+    assert code == 2 and doc is None and "--sampled" in err
+    code, doc, _ = run(capsys, "witness", "--m", "18", "--sampled", "--seed", "1")
+    assert code == 0 and doc["verdicts"]["found"] is True
+    assert doc["certificate"]["kernel_dim"] >= 2
+
+
 def test_witness_not_found_is_exit_zero(capsys):
     code, doc, err = run(capsys, "witness", "--m", "3", "--u", "0x2", "--threads", "1")
     assert code == 0
@@ -155,9 +173,10 @@ def test_verify_identities_matches_frozen_json(capsys):
 def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "SURFACE_COEFF_6_FACTORS",
                         formulas.SURFACE_COEFF_6_FACTORS + (("u", 1),))
-    code, doc, err = run(capsys, "surface", "--m", "3", "--u", "0x2")
-    assert code == 3 and doc is None
-    assert "internal verification failure" in err
+    for argv in (("surface", "--m", "3", "--u", "0x2"), ("bound",)):
+        code, doc, err = run(capsys, *argv)
+        assert code == 3 and doc is None
+        assert "internal verification failure" in err
 
 
 def test_surface_w_cubic_fault_stops_the_surface(capsys, monkeypatch):
@@ -258,12 +277,15 @@ def test_cross_validate_command(capsys):
 
 
 def test_bound_command(capsys):
-    code, doc, _ = run(capsys, "bound", "--delta", "16", "--m-from", "3", "--m-to", "24")
+    code, doc, _ = run(capsys, "bound", "--m-from", "3", "--m-to", "24")
     assert code == 0
     assert doc["schema"] == "bound/1"
     assert doc["minimal_closing_m"] == 20
     assert doc["reference"]["threshold_m"] == 20
-    assert run(capsys, "bound", "--delta", "2")[0] == 2
+    # delta is read from the verified surface; --delta is no longer an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound", "--delta", "2"])
+    assert exc.value.code == 2
     # past m = 1024 the scan is refused instead of overflowing the JSON encoder
     code, doc, err = run(capsys, "bound", "--m-from", "7200", "--m-to", "7200")
     assert code == 2 and doc is None and "exceeds 1024" in err

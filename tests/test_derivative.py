@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -227,8 +228,7 @@ def test_rotated_representatives_are_the_leading_one_triples_in_code_order():
     # the order contract the exhaustive witness search relies on
     for ctx in (F3, F6):
         q = ctx.q
-        points = [(a, list(cols)) for lo, hi in dv._alpha_chunks(q)
-                  for a, cols in dv._representatives(ctx.m, ctx.modulus, 2, lo, hi)]
+        points = [(a, list(cols)) for a, cols in dv._representatives(ctx.m, ctx.modulus, 2, 0, q)]
         assert len(points) == q * q + q + 1
         codes = []
         for (al, be, ga), cols in points:
@@ -280,7 +280,7 @@ def test_witness_exhaustive_m3_not_found():
     assert res.to_json() == {"certificate": None, "scanned": 511}  # q^3 - 1 triples
 
 
-def test_witness_exhaustive_m6(monkeypatch):
+def test_witness_exhaustive_m6():
     res = dv.witness_search(2, F6)
     assert res.found
     cert = res.certificate
@@ -291,10 +291,6 @@ def test_witness_exhaustive_m6(monkeypatch):
     # codes 1..code(triple) were decided
     assert res.scanned == dv.encode_triple(cert.triple, 6)
     assert dv.verify_certificate(cert) == []
-    # thread count never changes the result; 4161 points start no pool
-    monkeypatch.setattr(dv.multiprocessing, "get_context", pytest.fail)
-    res2 = dv.witness_search(2, F6, threads=2)
-    assert res2.certificate.to_json() == cert.to_json()
 
 
 def first_witness_by_brute_force(u, ctx, below):
@@ -435,13 +431,13 @@ def test_worker_count_is_clamped(monkeypatch):
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(dv.multiprocessing, "get_context", lambda method: FakeContext)
     # the 4161 points of m=6 stay in-process, so ask for the pool directly
-    argses = [(6, F6.modulus, 2, lo, hi, False) for lo, hi in dv._alpha_chunks(64)]
+    argses = [(6, F6.modulus, 2, lo, lo + 1) for lo in range(64)]
+    in_process = sum(dv._run_chunks(argses, 1, 1 << 15), Counter())
+    monkeypatch.setattr(dv.multiprocessing, "get_context", lambda method: FakeContext)
     for cores, expected in ((1000, 64), (8, 8)):
         monkeypatch.setattr(dv.os, "cpu_count", lambda: cores)
-        codes = list(dv._run_chunks(argses, 10 ** 6, 1 << 15))
-        assert next(filter(None, codes)) == dv.encode_triple((1, 1, 2), 6)
+        assert sum(dv._run_chunks(argses, 10 ** 6, 1 << 15), Counter()) == in_process
         assert requested[-1] == expected
 
 

@@ -1,5 +1,7 @@
 """Surface pipeline, cross-validation, and the exact bound arithmetic."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -8,9 +10,11 @@ import pytest
 from triapn import geometry as geo
 from triapn import identities
 from triapn.gf2m import make_field
+from triapn.mpoly import parse
 
 F3 = make_field(3)
 F6 = make_field(6)
+BOUND_ROWS_DELTA16_SHA256 = "18df11328c805b6b2c3c0bd131e4b212a99c75e52d920f8125394ac48c7c5bc5"
 
 
 # -- bound arithmetic -----------------------------------------------------------
@@ -28,7 +32,7 @@ def test_integer_roots_are_exact():
 
 
 def test_bound_report_values():
-    rep = geo.bound_check(16, 3, 40)
+    rep = geo.bound_check(3, 40)
     assert rep.applicability_threshold == 1536
     rows = {r.m: r for r in rep.rows}
     assert not rows[10].applicable and rows[11].applicable  # 2^11 = 2048 > 1536
@@ -48,7 +52,7 @@ def test_bound_report_values():
 
 
 def test_bound_exclusion_budget_accounting():
-    rep = geo.bound_check(16, 2, 6)
+    rep = geo.bound_check(2, 6)
     rows = {r.m: r for r in rep.rows}
     # budget = 3(q+1) + 44q + 1 = 47q + 4; 48q exceeds it exactly when q > 4
     assert rows[2].exclusion_budget == 47 * 4 + 4
@@ -57,7 +61,7 @@ def test_bound_exclusion_budget_accounting():
 
 
 def test_bound_reference_claim_attached():
-    doc = geo.bound_check(16, 3, 24).to_json()
+    doc = geo.bound_check(3, 24).to_json()
     assert doc["schema"] == "bound/1"
     assert doc["reference"]["threshold_m"] == 20
     assert doc["minimal_closing_m"] <= 20
@@ -65,15 +69,26 @@ def test_bound_reference_claim_attached():
 
 def test_bound_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        geo.bound_check(delta=2)
-    with pytest.raises(ValueError):
         geo.bound_check(m_from=5, m_to=4)
 
 
-def test_bound_delta_sensitivity():
-    # a smaller degree bound closes earlier; the scan stays monotone
-    rep = geo.bound_check(8, 3, 40)
-    assert rep.minimal_closing_m < 20
+def test_delta_is_the_degree_of_the_verified_surface():
+    assert geo.surface_degree() == 16
+    rep = geo.bound_check(3, 40)
+    assert rep.delta == 16
+    # sha256 of the rows' JSON, frozen from the scan with delta = 16 given
+    rows = json.dumps([r.to_json() for r in rep.rows], sort_keys=True).encode()
+    assert hashlib.sha256(rows).hexdigest() == BOUND_ROWS_DELTA16_SHA256
+    assert geo.count_vs_band(2, F3)["band_width"] == (
+        15 * 14 * geo.ceil_q_pow_3_2(3) + 5 * geo.ceil_cbrt(16 ** 13) * 8)
+
+
+def test_delta_refuses_a_non_homogeneous_surface(monkeypatch):
+    coeffs = list(identities.verified_surface_coefficients())
+    coeffs[0] = coeffs[0] + parse("a")
+    monkeypatch.setattr(identities, "verified_surface_coefficients", lambda: tuple(coeffs))
+    with pytest.raises(identities.IdentityError, match="not homogeneous"):
+        geo.bound_check(3, 40)
 
 
 # -- surface enumeration -----------------------------------------------------------
