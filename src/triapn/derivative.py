@@ -4,9 +4,11 @@ C_u(x, y, z) = (x^3 + u*y^2*z, y^3 + u*x*z^2, z^3 + u*x^2*y).
 
 Because C_u is quadratic, the solutions of C_u(v + a) + C_u(v) + C_u(a) +
 C_u(0) = 0 for a fixed difference triple a form the kernel of an F_2-linear
-map on F_q^3.  This module builds the 3m columns of that map, the XOR of one
-share per coordinate of a, and finds their kernel with a single GF(2)
-elimination.  Every path runs through those two pieces: the spectrum, the
+map on F_q^3.  This module builds the 3m columns of that map and finds their
+kernel with a single GF(2) elimination.  What a coordinate of a adds to the
+columns is F_2-linear in its value, so the columns are the XOR of the
+shares of the coordinates' set bits, read from tables built once per
+(field, u).  Every path runs through those two pieces: the spectrum, the
 permutation test and the exhaustive witness search, over one triple per
 projective point; and the per-triple kernel basis behind sampled search,
 certificates and their re-verification; only the spectrum fans out to
@@ -129,15 +131,29 @@ def _share(c: int, k: int, u: int, ctx: FieldCtx) -> list[int]:
     return cols
 
 
+# 3m shares of 3m ints each: 0.19 MiB at m = 21 (measured), about 3 MiB at
+# the certificate limit m = 63, so under 50 MiB for 16 entries.
+@lru_cache(maxsize=16)
+def _unit_shares(m: int, modulus: int, u: int) -> list[list[list[int]]]:
+    """The share of each unit 1 << i, i < m, for each coordinate k: [k][i]."""
+    ctx = make_field(m, modulus)
+    return [[_share(1 << i, k, u, ctx) for i in range(m)] for k in range(3)]
+
+
 def derivative_columns(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
     """The 3m tagged columns of the linear map at a.
 
     Column j is (M e_j) << 3m | 1 << j, where e_j is the j-th bit of a
     packed vector and M*v = 0 exactly when v solves the linearized system.
+    The tags are XORed with the unit share of each set bit of each
+    coordinate.
     """
     cols = [1 << j for j in range(3 * ctx.m)]
-    for k, c in enumerate(a):
-        cols = list(map(xor, cols, _share(c, k, u, ctx)))
+    for c, units in zip(a, _unit_shares(ctx.m, ctx.modulus, u)):
+        while c:
+            low = c & -c
+            cols = list(map(xor, cols, units[low.bit_length() - 1]))
+            c ^= low
     return cols
 
 
@@ -192,19 +208,20 @@ def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
 # -- the scan over projective points -----------------------------------------------
 
 
-@lru_cache(maxsize=8)
+# One entry: 3q lists of 3m ints, 1.7 MiB at m = 9, 18.6 MiB at m = 12 and
+# about 200 MiB at m = 15 (see WITNESS_MAX_M).  Every caller reads one u at a
+# time, so one entry is kept.
+@lru_cache(maxsize=1)
 def _share_tables(m: int, modulus: int, u: int) -> list[list[list[int]]]:
     """Each coordinate's share for every value in F_q; alpha's carries the tags.
 
-    Built by linearity: the share of c is the share of c without its lowest
-    bit, XOR the share of that bit.
+    Expanded from `_unit_shares` by linearity: the share of c is the share
+    of c without its lowest bit, XOR the unit share of that bit.
     """
-    ctx = make_field(m, modulus)
     tables = []
-    for k in range(3):
-        units = [_share(1 << i, k, u, ctx) for i in range(m)]
+    for k, units in enumerate(_unit_shares(m, modulus, u)):
         table = [[1 << j for j in range(3 * m)] if k == 0 else [0] * (3 * m)]
-        for c in range(1, ctx.q):
+        for c in range(1, 1 << m):
             low = c & -c
             table.append(list(map(xor, table[c ^ low], units[low.bit_length() - 1])))
         tables.append(table)

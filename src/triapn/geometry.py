@@ -87,7 +87,12 @@ def _compile(poly: MPoly, u: int, ctx: FieldCtx) -> list[tuple[int, int, int]]:
 
 
 class SurfaceEvaluator:
-    """Specialized evaluation in the gamma = 1 chart for a fixed u."""
+    """Specialized evaluation in the gamma = 1 chart for a fixed u.
+
+    Construction compiles the coefficient polynomials at u and builds, in
+    one pass over the field, the power table v -> [1, v, .., v^max_e] that
+    every coefficient evaluation indexes and the root solver's tables.
+    """
 
     def __init__(self, u: int, ctx: FieldCtx):
         self.u = u
@@ -97,31 +102,29 @@ class SurfaceEvaluator:
         rhs_poly = identities.linearized_rhs_polynomial()
         self._rhs = {k: _compile(rhs_poly.coeff_of("y", k), u, ctx) for k in (4, 2, 1)}
         self._obstruction = _compile(identities.obstruction_polynomial(), u, ctx)
-        self._max_e = 0
+        max_e = 3  # the solver's tables read v^2 and v^3 from the power table
         for terms in [*self._surface, *self._rhs.values(), self._obstruction]:
             for ea, eb, _ in terms:
-                self._max_e = max(self._max_e, ea, eb)
-        # one pass over the field: v^2 -> v, the smallest s with s^2 + s = c,
-        # v^3 + v -> [v], v^3 -> [v] (lists in increasing order)
+                max_e = max(max_e, ea, eb)
+        # one pass over the field: v -> its powers, v^2 -> v, the smallest s
+        # with s^2 + s = c, v^3 + v -> [v], v^3 -> [v] (lists in increasing order)
         q = ctx.q
+        self._pow = []
         self._sqrt = [0] * q
         self._artin_schreier = [None] * q
         self._depressed = [[] for _ in range(q)]
         self._cbrt = [[] for _ in range(q)]
         for v in range(q):
-            v2 = ctx.square(v)
-            v3 = ctx.mul(v2, v)
+            powers = [1] * (max_e + 1)
+            for i in range(1, max_e + 1):
+                powers[i] = ctx.mul(powers[i - 1], v)
+            self._pow.append(powers)
+            v2, v3 = powers[2], powers[3]
             self._sqrt[v2] = v
             if self._artin_schreier[v2 ^ v] is None:
                 self._artin_schreier[v2 ^ v] = v
             self._depressed[v3 ^ v].append(v)
             self._cbrt[v3].append(v)
-
-    def _powers(self, v: int) -> list[int]:
-        out = [1] * (self._max_e + 1)
-        for i in range(1, self._max_e + 1):
-            out[i] = self.ctx.mul(out[i - 1], v)
-        return out
 
     def _value(self, terms, apow, bpow) -> int:
         mul = self.ctx.mul
@@ -132,12 +135,12 @@ class SurfaceEvaluator:
 
     def surface_coeffs(self, alpha: int, beta: int) -> list[int]:
         """Specialized coefficients [c_0 .. c_6] of the surface polynomial."""
-        apow, bpow = self._powers(alpha), self._powers(beta)
+        apow, bpow = self._pow[alpha], self._pow[beta]
         return [self._value(t, apow, bpow) for t in self._surface]
 
     def _cubic_coeffs(self, alpha: int, beta: int) -> tuple[int, int, int]:
         """(c_0, c_2, c_6): the coefficients of P as a cubic in w = y^2 + beta*y."""
-        apow, bpow = self._powers(alpha), self._powers(beta)
+        apow, bpow = self._pow[alpha], self._pow[beta]
         return tuple(self._value(self._surface[k], apow, bpow) for k in (0, 2, 6))
 
     def _solve(self, c0: int, c2: int, c6: int, beta: int) -> list[int]:
@@ -181,7 +184,7 @@ class SurfaceEvaluator:
         return self._solve(*self._cubic_coeffs(alpha, beta), beta)
 
     def linearized_rhs_value(self, alpha: int, beta: int, y: int) -> int:
-        apow, bpow = self._powers(alpha), self._powers(beta)
+        apow, bpow = self._pow[alpha], self._pow[beta]
         mul, sq = self.ctx.mul, self.ctx.square
         y2 = sq(y)
         c4 = self._value(self._rhs[4], apow, bpow)
@@ -190,8 +193,7 @@ class SurfaceEvaluator:
         return mul(c4, sq(y2)) ^ mul(c2, y2) ^ mul(c1, y)
 
     def obstruction_value(self, alpha: int, beta: int) -> int:
-        apow, bpow = self._powers(alpha), self._powers(beta)
-        return self._value(self._obstruction, apow, bpow)
+        return self._value(self._obstruction, self._pow[alpha], self._pow[beta])
 
 
 def _guard_surface(ctx: FieldCtx) -> None:
@@ -495,6 +497,11 @@ def bound_check(m_from: int = 3, m_to: int = 40) -> BoundReport:
     (at most q+1 points each) plus a degree-44 curve (at most 44q+1).
     Non-multiples of 3 are reported but flagged: the family itself is only
     defined when 3 divides m.
+
+    A surface point's ``on_excluded_lines`` tests four conditions (alpha = 0,
+    beta = 0, y = 0, y = beta), and the three-line budget bounds their union:
+    at m = 9, u = 0x7, alpha = 0 alone holds 1023 points and the union 1534,
+    against 3(q+1) = 1539.
     """
     if m_from < 1 or m_to < m_from:
         raise ValueError("bad m range")
@@ -510,7 +517,7 @@ def bound_check(m_from: int = 3, m_to: int = 40) -> BoundReport:
         q = 1 << m
         lb = q * q - c_sqrt * ceil_q_pow_3_2(m) - c_lin * q
         required = 48 * q
-        budget = 3 * (q + 1) + 44 * q + 1
+        budget = 3 * (q + 1) + 44 * q + 1  # the curve's degree 44 is taken from the paper
         closes = q > applicability and lb >= required and required > budget
         rows.append(BoundRow(m, q, m % 3 == 0, q > applicability, lb, required, budget, closes))
     closed = [row.m for row in rows if row.closes]

@@ -4,13 +4,16 @@ Field elements are plain ints: bit i holds the coefficient of t^i in the
 polynomial-basis representation, so 0 and 1 are the field's zero and one
 and addition is xor.  A FieldCtx pins the extension degree m and an
 irreducible modulus; it is immutable after construction and safe to share
-across workers.  Multiplication uses log/exp tables for small fields and
-shift-and-reduce otherwise.  Not constant-time; not for cryptographic use.
+across workers.  For small fields, multiplication, powers and inverses read
+log/exp tables; otherwise they multiply by shift-and-reduce, powers by
+square-and-multiply.  `make_field` builds each field once per process.  Not
+constant-time; not for cryptographic use.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 # Fields up to this degree get log/exp tables built at construction.
 _TABLE_LIMIT = 16
@@ -156,11 +159,13 @@ class FieldCtx:
         return _gf2_mulmod(a, a, self.modulus)
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; pow(a, 0) = 1 for every a."""
+        """a^e, from the tables or by square-and-multiply; pow(a, 0) = 1 for every a."""
         if e < 0:
             raise ValueError("negative exponent")
         if a == 0:
             return 1 if e == 0 else 0
+        if self._log is not None:
+            return self._exp2[self._log[a] * e % self._mask]
         r = 1
         while e:
             if e & 1:
@@ -172,6 +177,8 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_{2^m}")
+        if self._log is not None:
+            return self._exp2[self._mask - self._log[a]]
         return self.pow(a, self.q - 2)
 
     def elements(self) -> range:
@@ -195,11 +202,23 @@ class FieldCtx:
 
 
 def make_field(m: int, modulus: int | None = None) -> FieldCtx:
-    """Build F_{2^m} with the given modulus, or the smallest-encoding default."""
+    """F_{2^m} with the given modulus, or the smallest-encoding default.
+
+    Each field is built once and shared; a construction that raises is not
+    remembered.
+    """
     if m < 2:
         raise ValueError(f"extension degree must be >= 2, got {m}")
     if modulus is None:
         modulus = default_modulus(m)
+    return _field(m, modulus)
+
+
+# At most 8 fields.  One field's log/exp tables take 2.6 MiB at m = 15 and
+# 5.2 MiB at m = 16, the largest m that has them (tracemalloc), so the cache
+# holds at most about 42 MiB; a field without tables takes a few hundred bytes.
+@lru_cache(maxsize=8)
+def _field(m: int, modulus: int) -> FieldCtx:
     return FieldCtx(m, modulus)
 
 

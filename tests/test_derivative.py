@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triapn import derivative as dv
-from triapn.gf2m import make_field, smallest_non_seventh_power
+from triapn.gf2m import FieldCtx, make_field, smallest_non_seventh_power
 
 F3 = make_field(3)
 F6 = make_field(6)
@@ -120,6 +120,26 @@ def test_matrix_matches_direct_derivative_condition():
                 p ^ q ^ r ^ t
                 for p, q, r, t in zip(dv.eval_cu(*vpa, u, F3), dv.eval_cu(*v, u, F3), ca, c0))
             assert (s == (0, 0, 0)) == (apply(cols, w) == 0)
+
+
+def test_columns_match_the_direct_shares():
+    # oracle: the XOR of one full share per coordinate, each evaluated directly
+    def direct(a, u, ctx):
+        cols = [1 << j for j in range(3 * ctx.m)]
+        for k, c in enumerate(a):
+            cols = [x ^ y for x, y in zip(cols, dv._share(c, k, u, ctx))]
+        return cols
+
+    for u in range(1, 8):
+        for code in range(512):
+            a = dv.decode_triple(code, 3)
+            assert dv.derivative_columns(a, u, F3) == direct(a, u, F3)
+    rng = random.Random(10)
+    for ctx in (make_field(9), make_field(21)):  # F_{2^21} has no log tables
+        u = smallest_non_seventh_power(ctx)
+        for _ in range(500):
+            a = dv.decode_triple(rng.randrange(1, 1 << (3 * ctx.m)), ctx.m)
+            assert dv.derivative_columns(a, u, ctx) == direct(a, u, ctx)
 
 
 def test_solution_count_guards_and_bounds():
@@ -411,6 +431,15 @@ def test_witness_sampled_m9():
     assert dv.verify_certificate(res.certificate) == []
     again = dv.witness_search(u, f9, strategy="sampled", seed=1, max_draws=10 ** 6)
     assert again.to_json() == res.to_json()
+
+
+def test_certificate_reverification_reuses_the_field(monkeypatch):
+    f15 = make_field(15)
+    u = smallest_non_seventh_power(f15)
+    monkeypatch.setattr(FieldCtx, "_build_tables",
+                        lambda self: pytest.fail("field tables were built again"))
+    cert = dv.witness_search(u, f15, strategy="sampled", seed=1).certificate
+    assert dv.verify_certificate(dv.WitnessCertificate.from_json(cert.to_json())) == []
 
 
 def test_worker_count_is_clamped(monkeypatch):

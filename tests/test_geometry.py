@@ -181,6 +181,25 @@ def test_surface_counts_m6_frozen():
     assert doc["counts"]["filtered"] >= 1  # witnesses exist at m=6
 
 
+def test_surface_exclusions_fit_their_budget():
+    # three lines of at most q + 1 points each, and a curve of at most 44q + 1,
+    # for every u that is not a 7th power (at m = 3, u = 1 puts 211 on the lines)
+    for ctx, us in ((F3, range(2, 8)), (F6, (0x2, 0x3, 0x7, 0xF))):
+        for u in us:
+            counts = geo.surface_report(u, ctx)["counts"]
+            assert counts["on_excluded_lines"] <= 3 * (ctx.q + 1), (ctx.m, u)
+            assert counts["on_degree44_curve"] <= 44 * ctx.q + 1, (ctx.m, u)
+
+
+def test_power_table_rows_match_pow():
+    for ctx in (F6, make_field(9)):
+        ev = geo.SurfaceEvaluator(0x7, ctx)
+        assert len(ev._pow) == ctx.q
+        for v, row in enumerate(ev._pow):
+            assert row == [ctx.pow(v, e) for e in range(len(row))]
+        assert len(ev._pow[0]) == 16
+
+
 def test_surface_guards():
     with pytest.raises(ValueError):
         geo.surface_report(2, make_field(4))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from triapn.gf2m import (FieldCtx, default_modulus, elem_to_hex, is_irreducible,
+from triapn.gf2m import (FieldCtx, _gf2_mulmod, default_modulus, elem_to_hex, is_irreducible,
                          is_seventh_power, make_field, smallest_non_seventh_power)
 
 
@@ -89,13 +89,40 @@ def test_field_axioms_randomized():
 
 
 def test_tables_match_shift_and_reduce():
-    from triapn.gf2m import _gf2_mulmod
-
     ctx = make_field(6)
     rng = random.Random(11)
     for _ in range(300):
         a, b = rng.randrange(64), rng.randrange(64)
         assert ctx.mul(a, b) == _gf2_mulmod(a, b, ctx.modulus)
+
+
+def _pow_by_square_and_multiply(a, e, modulus):
+    r = 1
+    while e:
+        if e & 1:
+            r = _gf2_mulmod(r, a, modulus)
+        a = _gf2_mulmod(a, a, modulus)
+        e >>= 1
+    return r
+
+
+def test_table_pow_and_inv_match_square_and_multiply():
+    for m in range(2, 9):
+        ctx = make_field(m)
+        q = ctx.q
+        assert ctx._log is not None  # the table path is the one under test
+        for a in range(q):
+            for e in (0, 1, 2, 3, q - 2, q - 1, q, 3 * q + 1):
+                assert ctx.pow(a, e) == _pow_by_square_and_multiply(a, e, ctx.modulus)
+            if a:
+                assert ctx.inv(a) == _pow_by_square_and_multiply(a, q - 2, ctx.modulus)
+
+
+def test_fields_are_built_once():
+    assert make_field(9) is make_field(9, default_modulus(9))
+    for _ in range(2):  # a failed construction is not remembered
+        with pytest.raises(ValueError, match="reducible"):
+            make_field(4, 0b10101)
 
 
 def test_enumerate_order_and_xor_sum():
