@@ -6,12 +6,14 @@ Because C_u is quadratic, the solutions of C_u(v + a) + C_u(v) + C_u(a) +
 C_u(0) = 0 for a fixed difference triple a form the kernel of an F_2-linear
 map on F_q^3.  This module builds the 3m columns of that map and finds their
 kernel with a single GF(2) elimination.  What a coordinate of a adds to the
-columns is F_2-linear in its value, so the columns are the XOR of the
-shares of the coordinates' set bits, read from tables built once per
-(field, u).  Every path runs through those two pieces: the spectrum, the
-permutation test and the exhaustive witness search, over one triple per
-projective point; and the per-triple kernel basis behind sampled search,
-certificates and their re-verification; only the spectrum fans out to
+columns is F_2-linear in its value, so `derivative_columns` XORs the tags
+with the shares of the coordinates' set bits: monomials t^n and u*t^n
+reduced mod the modulus, laid out once per (field, u).  Every path runs
+through those columns: the spectrum, the permutation test and the
+exhaustive witness search, over one triple per projective point, each row
+(alpha, 0, gamma) adding every beta's share from one table; and the
+per-triple kernel basis behind sampled search, certificates, their
+re-verification and cross-validation.  Only the spectrum fans out to
 worker processes.  A witness is a triple whose kernel has dimension >= 2
 (at least 4 solutions), packaged as an independently re-verified certificate.
 
@@ -36,13 +38,13 @@ from functools import lru_cache
 from operator import xor
 from typing import Iterable
 
-from .gf2m import FieldCtx, elem_to_hex, make_field
+from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field
 
 Triple = tuple[int, int, int]
 
 SPECTRUM_MAX_M = 9
-# The exhaustive witness search builds `_share_tables`, 3q lists of 3m ints:
-# 1.7 MiB at m = 9, 18.6 MiB at m = 12, about 200 MiB at m = 15 (measured).
+# The exhaustive witness search builds `_beta_shares`, q lists of 3m ints:
+# 0.6 MiB at m = 9, 6.2 MiB at m = 12 and 63.9 MiB at m = 15 (tracemalloc).
 WITNESS_MAX_M = 15
 # Largest m a loaded certificate may name.  The field's irreducibility test
 # grows about cubically in m, so an unbounded m lets a certificate file keep
@@ -104,40 +106,34 @@ def verify_solution(a: Triple, v: Triple, u: int, ctx: FieldCtx) -> bool:
 # -- the map's columns and its kernel --------------------------------------------
 
 
-def _share(c: int, k: int, u: int, ctx: FieldCtx) -> list[int]:
-    """What coordinate k of the triple, with value c, adds to the 3m columns.
-
-    For each basis element e of F_q, alpha (k = 0) puts c*e^2 + c^2*e in
-    lane 0 of the x-column of e, u*c^2*e in lane 2 of its y-column and
-    u*c*e^2 in lane 1 of its z-column.  Beta and gamma shift both the
-    columns and the lanes cyclically, as the coordinates of C_u do.  Lane L
-    sits at bit 3m + L*m, above the column tags.  The share is F_2-linear
-    in c.
-    """
-    m = ctx.m
-    mul, sq = ctx.mul, ctx.square
-    c2 = sq(c)
-    uc, uc2 = mul(u, c), mul(u, c2)
-    units = [1 << j for j in range(m)]
-    squares = [sq(e) for e in units]
-    parts = ([mul(c, s) ^ mul(c2, e) for e, s in zip(units, squares)],
-             [mul(uc2, e) for e in units],
-             [mul(uc, s) for s in squares])
-    cols = [0] * (3 * m)
-    for b, part in enumerate(parts):
-        lo = (b + k) % 3 * m
-        shift = (3 + (k - b) % 3) * m
-        cols[lo:lo + m] = [v << shift for v in part]
-    return cols
-
-
 # 3m shares of 3m ints each: 0.19 MiB at m = 21 (measured), about 3 MiB at
 # the certificate limit m = 63, so under 50 MiB for 16 entries.
 @lru_cache(maxsize=16)
 def _unit_shares(m: int, modulus: int, u: int) -> list[list[list[int]]]:
-    """The share of each unit 1 << i, i < m, for each coordinate k: [k][i]."""
-    ctx = make_field(m, modulus)
-    return [[_share(1 << i, k, u, ctx) for i in range(m)] for k in range(3)]
+    """What coordinate k of the triple adds to the 3m columns when it is t^i: [k][i].
+
+    For alpha = t^i and each basis element e = t^j, lane 0 of the x-column
+    of e gets t^(i+2j) + t^(2i+j), lane 2 of its y-column u*t^(2i+j) and
+    lane 1 of its z-column u*t^(i+2j).  Beta and gamma shift both the
+    columns and the lanes cyclically, as the coordinates of C_u do.  Lane L
+    sits at bit 3m + L*m, above the column tags.  Every entry is read from
+    t^n and u*t^n reduced mod the modulus, n < 3m: no field multiplication.
+    """
+    t = [_gf2_mod(1 << n, modulus) for n in range(3 * m)]
+    ut = [_gf2_mod(u << n, modulus) for n in range(3 * m)]
+    shares: list[list[list[int]]] = [[], [], []]
+    for i in range(m):
+        parts = ([t[i + 2 * j] ^ t[2 * i + j] for j in range(m)],
+                 [ut[2 * i + j] for j in range(m)],
+                 [ut[i + 2 * j] for j in range(m)])
+        for k, units in enumerate(shares):
+            cols = [0] * (3 * m)
+            for b, part in enumerate(parts):
+                lo = (b + k) % 3 * m
+                shift = (3 + (k - b) % 3) * m
+                cols[lo:lo + m] = [v << shift for v in part]
+            units.append(cols)
+    return shares
 
 
 def derivative_columns(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
@@ -208,24 +204,21 @@ def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
 # -- the scan over projective points -----------------------------------------------
 
 
-# One entry: 3q lists of 3m ints, 1.7 MiB at m = 9, 18.6 MiB at m = 12 and
-# about 200 MiB at m = 15 (see WITNESS_MAX_M).  Every caller reads one u at a
-# time, so one entry is kept.
+# One entry, whose size is given at WITNESS_MAX_M: every caller reads one u
+# at a time.
 @lru_cache(maxsize=1)
-def _share_tables(m: int, modulus: int, u: int) -> list[list[list[int]]]:
-    """Each coordinate's share for every value in F_q; alpha's carries the tags.
+def _beta_shares(m: int, modulus: int, u: int) -> list[list[int]]:
+    """Beta's share for every value in F_q.
 
     Expanded from `_unit_shares` by linearity: the share of c is the share
     of c without its lowest bit, XOR the unit share of that bit.
     """
-    tables = []
-    for k, units in enumerate(_unit_shares(m, modulus, u)):
-        table = [[1 << j for j in range(3 * m)] if k == 0 else [0] * (3 * m)]
-        for c in range(1, 1 << m):
-            low = c & -c
-            table.append(list(map(xor, table[c ^ low], units[low.bit_length() - 1])))
-        tables.append(table)
-    return tables
+    units = _unit_shares(m, modulus, u)[1]
+    table = [[0] * (3 * m)]
+    for c in range(1, 1 << m):
+        low = c & -c
+        table.append(list(map(xor, table[c ^ low], units[low.bit_length() - 1])))
+    return table
 
 
 def _representatives(m: int, modulus: int, u: int, a_lo: int, a_hi: int):
@@ -235,17 +228,17 @@ def _representatives(m: int, modulus: int, u: int, a_lo: int, a_hi: int):
     then (1, beta, 0) for every beta.  Then come (alpha, beta, 1) for each
     alpha in [a_lo, a_hi) and every beta.  Rotated to (gamma, alpha, beta),
     the points of the blocks, taken in order, are the triples with leading
-    coordinate 1 in increasing code.
+    coordinate 1 in increasing code.  Each row (alpha, 0, gamma) takes its
+    columns from `derivative_columns`, and each beta adds its share.
     """
-    alphas, betas, gammas = _share_tables(m, modulus, u)
-    if a_lo == 0:
-        yield (0, 1, 0), map(xor, alphas[0], betas[1])
-        for be, cols_b in enumerate(betas):
-            yield (1, be, 0), map(xor, alphas[1], cols_b)
-    for al in range(a_lo, a_hi):
-        cols_a1 = list(map(xor, alphas[al], gammas[1]))
-        for be, cols_b in enumerate(betas):
-            yield (al, be, 1), map(xor, cols_a1, cols_b)
+    ctx = make_field(m, modulus)
+    betas = _beta_shares(m, modulus, u)
+    rows = [((0, 0, 0), (1,)), ((1, 0, 0), range(ctx.q))] if a_lo == 0 else []
+    rows += [((al, 0, 1), range(ctx.q)) for al in range(a_lo, a_hi)]
+    for (al, _, ga), bes in rows:
+        base = derivative_columns((al, 0, ga), u, ctx)
+        for be in bes:
+            yield (al, be, ga), map(xor, base, betas[be])
 
 
 def _chunk_scan(args) -> Counter:

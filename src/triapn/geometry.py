@@ -247,9 +247,11 @@ def surface_report(
     counts = {"total": 0, "on_excluded_lines": 0, "on_degree44_curve": 0, "filtered": 0}
     points = [] if collect_points else None
     witness = None
+    alpha = -1
     for pt in iter_surface_points(u, ctx, evaluator=ev):
-        if progress is not None:
-            progress(pt.alpha / ctx.q)
+        if progress is not None and pt.alpha != alpha:
+            alpha = pt.alpha
+            progress(alpha / ctx.q)
         counts["total"] += 1
         if pt.on_excluded_lines:
             counts["on_excluded_lines"] += 1
@@ -261,6 +263,8 @@ def surface_report(
                 witness = point_to_witness(pt, u, ctx, evaluator=ev)
         if points is not None and (not filtered or pt.passes_filters):
             points.append(pt)
+    if progress is not None:
+        progress(1.0)
     doc = {"counts": counts}
     if points is not None:
         doc["points"] = [p.to_json() for p in points]

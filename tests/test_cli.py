@@ -136,7 +136,7 @@ def test_exhaustive_witness_starts_no_pool(capsys, monkeypatch):
 
 
 def test_exhaustive_witness_is_capped_before_any_table(capsys, monkeypatch):
-    monkeypatch.setattr(derivative, "_share_tables", pytest.fail)
+    monkeypatch.setattr(derivative, "_beta_shares", pytest.fail)
     code, doc, err = run(capsys, "witness", "--m", "18")
     assert code == 2 and doc is None and "--sampled" in err
     code, doc, _ = run(capsys, "witness", "--m", "18", "--sampled", "--seed", "1")
@@ -268,6 +268,23 @@ def test_surface_command(capsys):
                          "--filtered", "--emit-witness")
     assert code2 == 0
     assert doc2["certificate"]["kernel_dim"] >= 2
+
+
+def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
+    fracs = []
+    progress = cli._progress
+
+    def recording(tag):
+        cb = progress(tag)
+        return lambda frac: (fracs.append(frac), cb(frac))
+
+    monkeypatch.setattr(cli, "_progress", recording)
+    code, _, err = run(capsys, "surface", "--m", "6", "--u", "0x7")
+    assert code == 0
+    marks = [line for line in err.splitlines() if line.endswith("%")]
+    assert marks == ["surface: 25%", "surface: 50%", "surface: 75%", "surface: 100%"]
+    # one call per alpha that has points, not one per point (4390 here), then 1.0
+    assert len(fracs) <= 64 + 1 and fracs[-1] == 1.0
 
 
 def test_cross_validate_command(capsys):

@@ -122,24 +122,51 @@ def test_matrix_matches_direct_derivative_condition():
             assert (s == (0, 0, 0)) == (apply(cols, w) == 0)
 
 
-def test_columns_match_the_direct_shares():
-    # oracle: the XOR of one full share per coordinate, each evaluated directly
-    def direct(a, u, ctx):
-        cols = [1 << j for j in range(3 * ctx.m)]
-        for k, c in enumerate(a):
-            cols = [x ^ y for x, y in zip(cols, dv._share(c, k, u, ctx))]
-        return cols
+def linearized(a, v, u, ctx):
+    """The three linearized equations at v, term for term as in `verify_solution`."""
+    al, be, ga = a
+    x, y, z = v
+    mul, sq = ctx.mul, ctx.square
+    return (mul(al, sq(x)) ^ mul(sq(al), x) ^ mul(mul(u, ga), sq(y)) ^ mul(mul(u, sq(be)), z),
+            mul(be, sq(y)) ^ mul(sq(be), y) ^ mul(mul(u, al), sq(z)) ^ mul(mul(u, sq(ga)), x),
+            mul(ga, sq(z)) ^ mul(sq(ga), z) ^ mul(mul(u, be), sq(x)) ^ mul(mul(u, sq(al)), y))
 
+
+def equation_columns(a, u, ctx):
+    """Column j: its tag, with the equations at the unit vector e_j packed above it."""
+    m, n = ctx.m, 3 * ctx.m
+    return [dv.pack_vec(linearized(a, dv.unpack_vec(1 << j, m), u, ctx), m) << n | 1 << j
+            for j in range(n)]
+
+
+def test_columns_match_the_direct_shares():
+    # oracle: the equations evaluated directly, with no shares and no lanes
     for u in range(1, 8):
         for code in range(512):
             a = dv.decode_triple(code, 3)
-            assert dv.derivative_columns(a, u, F3) == direct(a, u, F3)
+            assert dv.derivative_columns(a, u, F3) == equation_columns(a, u, F3)
     rng = random.Random(10)
     for ctx in (make_field(9), make_field(21)):  # F_{2^21} has no log tables
         u = smallest_non_seventh_power(ctx)
         for _ in range(500):
             a = dv.decode_triple(rng.randrange(1, 1 << (3 * ctx.m)), ctx.m)
-            assert dv.derivative_columns(a, u, ctx) == direct(a, u, ctx)
+            assert dv.derivative_columns(a, u, ctx) == equation_columns(a, u, ctx)
+
+
+def test_unit_shares_need_no_field_arithmetic(monkeypatch):
+    # the shares are reduced monomials t^n and u*t^n: no field is built, nothing multiplied
+    f21 = make_field(21)
+    u = smallest_non_seventh_power(f21)
+    fail = lambda *args: pytest.fail("unit shares built a field or multiplied")
+    for name in ("__init__", "mul", "square"):
+        monkeypatch.setattr(FieldCtx, name, fail)
+    monkeypatch.setattr(dv, "make_field", fail)
+    shares = dv._unit_shares.__wrapped__(21, f21.modulus, u)
+    monkeypatch.undo()
+    for k, units in enumerate(shares):
+        for i, cols in enumerate(units):
+            a = tuple(1 << i if c == k else 0 for c in range(3))
+            assert [c | 1 << j for j, c in enumerate(cols)] == equation_columns(a, u, f21)
 
 
 def test_solution_count_guards_and_bounds():
@@ -255,8 +282,7 @@ def test_rotated_representatives_are_the_leading_one_triples_in_code_order():
             rotated = (ga, al, be)
             assert next(c for c in rotated if c) == 1
             codes.append(dv.encode_triple(rotated, ctx.m))
-            if ctx is F3:
-                assert cols == dv.derivative_columns((al, be, ga), 2, ctx)
+            assert cols == dv.derivative_columns((al, be, ga), 2, ctx)
         assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
