@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -112,7 +111,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     ctx = _field(args)
     u, warnings = resolve_u(ctx, args.u)
     progress = _progress("spectrum") if ctx.m >= 6 else None
-    rep = derivative.differential_spectrum(u, ctx, threads=args.threads, progress=progress)
+    rep = derivative.differential_spectrum(u, ctx, progress=progress)
     doc = {
         "schema": args.schema,
         "params": _params(ctx, u, warnings),
@@ -263,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--u", default="auto",
                            help="family parameter: hex element or 'auto' (smallest non-7th-power)")
         if threads:
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                           help="worker count; results are identical for any value")
+            p.add_argument("--threads", type=int, help="ignored: every scan runs in one process")
         return p
 
     add("field-info", cmd_field_info, "field parameters and 7th-power data", u=False)
@@ -273,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("spectrum", cmd_spectrum, "exact kernel-dimension histogram",
         threads=True).set_defaults(schema="spectrum/1")
     add("permutation", cmd_permutation, "injectivity check of C_u on F_q^3")
-    w = add("witness", cmd_witness, "search for a triple with >= 4 solutions")
-    w.add_argument("--threads", type=int, help="ignored: the witness search runs in one process")
+    w = add("witness", cmd_witness, "search for a triple with >= 4 solutions", threads=True)
     w.add_argument("--sampled", action="store_true", help="seeded sampling instead of exhaustive scan")
     w.add_argument("--seed", type=int, default=0, help="sampling seed")
     w.add_argument("--max-draws", type=int, default=10 ** 6, help="sampling budget")

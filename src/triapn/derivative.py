@@ -9,18 +9,23 @@ kernel with a single GF(2) elimination.  What a coordinate of a adds to the
 columns is F_2-linear in its value, so `derivative_columns` XORs the tags
 with the shares of the coordinates' set bits: monomials t^n and u*t^n
 reduced mod the modulus, laid out once per (field, u).  Every path runs
-through those columns: the spectrum, the permutation test and the
-exhaustive witness search, over one triple per projective point, each row
-(alpha, 0, gamma) adding every beta's share from one table; and the
-per-triple kernel basis behind sampled search, certificates, their
-re-verification and cross-validation.  Only the spectrum fans out to
-worker processes.  A witness is a triple whose kernel has dimension >= 2
-(at least 4 solutions), packaged as an independently re-verified certificate.
+through those columns, in one process: the spectrum and the permutation
+test over one triple per orbit, the exhaustive witness search over one per
+projective point, each row (alpha, 0, gamma) adding its betas' shares from
+one table; and the per-triple kernel basis behind sampled search,
+certificates, their re-verification and cross-validation.  A witness is a
+triple whose kernel has dimension >= 2 (at least 4 solutions), packaged as
+an independently re-verified certificate.
 
-The kernel at lambda*a is lambda times the kernel at a, so the spectrum
-weights each point by q - 1.  The rotation (x, y, z) -> (z, x, y) commutes
-with C_u, so the witness search eliminates the rotations of the points with
-leading coordinate 1, in code order; no multiple of one has a smaller code.
+The kernel at lambda*a is lambda times the kernel at a.  For s^7 = 1 and
+D = diag(1, s, s^-2), C_u o D = diag(1, s^3, s) o C_u (7 | q - 1 as 3 | m),
+so the kernel at D*a is D times the kernel at a and kernels and images move
+with the triple.  The spectrum and the permutation test therefore decide
+one triple per orbit of these scalings: a free orbit stands for 7(q - 1)
+triples, each of the three fixed points for q - 1.  The rotation
+(x, y, z) -> (z, x, y) commutes with C_u, so the witness search eliminates
+the rotations of the points with leading coordinate 1, in code order; no
+multiple of one has a smaller code.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
 bits, then y, then z; column j of the map is the image of bit j.
@@ -30,9 +35,6 @@ code(a) = (alpha << 2m) | (beta << m) | gamma.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import xor
@@ -221,47 +223,33 @@ def _beta_shares(m: int, modulus: int, u: int) -> list[list[int]]:
     return table
 
 
-def _representatives(m: int, modulus: int, u: int, a_lo: int, a_hi: int):
-    """(triple, columns) of one triple per projective point, split by alpha.
+def _representatives(ctx: FieldCtx, u: int, orbits: bool = False):
+    """(triple, columns) of one triple per projective point, or per orbit.
 
-    The block holding alpha = 0 starts with the line gamma = 0: (0, 1, 0),
-    then (1, beta, 0) for every beta.  Then come (alpha, beta, 1) for each
-    alpha in [a_lo, a_hi) and every beta.  Rotated to (gamma, alpha, beta),
-    the points of the blocks, taken in order, are the triples with leading
-    coordinate 1 in increasing code.  Each row (alpha, 0, gamma) takes its
-    columns from `derivative_columns`, and each beta adds its share.
+    The rows (alpha, 0, gamma) are the line gamma = 0, (0, 1, 0) and then
+    (1, beta, 0), and then (alpha, beta, 1) for alpha = 0, 1, ...  Rotated to
+    (gamma, alpha, beta), the points with every beta, taken in order, are
+    the triples with leading coordinate 1 in increasing code.  With
+    `orbits`, (alpha, beta, 1) -> (s^2 alpha, s^3 beta, 1) and
+    (1, beta, 0) -> (1, s beta, 0) are folded: alpha != 0 and, on the lines
+    alpha = 0 and gamma = 0, beta != 0 run over the coset representatives
+    g^i, i < (q - 1)/7, of mu_7, leaving 3 + (q - 1)(q + 2)/7 triples.
+    Each row takes its columns from `derivative_columns`, and each beta
+    adds its share.
     """
-    ctx = make_field(m, modulus)
-    betas = _beta_shares(m, modulus, u)
-    rows = [((0, 0, 0), (1,)), ((1, 0, 0), range(ctx.q))] if a_lo == 0 else []
-    rows += [((al, 0, 1), range(ctx.q)) for al in range(a_lo, a_hi)]
+    every = range(ctx.q)
+    if orbits:
+        alphas = [ctx.pow(ctx.generator, i) for i in range((ctx.q - 1) // 7)]
+        some = [0, *alphas]
+    else:
+        alphas, some = range(1, ctx.q), every
+    betas = _beta_shares(ctx.m, ctx.modulus, u)
+    rows = [((0, 0, 0), (1,)), ((1, 0, 0), some), ((0, 0, 1), some)]
+    rows += [((al, 0, 1), every) for al in alphas]
     for (al, _, ga), bes in rows:
         base = derivative_columns((al, 0, ga), u, ctx)
         for be in bes:
             yield (al, be, ga), map(xor, base, betas[be])
-
-
-def _chunk_scan(args) -> Counter:
-    """Kernel-dimension histogram of one alpha block's projective points.
-
-    args = (m, modulus, u, a_lo, a_hi).
-    """
-    m, modulus, u, a_lo, a_hi = args
-    return Counter(len(_kernel(cols, 3 * m))
-                   for _, cols in _representatives(m, modulus, u, a_lo, a_hi))
-
-
-def _run_chunks(argses, threads, triples):
-    """The spectrum's chunk histograms in order, from at most one worker per chunk and core.
-
-    Fewer than 2^15 triples in all are scanned in-process.
-    """
-    workers = min(threads, len(argses), os.cpu_count() or 1)
-    if workers <= 1 or triples < (1 << 15):
-        yield from map(_chunk_scan, argses)
-        return
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(_chunk_scan, argses)
 
 
 # -- spectra and the permutation test ----------------------------------------------
@@ -291,25 +279,26 @@ def _guard_family(ctx: FieldCtx) -> None:
         raise ValueError(f"the family needs 3 | m; got m={ctx.m}")
 
 
-def differential_spectrum(u: int, ctx: FieldCtx, threads: int = 1,
-                          progress=None) -> SpectrumReport:
+def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> SpectrumReport:
     """Exact kernel-dimension histogram over all q^3 - 1 nonzero triples.
 
-    Each of the q^2 + q + 1 projective points counts for its q - 1 multiples.
+    One triple per orbit is eliminated: the three fixed points (two
+    coordinates zero) count for q - 1 triples, every other for 7(q - 1).
     """
     _guard_family(ctx)
     q = ctx.q
     if ctx.m > SPECTRUM_MAX_M:
         raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M} "
                          "(q^2 + q + 1 projective points); use sampled witness search instead")
-    step = max(1, q // 64)  # fixed alpha blocks, independent of the worker count
-    argses = [(ctx.m, ctx.modulus, u, lo, min(lo + step, q)) for lo in range(0, q, step)]
+    n = 3 * ctx.m
+    orbits = 3 + (q - 1) * (q + 2) // 7
+    step = orbits // 64 + 1
     hist: dict[int, int] = {}
-    for i, part in enumerate(_run_chunks(argses, threads, q * q + q + 1)):
-        for k, v in part.items():
-            hist[k] = hist.get(k, 0) + v * (q - 1)
-        if progress is not None:
-            progress((i + 1) / len(argses))
+    for i, (a, cols) in enumerate(_representatives(ctx, u, orbits=True), 1):
+        k = len(_kernel(cols, n))
+        hist[k] = hist.get(k, 0) + (q - 1) * (1 if a.count(0) == 2 else 7)
+        if progress is not None and (i % step == 0 or i == orbits):
+            progress(i / orbits)
     total = sum(hist.values())
     if total != q ** 3 - 1:
         raise AssertionError(f"histogram covers {total} triples, expected {q ** 3 - 1}")
@@ -330,13 +319,14 @@ def is_permutation(u: int, ctx: FieldCtx) -> bool:
 
     C_u is quadratic with C_u(0) = 0, so C_u(v + a) = C_u(v) exactly when
     the map at a sends v to C_u(a).  Scaling a by lambda scales that map's
-    image and C_u(a) by lambda^3, so one triple per projective point decides.
+    image and C_u(a) by lambda^3, and D moves both by diag(1, s^3, s), so
+    one triple per orbit decides.
     """
     _guard_family(ctx)
     if ctx.m > SPECTRUM_MAX_M:
         raise ValueError(f"permutation check is limited to m <= {SPECTRUM_MAX_M}")
     return not any(_in_image(list(cols), pack_vec(eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
-                   for a, cols in _representatives(ctx.m, ctx.modulus, u, 0, ctx.q))
+                   for a, cols in _representatives(ctx, u, orbits=True))
 
 
 # -- witness certificates -----------------------------------------------------------
@@ -525,8 +515,8 @@ def _mix64(z: int) -> int:
 def draw_code(seed: int, index: int, bits: int) -> int:
     """Deterministic 64-bit mixing generator; draw index -> triple code.
 
-    Each index consumes ceil(bits/64) mixed words, so the mapping is
-    independent of how draws are partitioned across workers.
+    Each index consumes ceil(bits/64) mixed words, so draw i depends only
+    on the seed and i, never on the draws before it.
     """
     words = (bits + 63) // 64
     v = 0
@@ -550,7 +540,7 @@ def witness_search(u: int, ctx: FieldCtx, strategy: str = "exhaustive", seed: in
     if strategy == "exhaustive":
         if m > WITNESS_MAX_M:
             raise ValueError(f"exhaustive witness search needs m <= {WITNESS_MAX_M}; use --sampled")
-        for (al, be, ga), cols in _representatives(m, ctx.modulus, u, 0, q):
+        for (al, be, ga), cols in _representatives(ctx, u):
             if len(_kernel(cols, 3 * m)) >= 2:
                 cert = build_certificate((ga, al, be), u, ctx)
                 if cert is None:
@@ -559,6 +549,8 @@ def witness_search(u: int, ctx: FieldCtx, strategy: str = "exhaustive", seed: in
                 return SearchResult("exhaustive", True, cert, scanned=encode_triple(cert.triple, m))
         return SearchResult("exhaustive", False, None, scanned=q ** 3 - 1)
     if strategy == "sampled":
+        if max_draws < 1:
+            raise ValueError(f"max_draws must be at least 1, got {max_draws}")
         bits = 3 * m
         for i in range(max_draws):
             code = draw_code(seed, i, bits)

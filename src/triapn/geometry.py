@@ -429,6 +429,11 @@ def ceil_q_pow_3_2(m: int) -> int:
     return math.isqrt(1 << (3 * m)) + 1  # 2^(3m) is not a perfect square here
 
 
+def _lang_weil_width(delta: int, m: int) -> int:
+    """(delta-1)(delta-2)*ceil(q^(3/2)) + 5*ceil(delta^(13/3))*q for q = 2^m, exact."""
+    return (delta - 1) * (delta - 2) * ceil_q_pow_3_2(m) + 5 * ceil_cbrt(delta ** 13) * (1 << m)
+
+
 @dataclass
 class BoundRow:
     m: int
@@ -514,12 +519,10 @@ def bound_check(m_from: int = 3, m_to: int = 40) -> BoundReport:
     delta = surface_degree()
     r = 2
     applicability = 2 * (r + 1) * delta * delta
-    c_sqrt = (delta - 1) * (delta - 2)
-    c_lin = 5 * ceil_cbrt(delta ** 13)
     rows = []
     for m in range(m_from, m_to + 1):
         q = 1 << m
-        lb = q * q - c_sqrt * ceil_q_pow_3_2(m) - c_lin * q
+        lb = q * q - _lang_weil_width(delta, m)
         required = 48 * q
         budget = 3 * (q + 1) + 44 * q + 1  # the curve's degree 44 is taken from the paper
         closes = q > applicability and lb >= required and required > budget
@@ -573,7 +576,7 @@ def count_vs_band(u: int, ctx: FieldCtx) -> dict:
                     count_b += 1
 
     delta = surface_degree()
-    width = (delta - 1) * (delta - 2) * ceil_q_pow_3_2(ctx.m) + 5 * ceil_cbrt(delta ** 13) * q
+    width = _lang_weil_width(delta, ctx.m)
     return {
         "m": ctx.m,
         "u": elem_to_hex(u),

@@ -72,7 +72,7 @@ def test_criterion_2_m6_witness(capsys):
 def test_criterion_3_m6_differential_uniformity():
     ctx = make_field(6)
     u = smallest_non_seventh_power(ctx)
-    report = derivative.differential_spectrum(u, ctx, threads=2)
+    report = derivative.differential_spectrum(u, ctx)
     assert report.differential_uniformity <= 8
     assert report.max_kernel_dim <= 3
     golden = json.loads((GOLDEN / "spectrum_m6_u0x02.json").read_text())

@@ -126,10 +126,9 @@ def test_verify_cert_usage_errors(capsys, tmp_path):
         assert code == 2 and "malformed certificate" in err
 
 
-def test_exhaustive_witness_starts_no_pool(capsys, monkeypatch):
+def test_exhaustive_witness_starts_no_pool(capsys):
     # 262,657 points at m=9, but the search ends at its first witness in-process
     one = run(capsys, "witness", "--m", "9", "--u", "0x7", "--threads", "1")
-    monkeypatch.setattr(derivative.multiprocessing, "get_context", pytest.fail)
     two = run(capsys, "witness", "--m", "9", "--u", "0x7", "--threads", "2")
     assert one[0] == two[0] == 0 and one[2] == two[2]
     assert without_meta(one[1]) == without_meta(two[1])
@@ -142,6 +141,14 @@ def test_exhaustive_witness_is_capped_before_any_table(capsys, monkeypatch):
     code, doc, _ = run(capsys, "witness", "--m", "18", "--sampled", "--seed", "1")
     assert code == 0 and doc["verdicts"]["found"] is True
     assert doc["certificate"]["kernel_dim"] >= 2
+
+
+def test_sampled_witness_needs_at_least_one_draw(capsys):
+    for draws in ("0", "-3"):
+        code, doc, err = run(capsys, "witness", "--m", "9", "--sampled", "--max-draws", draws)
+        assert code == 2 and doc is None and "max_draws" in err
+    code, doc, _ = run(capsys, "witness", "--m", "9", "--sampled", "--max-draws", "1")
+    assert code == 0 and doc["draws_used"] == doc["max_draws"] == 1
 
 
 def test_witness_not_found_is_exit_zero(capsys):

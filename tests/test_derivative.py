@@ -228,19 +228,13 @@ def test_kernels_scale_with_the_triple():
                 assert dv.verify_solution(la, lv, u, ctx)
 
 
-def test_spectrum_m6_matches_golden_and_thread_count(monkeypatch):
+def test_spectrum_m6_matches_golden_and_thread_count():
     golden = json.loads((GOLDEN / "spectrum_m6_u0x02.json").read_text())
-
-    def no_pool(method):
-        raise AssertionError("4161 representatives must not start a pool")
-
-    # the in-process path: m=6 starts no pool, whatever threads says
-    monkeypatch.setattr(dv.multiprocessing, "get_context", no_pool)
-    rep = dv.differential_spectrum(2, F6, threads=2)
+    rep = dv.differential_spectrum(2, F6)
     assert {str(k): v for k, v in rep.histogram.items()} == golden["histogram"]
     assert sum(rep.histogram.values()) == 64 ** 3 - 1
     assert rep.differential_uniformity <= 8 and not rep.is_apn
-    rep1 = dv.differential_spectrum(2, F6, threads=1)
+    rep1 = dv.differential_spectrum(2, F6)
     assert rep1.histogram == rep.histogram
 
 
@@ -248,7 +242,7 @@ def test_uniformity_second_non_residue_m6():
     # the next non-7th-power after the default
     u = 3
     assert F6.pow(u, 9) != 1
-    rep = dv.differential_spectrum(u, F6, threads=2)
+    rep = dv.differential_spectrum(u, F6)
     assert not rep.is_apn
     assert rep.differential_uniformity in (4, 8)
 
@@ -275,7 +269,7 @@ def test_rotated_representatives_are_the_leading_one_triples_in_code_order():
     # the order contract the exhaustive witness search relies on
     for ctx in (F3, F6):
         q = ctx.q
-        points = [(a, list(cols)) for a, cols in dv._representatives(ctx.m, ctx.modulus, 2, 0, q)]
+        points = [(a, list(cols)) for a, cols in dv._representatives(ctx, 2)]
         assert len(points) == q * q + q + 1
         codes = []
         for (al, be, ga), cols in points:
@@ -290,8 +284,33 @@ def test_spectrum_m9_matches_golden_on_the_pool_path():
     golden = json.loads((GOLDEN / "spectrum_m9_u0x07.json").read_text())
     f9 = make_field(9)
     assert f9.modulus == int(golden["modulus"], 16)
-    rep = dv.differential_spectrum(7, f9, threads=2)
+    rep = dv.differential_spectrum(7, f9)
     assert {str(k): v for k, v in rep.histogram.items()} == golden["histogram"]
+
+
+def _every_point_spectrum(u, ctx):
+    hist = Counter()
+    for _, cols in dv._representatives(ctx, u):
+        hist[len(dv._kernel(cols, 3 * ctx.m))] += ctx.q - 1
+    return dict(hist)
+
+
+def _every_point_is_permutation(u, ctx):
+    return not any(dv._in_image(list(cols), dv.pack_vec(dv.eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
+                   for a, cols in dv._representatives(ctx, u))
+
+
+@pytest.mark.parametrize("ctx,us", [(F3, range(8)), (F6, (0x1, 0x2, 0x3, 0x6, 0x7, 0xF))],
+                         ids=["m3", "m6"])
+def test_orbit_walk_matches_the_every_point_walk(ctx, us):
+    # 0x1 and 0x6 at m=6 are 7th powers, the others are not
+    q = ctx.q
+    for u in us:
+        orbits = list(dv._representatives(ctx, u, orbits=True))
+        assert len(orbits) == 3 + (q - 1) * (q + 2) // 7
+        assert len({a for a, _ in orbits}) == len(orbits)
+        assert dv.differential_spectrum(u, ctx).histogram == _every_point_spectrum(u, ctx)
+        assert dv.is_permutation(u, ctx) == _every_point_is_permutation(u, ctx)
 
 
 # -- permutation --------------------------------------------------------------------------
@@ -466,34 +485,6 @@ def test_certificate_reverification_reuses_the_field(monkeypatch):
                         lambda self: pytest.fail("field tables were built again"))
     cert = dv.witness_search(u, f15, strategy="sampled", seed=1).certificate
     assert dv.verify_certificate(dv.WitnessCertificate.from_json(cert.to_json())) == []
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    requested = []
-
-    class FakePool:
-        def __init__(self, workers):
-            requested.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        imap = staticmethod(map)
-
-    class FakeContext:
-        Pool = FakePool
-
-    # the 4161 points of m=6 stay in-process, so ask for the pool directly
-    argses = [(6, F6.modulus, 2, lo, lo + 1) for lo in range(64)]
-    in_process = sum(dv._run_chunks(argses, 1, 1 << 15), Counter())
-    monkeypatch.setattr(dv.multiprocessing, "get_context", lambda method: FakeContext)
-    for cores, expected in ((1000, 64), (8, 8)):
-        monkeypatch.setattr(dv.os, "cpu_count", lambda: cores)
-        assert sum(dv._run_chunks(argses, 10 ** 6, 1 << 15), Counter()) == in_process
-        assert requested[-1] == expected
 
 
 def test_witness_strategy_validation():
