@@ -13,9 +13,10 @@ through those columns, in one process: the spectrum and the permutation
 test over one triple per orbit, the exhaustive witness search over one per
 projective point, each row (alpha, 0, gamma) adding its betas' shares from
 one table; and the per-triple kernel basis behind sampled search,
-certificates, their re-verification and cross-validation.  A witness is a
-triple whose kernel has dimension >= 2 (at least 4 solutions), packaged as
-an independently re-verified certificate.
+certificates and cross-validation.  A witness is a triple whose kernel has
+dimension >= 2 (at least 4 solutions), packaged as a certificate whose
+re-verification uses no elimination: direct arithmetic on each solution
+and the span of the basis.
 
 The kernel at lambda*a is lambda times the kernel at a.  For s^7 = 1 and
 D = diag(1, s, s^-2), C_u o D = diag(1, s^3, s) o C_u (7 | q - 1 as 3 | m),
@@ -160,8 +161,10 @@ def _kernel(tagged: Iterable[int], n: int) -> list[int]:
 
     Every entry is image << n | tag, with distinct tags below 1 << n.
     Pivots sit on the highest bit.  A column whose image reduces to zero
-    is left holding the combination of tags that produced it: a kernel
-    vector, independent of the ones found before it.
+    is left holding the combination of tags that produced it: its own tag,
+    which no other kernel vector holds, and tags of pivot columns.  So when
+    the tags come in decreasing order, each kernel vector's lowest bit is
+    its own tag and is set in no other vector.
     """
     top = 1 << n
     piv = [0] * (2 * n + 1)  # indexed by bit length
@@ -180,27 +183,14 @@ def _kernel(tagged: Iterable[int], n: int) -> list[int]:
     return kernel
 
 
-def _reduced(vectors: list[int]) -> list[int]:
-    """The reduced echelon basis of their span, pivoting on the lowest bit.
-
-    Each vector's lowest set bit is set in no other vector, which makes the
-    basis unique; it is returned in increasing pivot order.
-    """
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            if v & b & -b:
-                v ^= b
-        if v:
-            low = v & -v
-            basis = [b ^ v if b & low else b for b in basis]
-            basis.append(v)
-    return sorted(basis, key=lambda b: b & -b)
-
-
 def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
-    """Basis of the solutions at a as packed 3m-bit ints, in `_reduced` form."""
-    return _reduced(_kernel(derivative_columns(a, u, ctx), 3 * ctx.m))
+    """Basis of the solutions at a as packed 3m-bit ints, in reduced echelon form.
+
+    The columns must reach `_kernel` in decreasing tag order: then each
+    vector's lowest set bit is set in no other vector, which makes the
+    basis unique, and reversing returns it in increasing pivot order.
+    """
+    return _kernel(reversed(derivative_columns(a, u, ctx)), 3 * ctx.m)[::-1]
 
 
 # -- the scan over projective points -----------------------------------------------
@@ -288,8 +278,8 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> SpectrumRepor
     _guard_family(ctx)
     q = ctx.q
     if ctx.m > SPECTRUM_MAX_M:
-        raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M} "
-                         "(q^2 + q + 1 projective points); use sampled witness search instead")
+        raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M}; "
+                         "use sampled witness search instead")
     n = 3 * ctx.m
     orbits = 3 + (q - 1) * (q + 2) // 7
     step = orbits // 64 + 1
@@ -431,6 +421,8 @@ def verify_certificate(cert: WitnessCertificate) -> list[str]:
     The sizes are checked before anything is shifted or expanded, so a
     certificate cannot make the check allocate 2^kernel_dim of anything it
     did not itself supply, and m is bounded before the field is built.
+    The basis is independent exactly when its span has 2^kernel_dim
+    vectors; no elimination is run.
     """
     if cert.m % 3 or not 3 <= cert.m <= CERT_MAX_M:
         return [f"m={cert.m} is not a multiple of 3 in 3..{CERT_MAX_M}"]
@@ -438,7 +430,7 @@ def verify_certificate(cert: WitnessCertificate) -> list[str]:
         ctx = make_field(cert.m, cert.modulus)
     except ValueError as err:
         return [f"bad field: {err}"]
-    if not 0 < cert.u < ctx.q:
+    if not 0 <= cert.u < ctx.q:
         return ["u out of range"]
     n, k = 3 * cert.m, cert.kernel_dim
     if not isinstance(k, int) or not 2 <= k <= n:
@@ -464,14 +456,14 @@ def verify_certificate(cert: WitnessCertificate) -> list[str]:
             failures.append(f"solution {v} out of range")
         elif not verify_solution(cert.triple, v, cert.u, ctx):
             failures.append(f"solution {v} does not solve the system")
-    packed = [pack_vec(v, cert.m) for v in cert.kernel_basis]
-    if _kernel([(b << n) | (1 << i) for i, b in enumerate(packed)], n):
+    span = {0}
+    for b in cert.kernel_basis:
+        packed = pack_vec(b, cert.m)
+        span |= {v ^ packed for v in span}
+    if len(span) != 1 << k:
         failures.append("basis vectors are linearly dependent")
     if failures:
         return failures
-    span = {0}
-    for b in packed:
-        span |= {v ^ b for v in span}
     if span != {pack_vec(v, cert.m) for v in cert.solutions}:
         failures.append("solutions are not the span of the basis")
     return failures

@@ -207,16 +207,12 @@ def _on_curve(alpha: int, beta: int, u2: int, ctx: FieldCtx) -> bool:
     return alpha ^ ctx.mul(u2, ctx.pow(beta, 3)) == 0
 
 
-def iter_surface_points(
-    u: int,
-    ctx: FieldCtx,
-    evaluator: SurfaceEvaluator | None = None,
-) -> Iterator[SurfacePoint]:
-    """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0, in encoding order."""
+def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
+    """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0 at ev's u, in encoding order."""
+    ctx = ev.ctx
     _guard_surface(ctx)
-    ev = evaluator or SurfaceEvaluator(u, ctx)
     q = ctx.q
-    u2 = ctx.square(u)
+    u2 = ctx.square(ev.u)
     for alpha in range(q):
         for beta in range(q):
             on_curve = _on_curve(alpha, beta, u2, ctx)
@@ -248,7 +244,7 @@ def surface_report(
     points = [] if collect_points else None
     witness = None
     alpha = -1
-    for pt in iter_surface_points(u, ctx, evaluator=ev):
+    for pt in iter_surface_points(ev):
         if progress is not None and pt.alpha != alpha:
             alpha = pt.alpha
             progress(alpha / ctx.q)
@@ -260,7 +256,7 @@ def surface_report(
         if pt.passes_filters:
             counts["filtered"] += 1
             if emit_witness and witness is None and ev.obstruction_value(pt.alpha, pt.beta):
-                witness = point_to_witness(pt, u, ctx, evaluator=ev)
+                witness = point_to_witness(pt, ev)
         if points is not None and (not filtered or pt.passes_filters):
             points.append(pt)
     if progress is not None:
@@ -273,12 +269,7 @@ def surface_report(
     return doc
 
 
-def point_to_witness(
-    p: SurfacePoint,
-    u: int,
-    ctx: FieldCtx,
-    evaluator: SurfaceEvaluator | None = None,
-) -> WitnessCertificate:
+def point_to_witness(p: SurfacePoint, ev: SurfaceEvaluator) -> WitnessCertificate:
     """Reconstruct the full solution data behind a filtered surface point.
 
     The algebra guarantees success for points off the excluded lines and
@@ -287,13 +278,12 @@ def point_to_witness(
     """
     if not p.passes_filters:
         raise ValueError("point lies on an excluded line or the degree-44 curve")
-    ev = evaluator or SurfaceEvaluator(u, ctx)
     h = ev.obstruction_value(p.alpha, p.beta)
     if h == 0:
         raise GeometryError("the obstruction form vanishes here; "
                             "witness reconstruction is undefined")
     a: Triple = (p.alpha, p.beta, 1)
-    cert = build_certificate(a, u, ctx)
+    cert = build_certificate(a, ev.u, ev.ctx)
     _check_root(ev, a, p.y, h, cert)
     return cert
 
@@ -559,7 +549,7 @@ def count_vs_band(u: int, ctx: FieldCtx) -> dict:
     ev = SurfaceEvaluator(u, ctx)
     q = ctx.q
     mul = ctx.mul
-    count_a = sum(1 for _ in iter_surface_points(u, ctx, evaluator=ev))
+    count_a = sum(1 for _ in iter_surface_points(ev))
 
     count_b = 0  # beta-major, explicit power sums
     for beta in range(q):

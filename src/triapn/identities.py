@@ -18,7 +18,6 @@ the check that raised it.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 

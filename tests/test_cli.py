@@ -92,13 +92,15 @@ def test_field_size_is_bounded_before_building_the_field(capsys):
 
 
 def test_witness_and_verify_cert_roundtrip(capsys, tmp_path):
-    code, doc, _ = run(capsys, "witness", "--m", "6", "--u", "auto", "--threads", "1")
-    assert code == 0 and doc["verdicts"]["found"] is True
-    cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(doc["certificate"]))
-    code2, doc2, err2 = run(capsys, "verify-cert", str(cert_path))
-    assert code2 == 0 and doc2["verdicts"]["valid"] is True
-    assert "valid" in err2
+    # u = 0 is in the finder's range, so verify-cert must accept it too
+    for m, u in (("3", "0x0"), ("6", "auto")):
+        code, doc, _ = run(capsys, "witness", "--m", m, "--u", u, "--threads", "1")
+        assert code == 0 and doc["verdicts"]["found"] is True
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc["certificate"]))
+        code2, doc2, err2 = run(capsys, "verify-cert", str(cert_path))
+        assert code2 == 0 and doc2["verdicts"]["valid"] is True
+        assert "valid" in err2
 
     # the whole witness document is accepted too
     whole = tmp_path / "whole.json"

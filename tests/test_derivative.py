@@ -88,6 +88,14 @@ def test_matrix_agrees_with_brute_force_exhaustively_m3():
             assert dv.verify_solution(a, dv.unpack_vec(b, 3), u, F3)
 
 
+def assert_reduced_echelon(basis, a, u, ctx):
+    pivots = [b & -b for b in basis]
+    assert pivots == sorted(pivots)
+    for b, low in zip(basis, pivots):
+        assert sum(1 for c in basis if c & low) == 1
+        assert dv.verify_solution(a, dv.unpack_vec(b, ctx.m), u, ctx)
+
+
 def test_kernel_basis_is_in_reduced_echelon_form_m6():
     # the form is unique, so certificates do not depend on elimination order
     multi = 0
@@ -96,12 +104,19 @@ def test_kernel_basis_is_in_reduced_echelon_form_m6():
             a = (al, be, 1)
             basis = dv.kernel_basis(a, 2, F6)
             multi += len(basis) >= 2
-            pivots = [b & -b for b in basis]
-            assert pivots == sorted(pivots)
-            for b, low in zip(basis, pivots):
-                assert sum(1 for c in basis if c & low) == 1
-                assert dv.verify_solution(a, dv.unpack_vec(b, 6), 2, F6)
+            assert_reduced_echelon(basis, a, 2, F6)
     assert multi > 20
+    for u in range(8):
+        for code in range(1, 512):
+            a = dv.decode_triple(code, 3)
+            assert_reduced_echelon(dv.kernel_basis(a, u, F3), a, u, F3)
+    rng = random.Random(13)
+    for m in (9, 21):
+        ctx = make_field(m)
+        u = smallest_non_seventh_power(ctx)
+        for _ in range(200):
+            a = dv.decode_triple(rng.randrange(1, 1 << (3 * m)), m)
+            assert_reduced_echelon(dv.kernel_basis(a, u, ctx), a, u, ctx)
 
 
 def test_matrix_matches_direct_derivative_condition():
@@ -395,6 +410,17 @@ def test_witness_certificate_roundtrip_and_tamper():
     bad3["kernel_basis"][1] = bad3["kernel_basis"][0]
     assert "basis vectors are linearly dependent" in \
         dv.verify_certificate(dv.WitnessCertificate.from_json(bad3))
+
+
+def test_certificate_verification_runs_no_elimination(monkeypatch):
+    golden = json.loads((GOLDEN / "certificates.json").read_text())
+    monkeypatch.setattr(dv, "_kernel", lambda *args: pytest.fail("verification eliminated"))
+    for doc in golden.values():
+        assert dv.verify_certificate(dv.WitnessCertificate.from_json(doc)) == []
+    bad = json.loads(json.dumps(golden["witness --m 6 --u 0x2"]))
+    bad["kernel_basis"][1] = bad["kernel_basis"][0]
+    assert "basis vectors are linearly dependent" in \
+        dv.verify_certificate(dv.WitnessCertificate.from_json(bad))
 
 
 def test_verify_certificate_rejects_oversized_claims_quickly():

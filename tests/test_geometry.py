@@ -208,7 +208,8 @@ def test_surface_guards():
 
 
 def test_filtered_iteration_respects_flags():
-    pts = [p for p in geo.iter_surface_points(2, F6) if p.passes_filters]
+    pts = [p for p in geo.iter_surface_points(geo.SurfaceEvaluator(2, F6))
+           if p.passes_filters]
     assert pts
     for p in pts[:50]:
         assert p.passes_filters
@@ -221,8 +222,8 @@ def test_filtered_iteration_respects_flags():
 
 def test_point_to_witness_m6():
     ev = geo.SurfaceEvaluator(2, F6)
-    pt = next(p for p in geo.iter_surface_points(2, F6, evaluator=ev) if p.passes_filters)
-    cert = geo.point_to_witness(pt, 2, F6, evaluator=ev)
+    pt = next(p for p in geo.iter_surface_points(ev) if p.passes_filters)
+    cert = geo.point_to_witness(pt, ev)
     assert cert.kernel_dim >= 2
     assert cert.triple == (pt.alpha, pt.beta, 1)
     # the reconstructed solution keeps the point's y coordinate
@@ -232,16 +233,16 @@ def test_point_to_witness_m6():
 def test_point_to_witness_rejects_flagged_points():
     pt = geo.SurfacePoint(1, 1, 0, on_excluded_lines=True, on_degree44_curve=False)
     with pytest.raises(ValueError, match="excluded line"):
-        geo.point_to_witness(pt, 2, F6)
+        geo.point_to_witness(pt, geo.SurfaceEvaluator(2, F6))
 
 
 def test_point_to_witness_vanishing_obstruction_is_a_geometry_error():
     # for u = 0x6, a 7th power, the obstruction form vanishes at filtered points
     ev = geo.SurfaceEvaluator(6, F6)
-    pt = next(p for p in geo.iter_surface_points(6, F6, evaluator=ev)
+    pt = next(p for p in geo.iter_surface_points(ev)
               if p.passes_filters and not ev.obstruction_value(p.alpha, p.beta))
     with pytest.raises(geo.GeometryError, match="obstruction form vanishes"):
-        geo.point_to_witness(pt, 6, F6, evaluator=ev)
+        geo.point_to_witness(pt, ev)
 
 
 def test_cross_validation_consistent_m3():
