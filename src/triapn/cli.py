@@ -221,23 +221,22 @@ def cmd_cross_validate(args) -> tuple[dict, int]:
     doc = {
         "schema": "cross-validate/1",
         "params": _params(ctx, u, warnings),
-        "verdicts": {"consistent": rep.consistent,
-                     "mismatch_count": len(rep.mismatches)},
-        "report": rep.to_json(),
+        "verdicts": {"consistent": rep["consistent"],
+                     "mismatch_count": len(rep["mismatches"])},
+        "report": rep,
     }
-    print(f"cross-validation: {len(rep.mismatches)} mismatches over "
-          f"{rep.kernel_triples_checked} triples / {rep.surface_points_checked} points",
+    print(f"cross-validation: {len(rep['mismatches'])} mismatches over "
+          f"{rep['kernel_triples_checked']} triples / {rep['surface_points_checked']} points",
           file=sys.stderr)
-    return doc, EXIT_OK if rep.consistent else EXIT_VERIFY
+    return doc, EXIT_OK if rep["consistent"] else EXIT_VERIFY
 
 
 def cmd_bound(args) -> tuple[dict, int]:
-    rep = geometry.bound_check(m_from=args.m_from, m_to=args.m_to)
-    doc = rep.to_json()
-    doc["params"] = {"delta": rep.delta, "m_from": args.m_from, "m_to": args.m_to}
-    print(f"bound closes from m={rep.minimal_closing_m} "
-          f"(multiples of 3: m={rep.minimal_closing_m_multiple_of_3}); "
-          f"applicable once q > {rep.applicability_threshold}", file=sys.stderr)
+    doc = geometry.bound_check(m_from=args.m_from, m_to=args.m_to)
+    doc["params"] = {"delta": doc["delta"], "m_from": args.m_from, "m_to": args.m_to}
+    print(f"bound closes from m={doc['minimal_closing_m']} "
+          f"(multiples of 3: m={doc['minimal_closing_m_multiple_of_3']}); "
+          f"applicable once q > {doc['applicability_threshold']}", file=sys.stderr)
     return doc, EXIT_OK
 
 

@@ -18,7 +18,7 @@ bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import identities
@@ -315,78 +315,69 @@ def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int,
         raise GeometryError(f"reconstructed vector {v} missing from the kernel solutions")
 
 
-@dataclass
-class CrossValidationReport:
-    m: int
-    u: int
-    kernel_triples_checked: int
-    kernel_witness_triples: int
-    surface_points_checked: int
-    mismatches: list[dict] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.mismatches
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "u": elem_to_hex(self.u),
-            "kernel_triples_checked": self.kernel_triples_checked,
-            "kernel_witness_triples": self.kernel_witness_triples,
-            "surface_points_checked": self.surface_points_checked,
-            "mismatches": self.mismatches,
-            "consistent": self.consistent,
-        }
-
-
-def cross_validate(u: int, ctx: FieldCtx) -> CrossValidationReport:
+def cross_validate(u: int, ctx: FieldCtx) -> dict:
     """Check the kernel and surface pipelines against each other.
+
+    Returns the ``report`` object of the ``cross-validate/1`` document:
+    ``m``, hex ``u``, the counts ``kernel_triples_checked``,
+    ``kernel_witness_triples`` and ``surface_points_checked``, the
+    ``mismatches`` and ``consistent``.
 
     One sweep over the pairs (alpha, beta) with alpha*beta != 0 off the
     degree-44 curve builds each triple's certificate and its surface roots
-    y outside {0, beta} once.  Kernel to surface: a triple with kernel
-    dimension >= 2 must have a solution whose y is such a root.  Surface to
-    kernel: where the obstruction form is nonzero (always, for a u that is
-    not a 7th power), every such root must rebuild a nontrivial solution
-    that is in the kernel.  Mismatches list every kernel-to-surface entry
-    first, then every surface-to-kernel entry, each in encoding order.
+    y outside {0, beta} once.  Both directions hold only where the
+    obstruction form h = H(alpha, beta, 1) is nonzero, so pairs with h = 0
+    are skipped (there are none for a u that is not a 7th power).  Kernel
+    to surface: a triple with kernel dimension >= 2 must have a solution
+    whose y is such a root.  Surface to kernel: every such root must
+    rebuild a nontrivial solution that is in the kernel.  Mismatches list
+    every kernel-to-surface entry first, then every surface-to-kernel
+    entry, each in encoding order.  Raises ValueError for u = 0, which lies
+    outside the family.
     """
     _guard_surface(ctx)
+    if u == 0:
+        raise ValueError("u = 0 lies outside the family (u must be nonzero)")
     ev = SurfaceEvaluator(u, ctx)
     u2 = ctx.square(u)
-    report = CrossValidationReport(ctx.m, u, 0, 0, 0)
-    to_kernel = []
+    triples = witnesses = points = 0
+    to_surface, to_kernel = [], []
     for alpha in range(1, ctx.q):
         for beta in range(1, ctx.q):
-            if _on_curve(alpha, beta, u2, ctx):
+            if _on_curve(alpha, beta, u2, ctx) or not (h := ev.obstruction_value(alpha, beta)):
                 continue
-            report.kernel_triples_checked += 1
+            triples += 1
             a: Triple = (alpha, beta, 1)
             roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
             cert = build_certificate(a, u, ctx)
             if cert is not None:
-                report.kernel_witness_triples += 1
+                witnesses += 1
                 if not any(v[1] in roots for v in cert.solutions):
-                    report.mismatches.append({
+                    to_surface.append({
                         "direction": "kernel_to_surface",
                         "triple": [elem_to_hex(c) for c in a],
                         "detail": "no kernel solution has a surface root y outside {0, beta}",
                     })
-            if not roots or not (h := ev.obstruction_value(alpha, beta)):
-                continue
             for y in roots:
-                report.surface_points_checked += 1
+                points += 1
                 try:
                     _check_root(ev, a, y, h, cert)
-                except (GeometryError, ZeroDivisionError) as err:
+                except GeometryError as err:
                     to_kernel.append({
                         "direction": "surface_to_kernel",
                         "point": SurfacePoint(alpha, beta, y, False, False).to_json(),
                         "detail": str(err),
                     })
-    report.mismatches += to_kernel
-    return report
+    mismatches = to_surface + to_kernel
+    return {
+        "m": ctx.m,
+        "u": elem_to_hex(u),
+        "kernel_triples_checked": triples,
+        "kernel_witness_triples": witnesses,
+        "surface_points_checked": points,
+        "mismatches": mismatches,
+        "consistent": not mismatches,
+    }
 
 
 # -- exact lower-bound arithmetic -----------------------------------------------
@@ -424,55 +415,6 @@ def _lang_weil_width(delta: int, m: int) -> int:
     return (delta - 1) * (delta - 2) * ceil_q_pow_3_2(m) + 5 * ceil_cbrt(delta ** 13) * (1 << m)
 
 
-@dataclass
-class BoundRow:
-    m: int
-    q: int
-    multiple_of_3: bool
-    applicable: bool
-    lower_bound: int
-    required: int
-    exclusion_budget: int
-    closes: bool
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "q": self.q,
-            "multiple_of_3": self.multiple_of_3,
-            "applicable": self.applicable,
-            "lower_bound": self.lower_bound,
-            "required": self.required,
-            "exclusion_budget": self.exclusion_budget,
-            "closes": self.closes,
-        }
-
-
-@dataclass
-class BoundReport:
-    delta: int
-    dimension: int
-    applicability_threshold: int
-    rows: list[BoundRow]
-    minimal_closing_m: int | None
-    minimal_closing_m_multiple_of_3: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "schema": BOUND_SCHEMA,
-            "delta": self.delta,
-            "dimension": self.dimension,
-            "applicability_threshold": self.applicability_threshold,
-            "rows": [r.to_json() for r in self.rows],
-            "minimal_closing_m": self.minimal_closing_m,
-            "minimal_closing_m_multiple_of_3": self.minimal_closing_m_multiple_of_3,
-            "reference": {
-                "threshold_m": REFERENCE_THRESHOLD_M,
-                "statement": REFERENCE_STATEMENT,
-            },
-        }
-
-
 def surface_degree() -> int:
     """delta: the homogeneous degree in (a, b, g, y) of the verified surface P.
 
@@ -485,8 +427,13 @@ def surface_degree() -> int:
     return degrees.pop()
 
 
-def bound_check(m_from: int = 3, m_to: int = 40) -> BoundReport:
+def bound_check(m_from: int = 3, m_to: int = 40) -> dict:
     """Exact evaluation of the point-count lower bound across a range of m.
+
+    Returns the ``bound/1`` document: ``schema``, ``delta``, ``dimension``,
+    ``applicability_threshold``, one row per m, the minimal closing m overall
+    and among multiples of 3 (None when the range has none), and the
+    ``reference`` claim to compare them against.
 
     For an absolutely irreducible surface (dimension r = 2) of degree at
     most delta, the estimate applies once q > 2(r+1)delta^2 and gives at
@@ -515,21 +462,31 @@ def bound_check(m_from: int = 3, m_to: int = 40) -> BoundReport:
         lb = q * q - _lang_weil_width(delta, m)
         required = 48 * q
         budget = 3 * (q + 1) + 44 * q + 1  # the curve's degree 44 is taken from the paper
-        closes = q > applicability and lb >= required and required > budget
-        rows.append(BoundRow(m, q, m % 3 == 0, q > applicability, lb, required, budget, closes))
-    closed = [row.m for row in rows if row.closes]
-    if closed:
-        # the closure condition is monotone in m; a violation is a bug
-        first = closed[0]
-        for row in rows:
-            if row.m > first and not row.closes:
-                raise AssertionError(f"closure is not monotone at m={row.m}")
-    closed3 = [row.m for row in rows if row.closes and row.multiple_of_3]
-    return BoundReport(
-        delta=delta, dimension=r, applicability_threshold=applicability,
-        rows=rows,
-        minimal_closing_m=closed[0] if closed else None,
-        minimal_closing_m_multiple_of_3=closed3[0] if closed3 else None)
+        rows.append({
+            "m": m,
+            "q": q,
+            "multiple_of_3": m % 3 == 0,
+            "applicable": q > applicability,
+            "lower_bound": lb,
+            "required": required,
+            "exclusion_budget": budget,
+            "closes": q > applicability and lb >= required and required > budget,
+        })
+    closed = [row["m"] for row in rows if row["closes"]]
+    for row in rows:  # the closure condition is monotone in m; a violation is a bug
+        if closed and row["m"] > closed[0] and not row["closes"]:
+            raise AssertionError(f"closure is not monotone at m={row['m']}")
+    closed3 = [m for m in closed if m % 3 == 0]
+    return {
+        "schema": BOUND_SCHEMA,
+        "delta": delta,
+        "dimension": r,
+        "applicability_threshold": applicability,
+        "rows": rows,
+        "minimal_closing_m": closed[0] if closed else None,
+        "minimal_closing_m_multiple_of_3": closed3[0] if closed3 else None,
+        "reference": {"threshold_m": REFERENCE_THRESHOLD_M, "statement": REFERENCE_STATEMENT},
+    }
 
 
 def count_vs_band(u: int, ctx: FieldCtx) -> dict:

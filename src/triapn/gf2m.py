@@ -12,7 +12,6 @@ constant-time; not for cryptographic use.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 # Fields up to this degree get log/exp tables built at construction.
@@ -225,18 +224,13 @@ def _field(m: int, modulus: int) -> FieldCtx:
 def is_seventh_power(u: int, ctx: FieldCtx) -> bool:
     """True iff u is a 7th power in F_q*, i.e. u^((q-1)/7) = 1.
 
-    Requires u != 0.  When 3 does not divide m, 7 does not divide q-1 and
-    every element is trivially a 7th power; that case returns True with a
-    warning since the construction gated on this test is vacuous there.
+    Requires u != 0 and 3 | m: otherwise 7 does not divide q-1 and every
+    element is trivially a 7th power, so the test would say nothing.
     """
     if u == 0:
         raise ValueError("0 is excluded from the 7th-power residue test")
     if ctx.m % 3 != 0:
-        warnings.warn(
-            f"7 does not divide q-1 for m={ctx.m}; every element is a 7th power",
-            stacklevel=2,
-        )
-        return True
+        raise ValueError(f"3 must divide m, got m={ctx.m}")
     return ctx.pow(u, (ctx.q - 1) // 7) == 1
 
 

@@ -116,12 +116,12 @@ def test_criterion_6_cross_validation():
         ctx = make_field(m)
         u = smallest_non_seventh_power(ctx)
         report = geometry.cross_validate(u, ctx)
-        assert report.consistent, report.mismatches[:3]
+        assert report["consistent"], report["mismatches"][:3]
         if m == 3:
-            assert report.kernel_witness_triples == 0  # consistent with APN-ness
+            assert report["kernel_witness_triples"] == 0  # consistent with APN-ness
         else:
-            assert report.kernel_witness_triples > 0
-            assert report.surface_points_checked > 0
+            assert report["kernel_witness_triples"] > 0
+            assert report["surface_points_checked"] > 0
 
 
 @criterion(7, "bound: applicability q > 1536, minimal closing m <= 20, exact and monotone")

@@ -300,6 +300,19 @@ def test_cross_validate_command(capsys):
     code, doc, _ = run(capsys, "cross-validate", "--m", "3", "--u", "auto")
     assert code == 0
     assert doc["verdicts"]["consistent"] is True
+    # u = 0 lies outside the family: a usage error, not a failed verification
+    code, doc, err = run(capsys, "cross-validate", "--m", "3", "--u", "0x0")
+    assert code == 2 and doc is None and "outside the family" in err
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("bound",), "bound.json"),
+    (("cross-validate", "--m", "6", "--u", "0x2"), "cross_validate_m6_u0x02.json"),
+])
+def test_report_matches_golden(capsys, argv, golden):
+    code, doc, _ = run(capsys, *argv)
+    assert code == 0
+    assert without_meta(doc) == json.loads((GOLDEN / golden).read_text())
 
 
 def test_bound_command(capsys):

@@ -150,8 +150,8 @@ def test_seventh_power_examples():
 
 def test_seventh_power_vacuous_when_3_does_not_divide_m():
     f4 = make_field(4)
-    with pytest.warns(UserWarning):
-        assert is_seventh_power(3, f4)
+    with pytest.raises(ValueError, match="3 must divide m"):
+        is_seventh_power(3, f4)
 
 
 def test_seventh_power_counts():
