@@ -12,8 +12,9 @@ reduced mod the modulus, laid out once per (field, u).  Every path runs
 through those columns, in one process: the spectrum and the permutation
 test over one triple per orbit, the exhaustive witness search over one per
 projective point, each row (alpha, 0, gamma) adding its betas' shares from
-one table; and the per-triple kernel basis behind sampled search,
-certificates and cross-validation.  A witness is a triple whose kernel has
+one table; and the per-triple kernel basis behind sampled search and
+certificates, whose core (`certificate_from_columns`) also takes the
+columns of such a row walk.  A witness is a triple whose kernel has
 dimension >= 2 (at least 4 solutions), packaged as a certificate whose
 re-verification uses no elimination: direct arithmetic on each solution
 and the span of the basis.
@@ -41,7 +42,7 @@ from functools import lru_cache
 from operator import xor
 from typing import Iterable
 
-from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field
+from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field, mu7_representatives
 
 Triple = tuple[int, int, int]
 
@@ -183,14 +184,19 @@ def _kernel(tagged: Iterable[int], n: int) -> list[int]:
     return kernel
 
 
-def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
-    """Basis of the solutions at a as packed 3m-bit ints, in reduced echelon form.
+def _echelon_basis(cols: list[int]) -> list[int]:
+    """The kernel of 3m tagged columns as packed 3m-bit ints, in reduced echelon form.
 
     The columns must reach `_kernel` in decreasing tag order: then each
     vector's lowest set bit is set in no other vector, which makes the
     basis unique, and reversing returns it in increasing pivot order.
     """
-    return _kernel(reversed(derivative_columns(a, u, ctx)), 3 * ctx.m)[::-1]
+    return _kernel(reversed(cols), len(cols))[::-1]
+
+
+def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
+    """Basis of the solutions at a as packed 3m-bit ints, in reduced echelon form."""
+    return _echelon_basis(derivative_columns(a, u, ctx))
 
 
 # -- the scan over projective points -----------------------------------------------
@@ -229,7 +235,7 @@ def _representatives(ctx: FieldCtx, u: int, orbits: bool = False):
     """
     every = range(ctx.q)
     if orbits:
-        alphas = [ctx.pow(ctx.generator, i) for i in range((ctx.q - 1) // 7)]
+        alphas = mu7_representatives(ctx)
         some = [0, *alphas]
     else:
         alphas, some = range(1, ctx.q), every
@@ -388,9 +394,19 @@ def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | 
     Every invariant is re-established through direct arithmetic before the
     certificate is returned; a failure there is a hard internal error.
     """
+    return certificate_from_columns(a, derivative_columns(a, u, ctx), u, ctx)
+
+
+def certificate_from_columns(a: Triple, cols: list[int], u: int,
+                             ctx: FieldCtx) -> WitnessCertificate | None:
+    """`build_certificate` for a triple whose tagged columns are already built.
+
+    cols must be `derivative_columns(a, u, ctx)`, however obtained: a scan
+    that walks the rows of `_representatives` passes each row's columns.
+    """
     if a == (0, 0, 0):
         raise ValueError("the difference triple must be nonzero")
-    basis = kernel_basis(a, u, ctx)
+    basis = _echelon_basis(cols)
     k = len(basis)
     if k < 2:
         return None

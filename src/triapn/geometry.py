@@ -7,12 +7,13 @@ solutions.  The identity layer vouches that P = c6*w^3 + c2*w + c0 with
 w = y^2 + beta*y, so this module finds those roots in one place
 (``SurfaceEvaluator.roots``) in closed form: a depressed cubic in w, then
 an Artin-Schreier quadratic in y, both read from tables built once per
-field.  It enumerates the points, rebuilds witness
-certificates from them, cross-validates the surface pipeline against the
-kernel pipeline in one sweep of the chart, and evaluates the point-count
-lower bound that closes the argument for large fields - in exact integer
-arithmetic, with every rounding taken in the direction that weakens the
-bound.
+field, each coefficient term one log-table lookup.  It counts the points
+over one (alpha, beta) per orbit of the order-7 scaling, lists them and
+rebuilds witness certificates from them, cross-validates the surface
+pipeline against the kernel pipeline in one sweep of the chart, and
+evaluates the point-count lower bound that closes the argument for large
+fields - in exact integer arithmetic, with every rounding taken in the
+direction that weakens the bound.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import identities
-from .derivative import Triple, WitnessCertificate, build_certificate, verify_solution
-from .gf2m import FieldCtx, elem_to_hex
+from .derivative import (Triple, WitnessCertificate, _representatives, build_certificate,
+                         certificate_from_columns, verify_solution)
+from .gf2m import FieldCtx, elem_to_hex, mu7_representatives
 from .mpoly import MPoly
 
-SURFACE_MAX_M = 9
+SURFACE_MAX_M = 12
+# points listed one by one, by --list-points and cross-validate
+POINTS_MAX_M = 9
 # the closure scan stops here: the argument closes at m = 20, and every int in
 # a row stays below about 620 decimal digits, well inside the JSON encoder's limit
 BOUND_MAX_M = 1024
@@ -67,11 +71,11 @@ class SurfacePoint:
         }
 
 
-def _compile(poly: MPoly, u: int, ctx: FieldCtx) -> list[tuple[int, int, int]]:
+def _compile(poly: MPoly, u: int, ctx: FieldCtx, log: list[int]) -> list[tuple[int, int, int]]:
     """Specialize a polynomial in (a, b, g, u) at g = 1 and the given u.
 
-    Returns (a-exponent, b-exponent, field constant) triples with the u
-    powers folded into the constants.
+    Returns (a-exponent, b-exponent, log of the field constant) triples
+    with the u powers folded into the constants; zero constants are dropped.
     """
     ia, ib, ig, iu = (poly.vars.index(v) for v in ("a", "b", "g", "u"))
     for j, v in enumerate(poly.vars):
@@ -83,66 +87,74 @@ def _compile(poly: MPoly, u: int, ctx: FieldCtx) -> list[tuple[int, int, int]]:
             raise ValueError("surface coefficients must lie in GF(2)")
         key = (e[ia], e[ib])
         folded[key] = folded.get(key, 0) ^ ctx.pow(u, e[iu])
-    return [(ea, eb, c) for (ea, eb), c in sorted(folded.items()) if c]
+    return [(ea, eb, log[c]) for (ea, eb), c in sorted(folded.items()) if c]
 
 
 class SurfaceEvaluator:
     """Specialized evaluation in the gamma = 1 chart for a fixed u.
 
-    Construction compiles the coefficient polynomials at u and builds, in
-    one pass over the field, the power table v -> [1, v, .., v^max_e] that
-    every coefficient evaluation indexes and the root solver's tables.
+    Construction compiles the coefficient polynomials at u into terms
+    (a-exponent, b-exponent, log of the constant) and builds, per field
+    element, a row of exponent logs v -> [e*log v mod (q-1)] and the root
+    solver's tables.  The row of 0 holds 0 for the exponent 0 (so
+    0^0 = 1) and a sentinel for every other exponent; the exp table reads
+    0 at any index that contains a sentinel.  A term alpha^ea*beta^eb*c is
+    then one lookup, exp[row(alpha)[ea] + row(beta)[eb] + log c].
     """
 
     def __init__(self, u: int, ctx: FieldCtx):
         self.u = u
         self.ctx = ctx
+        q, n = ctx.q, ctx.q - 1
+        exp, log = [0] * n, [0] * q
+        v = 1
+        for i in range(n):
+            exp[i], log[v] = v, i
+            v = ctx.mul(v, ctx.generator)
         coeffs = identities.verified_surface_coefficients()
-        self._surface = [_compile(c, u, ctx) for c in coeffs]
+        self._surface = [_compile(c, u, ctx, log) for c in coeffs]
         rhs_poly = identities.linearized_rhs_polynomial()
-        self._rhs = {k: _compile(rhs_poly.coeff_of("y", k), u, ctx) for k in (4, 2, 1)}
-        self._obstruction = _compile(identities.obstruction_polynomial(), u, ctx)
-        max_e = 3  # the solver's tables read v^2 and v^3 from the power table
-        for terms in [*self._surface, *self._rhs.values(), self._obstruction]:
-            for ea, eb, _ in terms:
-                max_e = max(max_e, ea, eb)
-        # one pass over the field: v -> its powers, v^2 -> v, the smallest s
-        # with s^2 + s = c, v^3 + v -> [v], v^3 -> [v] (lists in increasing order)
-        q = ctx.q
-        self._pow = []
+        self._rhs = {k: _compile(rhs_poly.coeff_of("y", k), u, ctx, log) for k in (4, 2, 1)}
+        self._obstruction = _compile(identities.obstruction_polynomial(), u, ctx, log)
+        max_e = max(max(ea, eb) for terms in [*self._surface, *self._rhs.values(),
+                                               self._obstruction] for ea, eb, _ in terms)
+        # a term's index is below 3n without a sentinel, at least 3n with one
+        # and below 7n with two: three periods of exp, then zeros
+        sentinel = 3 * n
+        self._exp = exp * 3 + [0] * (4 * n)
+        self._logs = [[0] + [sentinel] * max_e]
+        self._logs += [[e * log[v] % n for e in range(max_e + 1)] for v in range(1, q)]
+        # one pass over the field: v^2 -> v, the smallest s with s^2 + s = c,
+        # v^3 + v -> [v], v^3 -> [v] (lists in increasing order)
         self._sqrt = [0] * q
         self._artin_schreier = [None] * q
         self._depressed = [[] for _ in range(q)]
         self._cbrt = [[] for _ in range(q)]
         for v in range(q):
-            powers = [1] * (max_e + 1)
-            for i in range(1, max_e + 1):
-                powers[i] = ctx.mul(powers[i - 1], v)
-            self._pow.append(powers)
-            v2, v3 = powers[2], powers[3]
+            v2 = ctx.square(v)
+            v3 = ctx.mul(v2, v)
             self._sqrt[v2] = v
             if self._artin_schreier[v2 ^ v] is None:
                 self._artin_schreier[v2 ^ v] = v
             self._depressed[v3 ^ v].append(v)
             self._cbrt[v3].append(v)
 
-    def _value(self, terms, apow, bpow) -> int:
-        mul = self.ctx.mul
+    def _value(self, terms, alogs, blogs) -> int:
+        exp = self._exp
         acc = 0
-        for ea, eb, c in terms:
-            acc ^= mul(mul(apow[ea], bpow[eb]), c)
+        for ea, eb, lc in terms:
+            acc ^= exp[alogs[ea] + blogs[eb] + lc]
         return acc
 
     def surface_coeffs(self, alpha: int, beta: int) -> list[int]:
         """Specialized coefficients [c_0 .. c_6] of the surface polynomial."""
-        apow, bpow = self._pow[alpha], self._pow[beta]
-        return [self._value(t, apow, bpow) for t in self._surface]
+        alogs, blogs = self._logs[alpha], self._logs[beta]
+        return [self._value(t, alogs, blogs) for t in self._surface]
 
     def _cubic_coeffs(self, alpha: int, beta: int) -> tuple[int, int, int]:
         """(c_0, c_2, c_6): the coefficients of P as a cubic in w = y^2 + beta*y."""
-        apow, bpow = self._pow[alpha], self._pow[beta]
-        return tuple(self._value(self._surface[k], apow, bpow) for k in (0, 2, 6))
-
+        alogs, blogs = self._logs[alpha], self._logs[beta]
+        return tuple(self._value(self._surface[k], alogs, blogs) for k in (0, 2, 6))
     def _solve(self, c0: int, c2: int, c6: int, beta: int) -> list[int]:
         """The y in F_q with c6*w^3 + c2*w + c0 = 0 for w = y^2 + beta*y, sorted."""
         ctx = self.ctx
@@ -184,23 +196,25 @@ class SurfaceEvaluator:
         return self._solve(*self._cubic_coeffs(alpha, beta), beta)
 
     def linearized_rhs_value(self, alpha: int, beta: int, y: int) -> int:
-        apow, bpow = self._pow[alpha], self._pow[beta]
+        alogs, blogs = self._logs[alpha], self._logs[beta]
         mul, sq = self.ctx.mul, self.ctx.square
         y2 = sq(y)
-        c4 = self._value(self._rhs[4], apow, bpow)
-        c2 = self._value(self._rhs[2], apow, bpow)
-        c1 = self._value(self._rhs[1], apow, bpow)
+        c4 = self._value(self._rhs[4], alogs, blogs)
+        c2 = self._value(self._rhs[2], alogs, blogs)
+        c1 = self._value(self._rhs[1], alogs, blogs)
         return mul(c4, sq(y2)) ^ mul(c2, y2) ^ mul(c1, y)
 
     def obstruction_value(self, alpha: int, beta: int) -> int:
-        return self._value(self._obstruction, self._pow[alpha], self._pow[beta])
+        return self._value(self._obstruction, self._logs[alpha], self._logs[beta])
 
 
-def _guard_surface(ctx: FieldCtx) -> None:
+def _guard_surface(ctx: FieldCtx, points_listed: str | None = None) -> None:
     if ctx.m % 3 != 0:
         raise ValueError(f"the family needs 3 | m; got m={ctx.m}")
     if ctx.m > SURFACE_MAX_M:
-        raise ValueError(f"exhaustive surface enumeration is limited to m <= {SURFACE_MAX_M}")
+        raise ValueError(f"surface point counts are limited to m <= {SURFACE_MAX_M}")
+    if points_listed and ctx.m > POINTS_MAX_M:
+        raise ValueError(f"{points_listed} is limited to m <= {POINTS_MAX_M}")
 
 
 def _on_curve(alpha: int, beta: int, u2: int, ctx: FieldCtx) -> bool:
@@ -234,38 +248,53 @@ def surface_report(
 ) -> dict:
     """Exact point counts (and optionally the points and one witness).
 
-    The witness comes from the first filtered point where the obstruction
-    form is nonzero; it is None when there is no such point, as for a u
-    that is a 7th power.
+    For s^7 = 1, (alpha, beta, y) -> (s^2 alpha, s^3 beta, s^3 y) maps
+    points to points and keeps both filters, so the counts sum (0, 0) once
+    and (0, g^i) and (g^i, beta), every beta, seven times each, where the
+    g^i, i < (q - 1)/7, stand for the cosets of mu_7.  The points are
+    listed by the walk of `iter_surface_points`, in encoding order.
+
+    The witness comes from that walk's first filtered point where the
+    obstruction form is nonzero; it is None when there is no such point,
+    as for a u that is a 7th power.  H(alpha, beta, 1) is invariant under
+    the scaling, so the walk runs only when the fold has seen such a point.
     """
-    _guard_surface(ctx)
+    _guard_surface(ctx, "listing surface points" if collect_points else None)
     ev = SurfaceEvaluator(u, ctx)
-    counts = {"total": 0, "on_excluded_lines": 0, "on_degree44_curve": 0, "filtered": 0}
-    points = [] if collect_points else None
-    witness = None
-    alpha = -1
-    for pt in iter_surface_points(ev):
-        if progress is not None and pt.alpha != alpha:
-            alpha = pt.alpha
-            progress(alpha / ctx.q)
-        counts["total"] += 1
-        if pt.on_excluded_lines:
-            counts["on_excluded_lines"] += 1
-        if pt.on_degree44_curve:
-            counts["on_degree44_curve"] += 1
-        if pt.passes_filters:
-            counts["filtered"] += 1
-            if emit_witness and witness is None and ev.obstruction_value(pt.alpha, pt.beta):
-                witness = point_to_witness(pt, ev)
-        if points is not None and (not filtered or pt.passes_filters):
-            points.append(pt)
-    if progress is not None:
-        progress(1.0)
-    doc = {"counts": counts}
-    if points is not None:
-        doc["points"] = [p.to_json() for p in points]
+    q = ctx.q
+    u2 = ctx.square(u)
+    reps = mu7_representatives(ctx)
+    rows = [(0, (0,), 1), (0, reps, 7), *((alpha, range(q), 7) for alpha in reps)]
+    total = lines = curve = kept = 0
+    has_witness = False
+    for i, (alpha, betas, weight) in enumerate(rows, 1):
+        for beta in betas:
+            roots = ev.roots(alpha, beta)
+            if not roots:
+                continue
+            k = len(roots)
+            on_lines = k if alpha == 0 or beta == 0 else (0 in roots) + (beta in roots)
+            total += weight * k
+            lines += weight * on_lines
+            if _on_curve(alpha, beta, u2, ctx):
+                curve += weight * k
+            elif k > on_lines:
+                kept += weight * (k - on_lines)
+                if emit_witness and not has_witness:
+                    has_witness = ev.obstruction_value(alpha, beta) != 0
+        if progress is not None:
+            progress(i / len(rows))
+    doc = {"counts": {"total": total, "on_excluded_lines": lines,
+                      "on_degree44_curve": curve, "filtered": kept}}
+    if collect_points:
+        doc["points"] = [p.to_json() for p in iter_surface_points(ev)
+                         if not filtered or p.passes_filters]
     if emit_witness:
-        doc["witness"] = witness.to_json() if witness else None
+        doc["witness"] = None
+        if has_witness:
+            pt = next(p for p in iter_surface_points(ev)
+                      if p.passes_filters and ev.obstruction_value(p.alpha, p.beta))
+            doc["witness"] = point_to_witness(pt, ev).to_json()
     return doc
 
 
@@ -325,7 +354,9 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
 
     One sweep over the pairs (alpha, beta) with alpha*beta != 0 off the
     degree-44 curve builds each triple's certificate and its surface roots
-    y outside {0, beta} once.  Both directions hold only where the
+    y outside {0, beta} once.  The certificate is built from the columns
+    of the row walk `_representatives(ctx, u)`: the base columns of
+    (alpha, 0, 1) XOR beta's share, with no per-triple column build.  Both directions hold only where the
     obstruction form h = H(alpha, beta, 1) is nonzero, so pairs with h = 0
     are skipped (there are none for a u that is not a 7th power).  Kernel
     to surface: a triple with kernel dimension >= 2 must have a solution
@@ -335,39 +366,39 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
     entry, each in encoding order.  Raises ValueError for u = 0, which lies
     outside the family.
     """
-    _guard_surface(ctx)
+    _guard_surface(ctx, "cross-validation")
     if u == 0:
         raise ValueError("u = 0 lies outside the family (u must be nonzero)")
     ev = SurfaceEvaluator(u, ctx)
     u2 = ctx.square(u)
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
-    for alpha in range(1, ctx.q):
-        for beta in range(1, ctx.q):
-            if _on_curve(alpha, beta, u2, ctx) or not (h := ev.obstruction_value(alpha, beta)):
-                continue
-            triples += 1
-            a: Triple = (alpha, beta, 1)
-            roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
-            cert = build_certificate(a, u, ctx)
-            if cert is not None:
-                witnesses += 1
-                if not any(v[1] in roots for v in cert.solutions):
-                    to_surface.append({
-                        "direction": "kernel_to_surface",
-                        "triple": [elem_to_hex(c) for c in a],
-                        "detail": "no kernel solution has a surface root y outside {0, beta}",
-                    })
-            for y in roots:
-                points += 1
-                try:
-                    _check_root(ev, a, y, h, cert)
-                except GeometryError as err:
-                    to_kernel.append({
-                        "direction": "surface_to_kernel",
-                        "point": SurfacePoint(alpha, beta, y, False, False).to_json(),
-                        "detail": str(err),
-                    })
+    for a, cols in _representatives(ctx, u):
+        alpha, beta, gamma = a
+        if not (alpha and beta and gamma) or _on_curve(alpha, beta, u2, ctx) \
+                or not (h := ev.obstruction_value(alpha, beta)):
+            continue
+        triples += 1
+        roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
+        cert = certificate_from_columns(a, list(cols), u, ctx)
+        if cert is not None:
+            witnesses += 1
+            if not any(v[1] in roots for v in cert.solutions):
+                to_surface.append({
+                    "direction": "kernel_to_surface",
+                    "triple": [elem_to_hex(c) for c in a],
+                    "detail": "no kernel solution has a surface root y outside {0, beta}",
+                })
+        for y in roots:
+            points += 1
+            try:
+                _check_root(ev, a, y, h, cert)
+            except GeometryError as err:
+                to_kernel.append({
+                    "direction": "surface_to_kernel",
+                    "point": SurfacePoint(alpha, beta, y, False, False).to_json(),
+                    "detail": str(err),
+                })
     mismatches = to_surface + to_kernel
     return {
         "m": ctx.m,

@@ -234,6 +234,17 @@ def is_seventh_power(u: int, ctx: FieldCtx) -> bool:
     return ctx.pow(u, (ctx.q - 1) // 7) == 1
 
 
+def mu7_representatives(ctx: FieldCtx) -> list[int]:
+    """g^i for i < (q-1)/7: one element of each coset of mu_7 in F_q* (requires 3 | m).
+
+    mu_7 is generated by g^((q-1)/7), so the cosets g^i*mu_7 for these i
+    are distinct and cover F_q*.
+    """
+    if ctx.m % 3 != 0:
+        raise ValueError(f"3 must divide m, got m={ctx.m}")
+    return [ctx.pow(ctx.generator, i) for i in range((ctx.q - 1) // 7)]
+
+
 def smallest_non_seventh_power(ctx: FieldCtx) -> int:
     """Smallest-encoding u in F_q* that is not a 7th power (requires 3 | m)."""
     if ctx.m % 3 != 0:

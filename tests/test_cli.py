@@ -279,6 +279,13 @@ def test_surface_command(capsys):
     assert doc2["certificate"]["kernel_dim"] >= 2
 
 
+def test_point_lists_stop_at_m9(capsys):
+    # counts and --emit-witness reach m=12; listing points and cross-validation do not
+    for argv in (("surface", "--list-points"), ("cross-validate",)):
+        code, doc, err = run(capsys, argv[0], "--m", "12", "--u", "0x3", *argv[1:])
+        assert code == 2 and doc is None and "m <= 9" in err
+
+
 def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
     fracs = []
     progress = cli._progress
@@ -292,7 +299,7 @@ def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
     assert code == 0
     marks = [line for line in err.splitlines() if line.endswith("%")]
     assert marks == ["surface: 25%", "surface: 50%", "surface: 75%", "surface: 100%"]
-    # one call per alpha that has points, not one per point (4390 here), then 1.0
+    # one call per alpha row of the fold (11 here), not one per point (4390), ending at 1.0
     assert len(fracs) <= 64 + 1 and fracs[-1] == 1.0
 
 

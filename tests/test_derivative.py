@@ -295,7 +295,7 @@ def test_rotated_representatives_are_the_leading_one_triples_in_code_order():
         assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
-def test_spectrum_m9_matches_golden_on_the_pool_path():
+def test_spectrum_m9_matches_golden():
     golden = json.loads((GOLDEN / "spectrum_m9_u0x07.json").read_text())
     f9 = make_field(9)
     assert f9.modulus == int(golden["modulus"], 16)

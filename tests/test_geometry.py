@@ -190,20 +190,78 @@ def test_surface_exclusions_fit_their_budget():
             assert counts["on_degree44_curve"] <= 44 * ctx.q + 1, (ctx.m, u)
 
 
-def test_power_table_rows_match_pow():
-    for ctx in (F6, make_field(9)):
-        ev = geo.SurfaceEvaluator(0x7, ctx)
-        assert len(ev._pow) == ctx.q
-        for v, row in enumerate(ev._pow):
-            assert row == [ctx.pow(v, e) for e in range(len(row))]
-        assert len(ev._pow[0]) == 16
+def _full_walk_counts(ev):
+    counts = dict.fromkeys(("total", "on_excluded_lines", "on_degree44_curve", "filtered"), 0)
+    for p in geo.iter_surface_points(ev):
+        counts["total"] += 1
+        counts["on_excluded_lines"] += p.on_excluded_lines
+        counts["on_degree44_curve"] += p.on_degree44_curve
+        counts["filtered"] += p.passes_filters
+    return counts
+
+
+@pytest.mark.parametrize("ctx,us", [(F3, range(8)),
+                                    (F6, (0x0, 0x1, 0x2, 0x3, 0x6, 0x7, 0xF, 0x2A))],
+                         ids=["m3", "m6"])
+def test_folded_counts_match_the_full_walk(ctx, us):
+    # 0x1 is a 7th power in both fields, 0x6 at m=6; 0 lies outside the family
+    for u in us:
+        ev = geo.SurfaceEvaluator(u, ctx)
+        assert geo.surface_report(u, ctx)["counts"] == _full_walk_counts(ev), (ctx.m, u)
+
+
+def test_folded_counts_m9_frozen():
+    f9 = make_field(9)
+    expected = {"total": 260212, "on_excluded_lines": 1534,
+                "on_degree44_curve": 673, "filtered": 258006}
+    assert geo.surface_report(0x7, f9)["counts"] == expected
+    assert _full_walk_counts(geo.SurfaceEvaluator(0x7, f9)) == expected
+
+
+def test_emitted_witness_is_the_full_walks_first(monkeypatch):
+    for u in (0x2, 0x3, 0x6, 0x7):
+        ev = geo.SurfaceEvaluator(u, F6)
+        pt = next(p for p in geo.iter_surface_points(ev)
+                  if p.passes_filters and ev.obstruction_value(p.alpha, p.beta))
+        doc = geo.surface_report(u, F6, emit_witness=True)
+        assert doc["witness"] == geo.point_to_witness(pt, ev).to_json(), u
+    # u = 1 is a 7th power with no filtered point where H is nonzero: the
+    # fold says so and the walk is skipped
+    monkeypatch.setattr(geo, "iter_surface_points",
+                        lambda ev: pytest.fail("the walk ran without a witness to find"))
+    assert geo.surface_report(0x1, F6, emit_witness=True)["witness"] is None
+
+
+def test_log_domain_terms_match_polynomial_evaluation():
+    # the compiled terms against MPoly.eval of the uncompiled polynomials:
+    # every pair at m=3, seeded pairs (and the zero lines) at m=6
+    coeffs = identities.verified_surface_coefficients()
+    H = identities.obstruction_polynomial()
+    rhs = identities.linearized_rhs_polynomial()
+    rng = random.Random(6)
+    m6_pairs = [(rng.randrange(64), rng.randrange(64)) for _ in range(150)]
+    m6_pairs += [(0, 0), (0, 5), (9, 0)]
+    cases = [(F3, u, [(al, be) for al in range(8) for be in range(8)]) for u in range(8)]
+    cases += [(F6, u, m6_pairs) for u in (0x2, 0x7)]
+    for ctx, u, pairs in cases:
+        ev = geo.SurfaceEvaluator(u, ctx)
+        for alpha, beta in pairs:
+            point = {"a": alpha, "b": beta, "g": 1, "u": u}
+            assert ev.surface_coeffs(alpha, beta) == [c.eval(point, ctx) for c in coeffs]
+            assert ev.obstruction_value(alpha, beta) == H.eval(point, ctx)
+            y = (alpha * 5 + beta) % ctx.q
+            assert ev.linearized_rhs_value(alpha, beta, y) == rhs.eval(
+                {**point, "y": y, "x": 0, "z": 0, "xi": 0}, ctx), (ctx.m, u, alpha, beta)
 
 
 def test_surface_guards():
     with pytest.raises(ValueError):
         geo.surface_report(2, make_field(4))
-    with pytest.raises(ValueError):
-        geo.surface_report(2, make_field(12))
+    with pytest.raises(ValueError, match="m <= 12"):
+        geo.surface_report(2, make_field(15))
+    # counts and the witness reach m=12; listing the points stops at m=9
+    with pytest.raises(ValueError, match="listing surface points is limited to m <= 9"):
+        geo.surface_report(2, make_field(12), collect_points=True)
 
 
 def test_filtered_iteration_respects_flags():
@@ -257,9 +315,9 @@ def test_cross_validation_consistent_m6(monkeypatch):
     # u = 0x6 is a 7th power: the surface need not carry the kernel at the
     # 413 pairs where the obstruction form vanishes, so they are skipped
     built = []
-    build = geo.build_certificate
-    monkeypatch.setattr(geo, "build_certificate",
-                        lambda a, u, ctx: built.append(a) or build(a, u, ctx))
+    certify = geo.certificate_from_columns
+    monkeypatch.setattr(geo, "certificate_from_columns",
+                        lambda a, cols, u, ctx: built.append(a) or certify(a, cols, u, ctx))
     monkeypatch.setattr(geo, "point_to_witness",
                         lambda *args, **kwargs: pytest.fail("point_to_witness was called"))
     for u, triples, points in ((0x2, 3906, 4144), (0x6, 3493, 5194)):
@@ -287,7 +345,7 @@ def test_cross_validation_planted_fault_is_detected(monkeypatch):
 
 
 def test_cross_validation_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m <= 9"):
         geo.cross_validate(2, make_field(12))
     with pytest.raises(ValueError, match="outside the family"):
         geo.cross_validate(0, F6)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from triapn.gf2m import (FieldCtx, _gf2_mulmod, default_modulus, elem_to_hex, is_irreducible,
-                         is_seventh_power, make_field, smallest_non_seventh_power)
+                         is_seventh_power, make_field, mu7_representatives,
+                         smallest_non_seventh_power)
 
 
 def test_default_modulus_m3_by_enumeration():
@@ -167,6 +168,17 @@ def test_residue_count_is_modulus_invariant():
     count_a = sum(1 for v in range(1, 8) if not is_seventh_power(v, a))
     count_b = sum(1 for v in range(1, 8) if not is_seventh_power(v, b))
     assert count_a == count_b == 6
+
+
+def test_mu7_representatives_meet_every_coset_once():
+    for m in (3, 6, 9):
+        ctx = make_field(m)
+        mu7 = [v for v in range(1, ctx.q) if ctx.pow(v, 7) == 1]
+        reps = mu7_representatives(ctx)
+        assert len(mu7) * len(reps) == ctx.q - 1
+        assert sorted(ctx.mul(r, s) for r in reps for s in mu7) == list(range(1, ctx.q))
+    with pytest.raises(ValueError):
+        mu7_representatives(make_field(4))
 
 
 def test_smallest_non_seventh_power():
