@@ -112,18 +112,10 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     u, warnings = resolve_u(ctx, args.u)
     progress = _progress("spectrum") if ctx.m >= 6 else None
     rep = derivative.differential_spectrum(u, ctx, progress=progress)
-    doc = {
-        "schema": args.schema,
-        "params": _params(ctx, u, warnings),
-        "verdicts": {
-            "is_apn": rep.is_apn,
-            "differential_uniformity": rep.differential_uniformity,
-            "max_kernel_dim": rep.max_kernel_dim,
-        },
-        "histogram": {str(k): v for k, v in sorted(rep.histogram.items())},
-    }
-    print(f"m={ctx.m} u={elem_to_hex(u)}: is_apn={rep.is_apn} "
-          f"uniformity={rep.differential_uniformity}", file=sys.stderr)
+    doc = {"schema": args.schema, "params": _params(ctx, u, warnings), **rep}
+    verdicts = rep["verdicts"]
+    print(f"m={ctx.m} u={elem_to_hex(u)}: is_apn={verdicts['is_apn']} "
+          f"uniformity={verdicts['differential_uniformity']}", file=sys.stderr)
     return doc, EXIT_OK
 
 
@@ -143,19 +135,17 @@ def cmd_permutation(args) -> tuple[dict, int]:
 def cmd_witness(args) -> tuple[dict, int]:
     ctx = _field(args)
     u, warnings = resolve_u(ctx, args.u)
-    result = derivative.witness_search(u, ctx, "sampled" if args.sampled else "exhaustive",
-                                       seed=args.seed, max_draws=args.max_draws)
-    doc = {
-        "schema": "witness-search/1",
-        "params": _params(ctx, u, warnings, strategy=result.strategy),
-        "verdicts": {"found": result.found},
-        **result.to_json(),
-    }
-    if result.found:
-        print(f"witness: triple={[elem_to_hex(c) for c in result.certificate.triple]} "
-              f"kernel_dim={result.certificate.kernel_dim}", file=sys.stderr)
+    strategy = "sampled" if args.sampled else "exhaustive"
+    result = derivative.witness_search(u, ctx, strategy, seed=args.seed,
+                                       max_draws=args.max_draws)
+    doc = {"schema": "witness-search/1",
+           "params": _params(ctx, u, warnings, strategy=strategy), **result}
+    cert = result["certificate"]
+    if cert:
+        print(f"witness: triple={cert['triple']} kernel_dim={cert['kernel_dim']}",
+              file=sys.stderr)
     else:
-        tag = "proof of APN-ness" if result.strategy == "exhaustive" else "inconclusive"
+        tag = "proof of APN-ness" if strategy == "exhaustive" else "inconclusive"
         print(f"no witness found ({tag})", file=sys.stderr)
     return doc, EXIT_OK
 

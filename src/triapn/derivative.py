@@ -9,25 +9,18 @@ kernel with a single GF(2) elimination.  What a coordinate of a adds to the
 columns is F_2-linear in its value, so `derivative_columns` XORs the tags
 with the shares of the coordinates' set bits: monomials t^n and u*t^n
 reduced mod the modulus, laid out once per (field, u).  Every path runs
-through those columns, in one process: the spectrum and the permutation
-test over one triple per orbit, the exhaustive witness search over one per
-projective point, each row (alpha, 0, gamma) adding its betas' shares from
-one table; and the per-triple kernel basis behind sampled search and
-certificates, whose core (`certificate_from_columns`) also takes the
-columns of such a row walk.  A witness is a triple whose kernel has
-dimension >= 2 (at least 4 solutions), packaged as a certificate whose
+through those columns, in one process: every scan walks the rows of
+`_orbit_rows`, folded (the spectrum and the permutation test) or not (the
+exhaustive witness search), each row (alpha, 0, gamma) adding its betas'
+shares from one table; and the per-triple kernel basis behind sampled
+search and certificates, whose core (`certificate_from_columns`) also
+takes the columns of such a row walk.  A witness is a triple whose kernel
+has dimension >= 2 (at least 4 solutions), packaged as a certificate whose
 re-verification uses no elimination: direct arithmetic on each solution
-and the span of the basis.
-
-The kernel at lambda*a is lambda times the kernel at a.  For s^7 = 1 and
-D = diag(1, s, s^-2), C_u o D = diag(1, s^3, s) o C_u (7 | q - 1 as 3 | m),
-so the kernel at D*a is D times the kernel at a and kernels and images move
-with the triple.  The spectrum and the permutation test therefore decide
-one triple per orbit of these scalings: a free orbit stands for 7(q - 1)
-triples, each of the three fixed points for q - 1.  The rotation
-(x, y, z) -> (z, x, y) commutes with C_u, so the witness search eliminates
-the rotations of the points with leading coordinate 1, in code order; no
-multiple of one has a smaller code.
+and the span of the basis.  The rotation (x, y, z) -> (z, x, y) commutes
+with C_u, so the witness search eliminates the rotations of the points
+with leading coordinate 1, in code order; no multiple of one has a
+smaller code.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
 bits, then y, then z; column j of the map is the image of bit j.
@@ -219,55 +212,42 @@ def _beta_shares(m: int, modulus: int, u: int) -> list[list[int]]:
     return table
 
 
-def _representatives(ctx: FieldCtx, u: int, orbits: bool = False):
-    """(triple, columns) of one triple per projective point, or per orbit.
+def _orbit_rows(ctx: FieldCtx, folded: bool) -> list:
+    """Rows ((alpha, 0, gamma), betas, weight): one triple per point, or per orbit.
 
-    The rows (alpha, 0, gamma) are the line gamma = 0, (0, 1, 0) and then
-    (1, beta, 0), and then (alpha, beta, 1) for alpha = 0, 1, ...  Rotated to
-    (gamma, alpha, beta), the points with every beta, taken in order, are
-    the triples with leading coordinate 1 in increasing code.  With
-    `orbits`, (alpha, beta, 1) -> (s^2 alpha, s^3 beta, 1) and
-    (1, beta, 0) -> (1, s beta, 0) are folded: alpha != 0 and, on the lines
-    alpha = 0 and gamma = 0, beta != 0 run over the coset representatives
-    g^i, i < (q - 1)/7, of mu_7, leaving 3 + (q - 1)(q + 2)/7 triples.
+    The rows are (0, 1, 0), the line gamma = 0 as (1, beta, 0), and then
+    (alpha, beta, 1) for alpha = 0, 1, ...  Rotated to (gamma, alpha, beta),
+    the points, taken in order, are the triples with leading coordinate 1
+    in increasing code; the gamma = 1 rows walk the chart in code order.
+    Unfolded, every weight is 1.  Folded, the order-7 symmetry picks one
+    point per orbit: for s^7 = 1 and D = diag(1, s, s^-2),
+    C_u o D = diag(1, s^3, s) o C_u (7 | q - 1 as 3 | m), so kernels,
+    images and surface points move with the triple.  D fixes (0, 1, 0),
+    (1, 0, 0) and (0, 0, 1) and moves every other point in an orbit of 7;
+    alpha != 0 and, on the lines alpha = 0 and gamma = 0, beta != 0 run
+    over the coset representatives of mu_7, with weight 7.
+    """
+    reps, weight = (mu7_representatives(ctx), 7) if folded else (range(1, ctx.q), 1)
+    rows = [((0, 0, 0), (1,), 1)]
+    for base in ((1, 0, 0), (0, 0, 1)):
+        rows += [(base, (0,), 1), (base, reps, weight)]
+    return rows + [((al, 0, 1), range(ctx.q), weight) for al in reps]
+
+
+def _representatives(ctx: FieldCtx, u: int, folded: bool = False):
+    """(triple, columns, weight) along the rows of `_orbit_rows`.
+
     Each row takes its columns from `derivative_columns`, and each beta
     adds its share.
     """
-    every = range(ctx.q)
-    if orbits:
-        alphas = mu7_representatives(ctx)
-        some = [0, *alphas]
-    else:
-        alphas, some = range(1, ctx.q), every
-    betas = _beta_shares(ctx.m, ctx.modulus, u)
-    rows = [((0, 0, 0), (1,)), ((1, 0, 0), some), ((0, 0, 1), some)]
-    rows += [((al, 0, 1), every) for al in alphas]
-    for (al, _, ga), bes in rows:
+    shares = _beta_shares(ctx.m, ctx.modulus, u)
+    for (al, _, ga), betas, weight in _orbit_rows(ctx, folded):
         base = derivative_columns((al, 0, ga), u, ctx)
-        for be in bes:
-            yield (al, be, ga), map(xor, base, betas[be])
+        for be in betas:
+            yield (al, be, ga), map(xor, base, shares[be]), weight
 
 
 # -- spectra and the permutation test ----------------------------------------------
-
-
-@dataclass
-class SpectrumReport:
-    """Histogram of kernel dimensions over all nonzero difference triples."""
-
-    histogram: dict[int, int]
-
-    @property
-    def max_kernel_dim(self) -> int:
-        return max(self.histogram)
-
-    @property
-    def differential_uniformity(self) -> int:
-        return 1 << self.max_kernel_dim
-
-    @property
-    def is_apn(self) -> bool:
-        return self.max_kernel_dim == 1
 
 
 def _guard_family(ctx: FieldCtx) -> None:
@@ -275,11 +255,13 @@ def _guard_family(ctx: FieldCtx) -> None:
         raise ValueError(f"the family needs 3 | m; got m={ctx.m}")
 
 
-def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> SpectrumReport:
+def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
     """Exact kernel-dimension histogram over all q^3 - 1 nonzero triples.
 
-    One triple per orbit is eliminated: the three fixed points (two
-    coordinates zero) count for q - 1 triples, every other for 7(q - 1).
+    Returns the ``verdicts`` (``is_apn``, ``differential_uniformity``,
+    ``max_kernel_dim``) and the ``histogram``, keyed by the dimension as a
+    string.  One triple per row of the folded `_orbit_rows` is eliminated
+    and counts for its weight times q - 1 triples.
     """
     _guard_family(ctx)
     q = ctx.q
@@ -287,18 +269,21 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> SpectrumRepor
         raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M}; "
                          "use sampled witness search instead")
     n = 3 * ctx.m
-    orbits = 3 + (q - 1) * (q + 2) // 7
+    orbits = sum(len(betas) for _, betas, _ in _orbit_rows(ctx, True))
     step = orbits // 64 + 1
     hist: dict[int, int] = {}
-    for i, (a, cols) in enumerate(_representatives(ctx, u, orbits=True), 1):
+    for i, (_, cols, weight) in enumerate(_representatives(ctx, u, folded=True), 1):
         k = len(_kernel(cols, n))
-        hist[k] = hist.get(k, 0) + (q - 1) * (1 if a.count(0) == 2 else 7)
+        hist[k] = hist.get(k, 0) + (q - 1) * weight
         if progress is not None and (i % step == 0 or i == orbits):
             progress(i / orbits)
     total = sum(hist.values())
     if total != q ** 3 - 1:
         raise AssertionError(f"histogram covers {total} triples, expected {q ** 3 - 1}")
-    return SpectrumReport(hist)
+    top = max(hist)
+    return {"verdicts": {"is_apn": top == 1, "differential_uniformity": 1 << top,
+                         "max_kernel_dim": top},
+            "histogram": {str(k): v for k, v in sorted(hist.items())}}
 
 
 def _in_image(cols: list[int], w: int, n: int) -> bool:
@@ -315,14 +300,14 @@ def is_permutation(u: int, ctx: FieldCtx) -> bool:
 
     C_u is quadratic with C_u(0) = 0, so C_u(v + a) = C_u(v) exactly when
     the map at a sends v to C_u(a).  Scaling a by lambda scales that map's
-    image and C_u(a) by lambda^3, and D moves both by diag(1, s^3, s), so
-    one triple per orbit decides.
+    image and C_u(a) by lambda^3, and the D of `_orbit_rows` moves both by
+    diag(1, s^3, s), so one triple per folded row decides.
     """
     _guard_family(ctx)
     if ctx.m > SPECTRUM_MAX_M:
         raise ValueError(f"permutation check is limited to m <= {SPECTRUM_MAX_M}")
     return not any(_in_image(list(cols), pack_vec(eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
-                   for a, cols in _representatives(ctx, u, orbits=True))
+                   for a, cols, _ in _representatives(ctx, u, folded=True))
 
 
 # -- witness certificates -----------------------------------------------------------
@@ -402,7 +387,7 @@ def certificate_from_columns(a: Triple, cols: list[int], u: int,
     """`build_certificate` for a triple whose tagged columns are already built.
 
     cols must be `derivative_columns(a, u, ctx)`, however obtained: a scan
-    that walks the rows of `_representatives` passes each row's columns.
+    that walks the rows of `_orbit_rows` passes each row's columns.
     """
     if a == (0, 0, 0):
         raise ValueError("the difference triple must be nonzero")
@@ -488,28 +473,6 @@ def verify_certificate(cert: WitnessCertificate) -> list[str]:
 # -- search ------------------------------------------------------------------------
 
 
-@dataclass
-class SearchResult:
-    strategy: str
-    found: bool
-    certificate: WitnessCertificate | None
-    scanned: int | None = None
-    draws_used: int | None = None
-    seed: int | None = None
-    max_draws: int | None = None
-
-    def to_json(self) -> dict:
-        doc = {"certificate": self.certificate.to_json() if self.certificate else None}
-        if self.scanned is not None:
-            doc["scanned"] = self.scanned
-        if self.strategy == "sampled":
-            doc["generator"] = "splitmix64"
-            doc["seed"] = self.seed
-            doc["max_draws"] = self.max_draws
-            doc["draws_used"] = self.draws_used
-        return doc
-
-
 _GAMMA64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -534,40 +497,48 @@ def draw_code(seed: int, index: int, bits: int) -> int:
 
 
 def witness_search(u: int, ctx: FieldCtx, strategy: str = "exhaustive", seed: int = 0,
-                   max_draws: int = 10 ** 6) -> SearchResult:
+                   max_draws: int = 10 ** 6) -> dict:
     """Find a triple whose kernel has dimension >= 2, or report not-found.
 
-    Exhaustive mode walks the q^2 + q + 1 projective points in-process and
-    returns the witness with the smallest code; its not-found proves that
-    no witness exists.  `scanned` counts the triples it decided, codes
-    1..code (q^3 - 1 if none).  Sampled mode draws triples from the seeded
-    generator; not-found there is merely inconclusive.
+    Returns the ``verdicts`` (``found``) and the ``certificate`` document
+    (None when not found), then ``scanned`` in exhaustive mode, and
+    ``generator``, ``seed``, ``max_draws`` and ``draws_used`` in sampled
+    mode.  Exhaustive mode walks the q^2 + q + 1 projective points of the
+    unfolded `_orbit_rows` in-process and returns the witness with the
+    smallest code; its not-found proves that no witness exists.  `scanned`
+    counts the triples it decided, codes 1..code (q^3 - 1 if none).
+    Sampled mode draws triples from the seeded generator; not-found there
+    is merely inconclusive.
     """
     _guard_family(ctx)
     m, q = ctx.m, ctx.q
     if strategy == "exhaustive":
         if m > WITNESS_MAX_M:
             raise ValueError(f"exhaustive witness search needs m <= {WITNESS_MAX_M}; use --sampled")
-        for (al, be, ga), cols in _representatives(ctx, u):
+        for (al, be, ga), cols, _ in _representatives(ctx, u):
             if len(_kernel(cols, 3 * m)) >= 2:
                 cert = build_certificate((ga, al, be), u, ctx)
                 if cert is None:
                     raise CertificateError("scan reported a witness the kernel basis rejects")
                 # codes 1..code are decided, not eliminated; zero never is
-                return SearchResult("exhaustive", True, cert, scanned=encode_triple(cert.triple, m))
-        return SearchResult("exhaustive", False, None, scanned=q ** 3 - 1)
+                return _search_doc(cert, scanned=encode_triple(cert.triple, m))
+        return _search_doc(None, scanned=q ** 3 - 1)
     if strategy == "sampled":
         if max_draws < 1:
             raise ValueError(f"max_draws must be at least 1, got {max_draws}")
         bits = 3 * m
+        sampled = {"generator": "splitmix64", "seed": seed, "max_draws": max_draws}
         for i in range(max_draws):
             code = draw_code(seed, i, bits)
             if code == 0:
                 continue
             cert = build_certificate(decode_triple(code, m), u, ctx)
             if cert is not None:
-                return SearchResult("sampled", True, cert,
-                                    draws_used=i + 1, seed=seed, max_draws=max_draws)
-        return SearchResult("sampled", False, None,
-                            draws_used=max_draws, seed=seed, max_draws=max_draws)
+                return _search_doc(cert, **sampled, draws_used=i + 1)
+        return _search_doc(None, **sampled, draws_used=max_draws)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _search_doc(cert: WitnessCertificate | None, **fields) -> dict:
+    return {"verdicts": {"found": cert is not None},
+            "certificate": cert.to_json() if cert else None, **fields}

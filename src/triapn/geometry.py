@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import identities
-from .derivative import (Triple, WitnessCertificate, _representatives, build_certificate,
-                         certificate_from_columns, verify_solution)
-from .gf2m import FieldCtx, elem_to_hex, mu7_representatives
+from .derivative import (Triple, WitnessCertificate, _orbit_rows, _representatives,
+                         build_certificate, certificate_from_columns, verify_solution)
+from .gf2m import FieldCtx, elem_to_hex
 from .mpoly import MPoly
 
 SURFACE_MAX_M = 12
@@ -221,14 +221,21 @@ def _on_curve(alpha: int, beta: int, u2: int, ctx: FieldCtx) -> bool:
     return alpha ^ ctx.mul(u2, ctx.pow(beta, 3)) == 0
 
 
+def _chart_rows(ctx: FieldCtx, folded: bool) -> list:
+    """The gamma = 1 rows of `_orbit_rows`, as (alpha, betas, weight)."""
+    return [(al, betas, w) for (al, _, ga), betas, w in _orbit_rows(ctx, folded) if ga]
+
+
 def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
-    """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0 at ev's u, in encoding order."""
+    """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0 at ev's u, in encoding order.
+
+    The pairs are the gamma = 1 rows of the unfolded `_orbit_rows`.
+    """
     ctx = ev.ctx
     _guard_surface(ctx)
-    q = ctx.q
     u2 = ctx.square(ev.u)
-    for alpha in range(q):
-        for beta in range(q):
+    for alpha, betas, _ in _chart_rows(ctx, False):
+        for beta in betas:
             on_curve = _on_curve(alpha, beta, u2, ctx)
             for y in ev.roots(alpha, beta):
                 yield SurfacePoint(
@@ -248,11 +255,11 @@ def surface_report(
 ) -> dict:
     """Exact point counts (and optionally the points and one witness).
 
-    For s^7 = 1, (alpha, beta, y) -> (s^2 alpha, s^3 beta, s^3 y) maps
-    points to points and keeps both filters, so the counts sum (0, 0) once
-    and (0, g^i) and (g^i, beta), every beta, seven times each, where the
-    g^i, i < (q - 1)/7, stand for the cosets of mu_7.  The points are
-    listed by the walk of `iter_surface_points`, in encoding order.
+    The counts walk the gamma = 1 rows of the folded `_orbit_rows`, each
+    (alpha, beta) counting for its weight: the order-7 symmetry maps
+    (alpha, beta, y) to (s^2 alpha, s^3 beta, s^3 y) and keeps both
+    filters.  The points are listed by the walk of `iter_surface_points`,
+    in encoding order.
 
     The witness comes from that walk's first filtered point where the
     obstruction form is nonzero; it is None when there is no such point,
@@ -261,10 +268,8 @@ def surface_report(
     """
     _guard_surface(ctx, "listing surface points" if collect_points else None)
     ev = SurfaceEvaluator(u, ctx)
-    q = ctx.q
     u2 = ctx.square(u)
-    reps = mu7_representatives(ctx)
-    rows = [(0, (0,), 1), (0, reps, 7), *((alpha, range(q), 7) for alpha in reps)]
+    rows = _chart_rows(ctx, True)
     total = lines = curve = kept = 0
     has_witness = False
     for i, (alpha, betas, weight) in enumerate(rows, 1):
@@ -373,7 +378,7 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
     u2 = ctx.square(u)
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
-    for a, cols in _representatives(ctx, u):
+    for a, cols, _ in _representatives(ctx, u):
         alpha, beta, gamma = a
         if not (alpha and beta and gamma) or _on_curve(alpha, beta, u2, ctx) \
                 or not (h := ev.obstruction_value(alpha, beta)):

@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -356,3 +358,30 @@ def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+STDLIB_ONLY = """
+import importlib, pkgutil, sys
+sys.path.insert(0, {src!r})
+import triapn
+for info in pkgutil.iter_modules(triapn.__path__):
+    if info.name != "__main__":
+        importlib.import_module("triapn." + info.name)
+sys.argv = ["triapn", "field-info", "--m", "3"]
+try:
+    importlib.import_module("triapn.__main__")  # runs the CLI, as python -m triapn does
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+allowed = sys.stdlib_module_names | {{"triapn", "__main__"}}
+foreign = sorted(name for name in sys.modules if name.partition(".")[0] not in allowed)
+assert not foreign, foreign
+"""
+
+
+def test_runtime_needs_only_the_standard_library():
+    # isolated and without site: no site-packages, no PYTHONPATH
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", STDLIB_ONLY.format(src=src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == "field/1"

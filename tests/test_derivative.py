@@ -196,13 +196,13 @@ def test_solution_count_guards_and_bounds():
 
 def test_spectrum_m3_is_apn():
     rep = dv.differential_spectrum(2, F3)
-    assert rep.histogram == {1: 511}
-    assert rep.is_apn and rep.differential_uniformity == 2
+    assert rep["histogram"] == {"1": 511}
+    assert rep["verdicts"] == {"is_apn": True, "differential_uniformity": 2, "max_kernel_dim": 1}
 
 
 def test_spectrum_m3_all_non_residues():
     for u in range(2, 8):
-        assert dv.differential_spectrum(u, F3).is_apn
+        assert dv.differential_spectrum(u, F3)["verdicts"]["is_apn"]
 
 
 def test_spectrum_guards():
@@ -217,9 +217,9 @@ def test_spectrum_m3_matches_per_triple_kernels():
     for u in range(8):
         hist = {}
         for code in range(1, 512):
-            dim = len(dv.kernel_basis(dv.decode_triple(code, 3), u, F3))
+            dim = str(len(dv.kernel_basis(dv.decode_triple(code, 3), u, F3)))
             hist[dim] = hist.get(dim, 0) + 1
-        assert dv.differential_spectrum(u, F3).histogram == hist
+        assert dv.differential_spectrum(u, F3)["histogram"] == hist
 
 
 def test_kernels_scale_with_the_triple():
@@ -246,20 +246,20 @@ def test_kernels_scale_with_the_triple():
 def test_spectrum_m6_matches_golden_and_thread_count():
     golden = json.loads((GOLDEN / "spectrum_m6_u0x02.json").read_text())
     rep = dv.differential_spectrum(2, F6)
-    assert {str(k): v for k, v in rep.histogram.items()} == golden["histogram"]
-    assert sum(rep.histogram.values()) == 64 ** 3 - 1
-    assert rep.differential_uniformity <= 8 and not rep.is_apn
+    assert rep["histogram"] == golden["histogram"]
+    assert sum(rep["histogram"].values()) == 64 ** 3 - 1
+    assert rep["verdicts"]["differential_uniformity"] <= 8 and not rep["verdicts"]["is_apn"]
     rep1 = dv.differential_spectrum(2, F6)
-    assert rep1.histogram == rep.histogram
+    assert rep1["histogram"] == rep["histogram"]
 
 
 def test_uniformity_second_non_residue_m6():
     # the next non-7th-power after the default
     u = 3
     assert F6.pow(u, 9) != 1
-    rep = dv.differential_spectrum(u, F6)
-    assert not rep.is_apn
-    assert rep.differential_uniformity in (4, 8)
+    verdicts = dv.differential_spectrum(u, F6)["verdicts"]
+    assert not verdicts["is_apn"]
+    assert verdicts["differential_uniformity"] in (4, 8)
 
 
 def test_rotation_symmetry_of_kernel_dims():
@@ -284,10 +284,11 @@ def test_rotated_representatives_are_the_leading_one_triples_in_code_order():
     # the order contract the exhaustive witness search relies on
     for ctx in (F3, F6):
         q = ctx.q
-        points = [(a, list(cols)) for a, cols in dv._representatives(ctx, 2)]
+        points = [(a, list(cols), w) for a, cols, w in dv._representatives(ctx, 2)]
         assert len(points) == q * q + q + 1
+        assert all(w == 1 for _, _, w in points)
         codes = []
-        for (al, be, ga), cols in points:
+        for (al, be, ga), cols, _ in points:
             rotated = (ga, al, be)
             assert next(c for c in rotated if c) == 1
             codes.append(dv.encode_triple(rotated, ctx.m))
@@ -299,20 +300,19 @@ def test_spectrum_m9_matches_golden():
     golden = json.loads((GOLDEN / "spectrum_m9_u0x07.json").read_text())
     f9 = make_field(9)
     assert f9.modulus == int(golden["modulus"], 16)
-    rep = dv.differential_spectrum(7, f9)
-    assert {str(k): v for k, v in rep.histogram.items()} == golden["histogram"]
+    assert dv.differential_spectrum(7, f9)["histogram"] == golden["histogram"]
 
 
 def _every_point_spectrum(u, ctx):
     hist = Counter()
-    for _, cols in dv._representatives(ctx, u):
-        hist[len(dv._kernel(cols, 3 * ctx.m))] += ctx.q - 1
+    for _, cols, _ in dv._representatives(ctx, u):
+        hist[str(len(dv._kernel(cols, 3 * ctx.m)))] += ctx.q - 1
     return dict(hist)
 
 
 def _every_point_is_permutation(u, ctx):
     return not any(dv._in_image(list(cols), dv.pack_vec(dv.eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
-                   for a, cols in dv._representatives(ctx, u))
+                   for a, cols, _ in dv._representatives(ctx, u))
 
 
 @pytest.mark.parametrize("ctx,us", [(F3, range(8)), (F6, (0x1, 0x2, 0x3, 0x6, 0x7, 0xF))],
@@ -321,11 +321,35 @@ def test_orbit_walk_matches_the_every_point_walk(ctx, us):
     # 0x1 and 0x6 at m=6 are 7th powers, the others are not
     q = ctx.q
     for u in us:
-        orbits = list(dv._representatives(ctx, u, orbits=True))
+        orbits = list(dv._representatives(ctx, u, folded=True))
         assert len(orbits) == 3 + (q - 1) * (q + 2) // 7
-        assert len({a for a, _ in orbits}) == len(orbits)
-        assert dv.differential_spectrum(u, ctx).histogram == _every_point_spectrum(u, ctx)
+        assert len({a for a, _, _ in orbits}) == len(orbits)
+        assert dv.differential_spectrum(u, ctx)["histogram"] == _every_point_spectrum(u, ctx)
         assert dv.is_permutation(u, ctx) == _every_point_is_permutation(u, ctx)
+
+
+@pytest.mark.parametrize("ctx", [F3, F6], ids=["m3", "m6"])
+def test_folded_rows_are_the_mu7_orbits(ctx):
+    # an independent action: (alpha, beta, gamma) -> (alpha, s*beta, s^-2*gamma)
+    # for s^7 = 1, each image scaled so that its first nonzero coordinate is 1
+    q, mul = ctx.q, ctx.mul
+    roots = [s for s in range(1, q) if ctx.pow(s, 7) == 1]
+    assert len(roots) == 7
+
+    def normalise(a):
+        lead = ctx.inv(next(c for c in a if c))
+        return tuple(mul(lead, c) for c in a)
+
+    seen, chart = set(), 0
+    for (al, _, ga), betas, weight in dv._orbit_rows(ctx, True):
+        for be in betas:
+            orbit = {normalise((al, mul(s, be), mul(ctx.inv(mul(s, s)), ga))) for s in roots}
+            assert len(orbit) == weight
+            assert not orbit & seen
+            seen |= orbit
+            chart += weight if ga == 1 else 0
+    assert len(seen) == q * q + q + 1
+    assert chart == q * q
 
 
 # -- permutation --------------------------------------------------------------------------
@@ -356,20 +380,24 @@ def test_permutation_m3():
 
 def test_witness_exhaustive_m3_not_found():
     res = dv.witness_search(2, F3)
-    assert not res.found and res.certificate is None
-    assert res.to_json() == {"certificate": None, "scanned": 511}  # q^3 - 1 triples
+    # q^3 - 1 triples
+    assert res == {"verdicts": {"found": False}, "certificate": None, "scanned": 511}
+
+
+def _certificate(res):
+    return dv.WitnessCertificate.from_json(res["certificate"])
 
 
 def test_witness_exhaustive_m6():
     res = dv.witness_search(2, F6)
-    assert res.found
-    cert = res.certificate
+    assert res["verdicts"]["found"]
+    cert = _certificate(res)
     assert cert.kernel_dim >= 2
     assert len(cert.solutions) == 1 << cert.kernel_dim >= 4
     # first witness in encoding order, frozen from the first verified run
     assert cert.triple == (1, 1, 2)
     # codes 1..code(triple) were decided
-    assert res.scanned == dv.encode_triple(cert.triple, 6)
+    assert res["scanned"] == dv.encode_triple(cert.triple, 6)
     assert dv.verify_certificate(cert) == []
 
 
@@ -385,18 +413,17 @@ def test_witness_exhaustive_matches_brute_force_encoding_order(u, m):
     # kernel_basis on unrotated triples, every code up to the returned one
     ctx = make_field(m)
     res = dv.witness_search(u, ctx)
-    if not res.found:
+    if not res["verdicts"]["found"]:
         assert first_witness_by_brute_force(u, ctx, ctx.q ** 3) is None
-        assert res.scanned == ctx.q ** 3 - 1
+        assert res["scanned"] == ctx.q ** 3 - 1
         return
-    code = dv.encode_triple(res.certificate.triple, m)
+    code = dv.encode_triple(_certificate(res).triple, m)
     assert first_witness_by_brute_force(u, ctx, code + 1) == code
-    assert res.scanned == code
+    assert res["scanned"] == code
 
 
 def test_witness_certificate_roundtrip_and_tamper():
-    cert = dv.witness_search(2, F6).certificate
-    doc = cert.to_json()
+    doc = dv.witness_search(2, F6)["certificate"]
     again = dv.WitnessCertificate.from_json(json.loads(json.dumps(doc)))
     assert dv.verify_certificate(again) == []
     bad = json.loads(json.dumps(doc))
@@ -487,21 +514,22 @@ def test_certificate_loading_fuzz(doc):
 def test_frozen_certificates():
     golden = json.loads((GOLDEN / "certificates.json").read_text())
     f9 = make_field(9)
-    assert dv.witness_search(2, F6).certificate.to_json() == golden["witness --m 6 --u 0x2"]
+    assert dv.witness_search(2, F6)["certificate"] == golden["witness --m 6 --u 0x2"]
     sampled = dv.witness_search(smallest_non_seventh_power(f9), f9, strategy="sampled", seed=1)
-    assert sampled.certificate.to_json() == golden["witness --m 9 --sampled --seed 1"]
+    assert sampled["certificate"] == golden["witness --m 9 --sampled --seed 1"]
 
 
 def test_witness_sampled_m9():
     f9 = make_field(9)
     u = smallest_non_seventh_power(f9)
     res = dv.witness_search(u, f9, strategy="sampled", seed=1, max_draws=10 ** 6)
-    assert res.found
-    assert res.draws_used == 3  # recorded from the first verified run
-    assert res.certificate.kernel_dim >= 2
-    assert dv.verify_certificate(res.certificate) == []
+    assert res["verdicts"]["found"]
+    assert res["draws_used"] == 3  # recorded from the first verified run
+    cert = _certificate(res)
+    assert cert.kernel_dim >= 2
+    assert dv.verify_certificate(cert) == []
     again = dv.witness_search(u, f9, strategy="sampled", seed=1, max_draws=10 ** 6)
-    assert again.to_json() == res.to_json()
+    assert again == res
 
 
 def test_certificate_reverification_reuses_the_field(monkeypatch):
@@ -509,8 +537,8 @@ def test_certificate_reverification_reuses_the_field(monkeypatch):
     u = smallest_non_seventh_power(f15)
     monkeypatch.setattr(FieldCtx, "_build_tables",
                         lambda self: pytest.fail("field tables were built again"))
-    cert = dv.witness_search(u, f15, strategy="sampled", seed=1).certificate
-    assert dv.verify_certificate(dv.WitnessCertificate.from_json(cert.to_json())) == []
+    res = dv.witness_search(u, f15, strategy="sampled", seed=1)
+    assert dv.verify_certificate(_certificate(res)) == []
 
 
 def test_witness_strategy_validation():
