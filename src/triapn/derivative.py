@@ -10,17 +10,24 @@ columns is F_2-linear in its value, so `derivative_columns` XORs the tags
 with the shares of the coordinates' set bits: monomials t^n and u*t^n
 reduced mod the modulus, laid out once per (field, u).  Every path runs
 through those columns, in one process: every scan walks the rows of
-`_orbit_rows`, folded (the spectrum and the permutation test) or not (the
-exhaustive witness search), each row (alpha, 0, gamma) adding its betas'
-shares from one table; and the per-triple kernel basis behind sampled
-search and certificates, whose core (`certificate_from_columns`) also
-takes the columns of such a row walk.  A witness is a triple whose kernel
-has dimension >= 2 (at least 4 solutions), packaged as a certificate whose
+`_orbit_rows`, each row (alpha, 0, gamma) adding its betas' shares from
+one table; and the per-triple kernel basis behind sampled search and
+certificates, whose core (`certificate_from_columns`) also takes the
+columns of such a row walk.  A witness is a triple whose kernel has
+dimension >= 2 (at least 4 solutions), packaged as a certificate whose
 re-verification uses no elimination: direct arithmetic on each solution
-and the span of the basis.  The rotation (x, y, z) -> (z, x, y) commutes
-with C_u, so the witness search eliminates the rotations of the points
-with leading coordinate 1, in code order; no multiple of one has a
-smaller code.
+and the span of the basis.
+
+The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
+sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
+kernels and images with the triple.  The spectrum and the permutation
+test walk one point per orbit of it, with weights 3, 7 and 21.  The
+surface counts (in `geometry`) walk one per orbit of D alone, weight 7,
+as the rotation moves the lines and the curve they exclude.  The
+exhaustive witness search, the surface points and cross-validation walk
+every point; the witness search takes the rotations of the points with
+leading coordinate 1, in code order, as no multiple of one has a smaller
+code.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
 bits, then y, then z; column j of the map is the image of bit j.
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import xor
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field, mu7_representatives
 
@@ -212,36 +219,88 @@ def _beta_shares(m: int, modulus: int, u: int) -> list[list[int]]:
     return table
 
 
-def _orbit_rows(ctx: FieldCtx, folded: bool) -> list:
+def _orbit_rows(ctx: FieldCtx, fold: int = 1) -> Iterator:
     """Rows ((alpha, 0, gamma), betas, weight): one triple per point, or per orbit.
 
-    The rows are (0, 1, 0), the line gamma = 0 as (1, beta, 0), and then
-    (alpha, beta, 1) for alpha = 0, 1, ...  Rotated to (gamma, alpha, beta),
-    the points, taken in order, are the triples with leading coordinate 1
-    in increasing code; the gamma = 1 rows walk the chart in code order.
-    Unfolded, every weight is 1.  Folded, the order-7 symmetry picks one
-    point per orbit: for s^7 = 1 and D = diag(1, s, s^-2),
-    C_u o D = diag(1, s^3, s) o C_u (7 | q - 1 as 3 | m), so kernels,
-    images and surface points move with the triple.  D fixes (0, 1, 0),
-    (1, 0, 0) and (0, 0, 1) and moves every other point in an orbit of 7;
-    alpha != 0 and, on the lines alpha = 0 and gamma = 0, beta != 0 run
-    over the coset representatives of mu_7, with weight 7.
+    fold is 1, 7 or 21, the order of the group whose orbits the rows
+    pick.  Unfolded, the rows are (0, 1, 0), the line gamma = 0 as
+    (1, beta, 0), and then (alpha, beta, 1) for alpha = 0, 1, ...  Rotated
+    to (gamma, alpha, beta), the points, taken in order, are the triples
+    with leading coordinate 1 in increasing code; the gamma = 1 rows walk
+    the chart in code order, and every weight is 1.
+
+    Folded by 7, the order-7 symmetry picks one point per orbit: for
+    s^7 = 1 and D = diag(1, s, s^-2), C_u o D = diag(1, s^3, s) o C_u
+    (7 | q - 1 as 3 | m), so kernels, images and surface points move with
+    the triple.  D fixes (0, 1, 0), (1, 0, 0) and (0, 0, 1) and moves every
+    other point in an orbit of 7; alpha != 0 and, on the lines alpha = 0
+    and gamma = 0, beta != 0 run over the coset representatives of mu_7,
+    with weight 7.  The surface counts walk this fold: the rotation below
+    moves the lines and the curve they filter by.
+
+    Folded by 21, the rotation sigma(x, y, z) = (z, x, y) joins it:
+    C_u o sigma = sigma o C_u and sigma D_s sigma^-1 = D_{s^2}, so the
+    group has order 21 and kernels and images move with the triple.  The
+    three coordinate points are one row of weight 3, the lines alpha = 0,
+    beta = 0 and gamma = 0 are the row (0, beta, 1) over the mu_7
+    representatives, of weight 21, and `_rotation_rows` gives the rest
+    from the field's log tables.  Rows are made as the walk reaches them.
     """
-    reps, weight = (mu7_representatives(ctx), 7) if folded else (range(1, ctx.q), 1)
-    rows = [((0, 0, 0), (1,), 1)]
+    if fold == 21:
+        yield (0, 0, 0), (1,), 3
+        yield (0, 0, 1), mu7_representatives(ctx), 21
+        yield from _rotation_rows(ctx)
+        return
+    reps, weight = (mu7_representatives(ctx), 7) if fold == 7 else (range(1, ctx.q), 1)
+    yield (0, 0, 0), (1,), 1
     for base in ((1, 0, 0), (0, 0, 1)):
-        rows += [(base, (0,), 1), (base, reps, weight)]
-    return rows + [((al, 0, 1), range(ctx.q), weight) for al in reps]
+        yield base, (0,), 1
+        yield base, reps, weight
+    for al in reps:
+        yield (al, 0, 1), range(ctx.q), weight
 
 
-def _representatives(ctx: FieldCtx, u: int, folded: bool = False):
-    """(triple, columns, weight) along the rows of `_orbit_rows`.
+def _rotation_rows(ctx: FieldCtx) -> Iterator:
+    """The rows of the order-21 fold with alpha * beta != 0, one alpha at a time.
+
+    In logs (a, b) of (alpha, beta), with n = q - 1 and M = n / 7, mu_7
+    moves (a, b) by multiples of (2M, 3M), and normalising a to a mod M
+    maps (a, b) to (a - kM, b + 2kM) with k = a // M.  The rotation takes
+    (alpha, beta, 1) to (1/beta, alpha/beta, 1), so (a, b) to (-b, a - b)
+    and then to (b - a, -a).  Row a < M keeps the b whose pair is the smallest of the
+    three normalised pairs.  The normalised first logs, -b mod M and
+    (b - a) mod M, depend on b mod M alone, so the seven b of a residue are
+    kept or dropped together unless one of them ties with a.  The pairs
+    that the rotation fixes are the points an element of order 3 fixes, in
+    orbits of 7: three for even m, one for odd m.  Every other pair stands
+    for 21 points.
+    """
+    n = ctx.q - 1
+    M = n // 7
+    exp = ctx._exp2
+    for a in range(M):
+        rows: dict[int, list[int]] = {21: [], 7: []}
+        for r in range(M):
+            a1, a2 = -r % M, (r - a) % M
+            if a1 > a < a2:
+                rows[21] += exp[r:n:M]
+            elif a1 >= a <= a2:
+                for b in range(r, n, M):
+                    p1 = (a1, (a - b + 2 * (-b % n - a1)) % n)
+                    p2 = (a2, (2 * ((b - a) % n - a2) - a) % n)
+                    if (a, b) <= min(p1, p2):
+                        rows[7 if p1 == (a, b) else 21].append(exp[b])
+        yield from (((exp[a], 0, 1), betas, w) for w, betas in rows.items() if betas)
+
+
+def _representatives(ctx: FieldCtx, u: int, fold: int = 1):
+    """(triple, columns, weight) along the rows of `_orbit_rows(ctx, fold)`, lazily.
 
     Each row takes its columns from `derivative_columns`, and each beta
     adds its share.
     """
     shares = _beta_shares(ctx.m, ctx.modulus, u)
-    for (al, _, ga), betas, weight in _orbit_rows(ctx, folded):
+    for (al, _, ga), betas, weight in _orbit_rows(ctx, fold):
         base = derivative_columns((al, 0, ga), u, ctx)
         for be in betas:
             yield (al, be, ga), map(xor, base, shares[be]), weight
@@ -260,8 +319,10 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
 
     Returns the ``verdicts`` (``is_apn``, ``differential_uniformity``,
     ``max_kernel_dim``) and the ``histogram``, keyed by the dimension as a
-    string.  One triple per row of the folded `_orbit_rows` is eliminated
-    and counts for its weight times q - 1 triples.
+    string.  One triple per orbit of the order-21 group, the rows of
+    `_orbit_rows(ctx, 21)`, is eliminated and counts for its weight (3, 7
+    or 21) times q - 1 triples.  progress gets the share of the q^2 + q + 1
+    points decided, at most 64 times and last at 1.0.
     """
     _guard_family(ctx)
     q = ctx.q
@@ -269,14 +330,15 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
         raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M}; "
                          "use sampled witness search instead")
     n = 3 * ctx.m
-    orbits = sum(len(betas) for _, betas, _ in _orbit_rows(ctx, True))
-    step = orbits // 64 + 1
+    points = q * q + q + 1
+    done = 0
     hist: dict[int, int] = {}
-    for i, (_, cols, weight) in enumerate(_representatives(ctx, u, folded=True), 1):
+    for _, cols, weight in _representatives(ctx, u, fold=21):
         k = len(_kernel(cols, n))
         hist[k] = hist.get(k, 0) + (q - 1) * weight
-        if progress is not None and (i % step == 0 or i == orbits):
-            progress(i / orbits)
+        done += weight
+        if progress is not None and done * 64 // points > (done - weight) * 64 // points:
+            progress(done / points)
     total = sum(hist.values())
     if total != q ** 3 - 1:
         raise AssertionError(f"histogram covers {total} triples, expected {q ** 3 - 1}")
@@ -300,14 +362,18 @@ def is_permutation(u: int, ctx: FieldCtx) -> bool:
 
     C_u is quadratic with C_u(0) = 0, so C_u(v + a) = C_u(v) exactly when
     the map at a sends v to C_u(a).  Scaling a by lambda scales that map's
-    image and C_u(a) by lambda^3, and the D of `_orbit_rows` moves both by
-    diag(1, s^3, s), so one triple per folded row decides.
+    image and C_u(a) by lambda^3, the D of `_orbit_rows` moves both by
+    diag(1, s^3, s), and the map at sigma(a) is sigma o (map at a) o
+    sigma^-1 with C_u(sigma(a)) = sigma(C_u(a)).  So one triple per orbit of
+    the order-21 group decides, whatever its weight.  The rows are built
+    one alpha at a time as the walk reaches them, so an early collision
+    costs only the rows before it.
     """
     _guard_family(ctx)
     if ctx.m > SPECTRUM_MAX_M:
         raise ValueError(f"permutation check is limited to m <= {SPECTRUM_MAX_M}")
     return not any(_in_image(list(cols), pack_vec(eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
-                   for a, cols, _ in _representatives(ctx, u, folded=True))
+                   for a, cols, _ in _representatives(ctx, u, fold=21))
 
 
 # -- witness certificates -----------------------------------------------------------

@@ -221,9 +221,9 @@ def _on_curve(alpha: int, beta: int, u2: int, ctx: FieldCtx) -> bool:
     return alpha ^ ctx.mul(u2, ctx.pow(beta, 3)) == 0
 
 
-def _chart_rows(ctx: FieldCtx, folded: bool) -> list:
-    """The gamma = 1 rows of `_orbit_rows`, as (alpha, betas, weight)."""
-    return [(al, betas, w) for (al, _, ga), betas, w in _orbit_rows(ctx, folded) if ga]
+def _chart_rows(ctx: FieldCtx, fold: int) -> list:
+    """The gamma = 1 rows of `_orbit_rows(ctx, fold)`, as (alpha, betas, weight)."""
+    return [(al, betas, w) for (al, _, ga), betas, w in _orbit_rows(ctx, fold) if ga]
 
 
 def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
@@ -234,7 +234,7 @@ def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
     ctx = ev.ctx
     _guard_surface(ctx)
     u2 = ctx.square(ev.u)
-    for alpha, betas, _ in _chart_rows(ctx, False):
+    for alpha, betas, _ in _chart_rows(ctx, 1):
         for beta in betas:
             on_curve = _on_curve(alpha, beta, u2, ctx)
             for y in ev.roots(alpha, beta):
@@ -255,11 +255,12 @@ def surface_report(
 ) -> dict:
     """Exact point counts (and optionally the points and one witness).
 
-    The counts walk the gamma = 1 rows of the folded `_orbit_rows`, each
+    The counts walk the gamma = 1 rows of the 7-fold `_orbit_rows`, each
     (alpha, beta) counting for its weight: the order-7 symmetry maps
     (alpha, beta, y) to (s^2 alpha, s^3 beta, s^3 y) and keeps both
-    filters.  The points are listed by the walk of `iter_surface_points`,
-    in encoding order.
+    filters.  The rotation of the order-21 fold would not: it moves the
+    excluded lines and the degree-44 curve.  The points are listed by the
+    walk of `iter_surface_points`, in encoding order.
 
     The witness comes from that walk's first filtered point where the
     obstruction form is nonzero; it is None when there is no such point,
@@ -269,7 +270,7 @@ def surface_report(
     _guard_surface(ctx, "listing surface points" if collect_points else None)
     ev = SurfaceEvaluator(u, ctx)
     u2 = ctx.square(u)
-    rows = _chart_rows(ctx, True)
+    rows = _chart_rows(ctx, 7)
     total = lines = curve = kept = 0
     has_witness = False
     for i, (alpha, betas, weight) in enumerate(rows, 1):

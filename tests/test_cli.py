@@ -305,6 +305,13 @@ def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
     assert len(fracs) <= 64 + 1 and fracs[-1] == 1.0
 
 
+def test_spectrum_progress_marks_each_quarter_once(capsys):
+    code, doc, err = run(capsys, "spectrum", "--m", "6", "--u", "0x2")
+    assert code == 0 and doc["verdicts"]["max_kernel_dim"] == 3
+    marks = [line for line in err.splitlines() if line.endswith("%")]
+    assert marks == ["spectrum: 25%", "spectrum: 50%", "spectrum: 75%", "spectrum: 100%"]
+
+
 def test_cross_validate_command(capsys):
     code, doc, _ = run(capsys, "cross-validate", "--m", "3", "--u", "auto")
     assert code == 0

@@ -303,10 +303,10 @@ def test_spectrum_m9_matches_golden():
     assert dv.differential_spectrum(7, f9)["histogram"] == golden["histogram"]
 
 
-def _every_point_spectrum(u, ctx):
+def _walked_spectrum(u, ctx, fold=1):
     hist = Counter()
-    for _, cols, _ in dv._representatives(ctx, u):
-        hist[str(len(dv._kernel(cols, 3 * ctx.m)))] += ctx.q - 1
+    for _, cols, weight in dv._representatives(ctx, u, fold):
+        hist[str(len(dv._kernel(cols, 3 * ctx.m)))] += (ctx.q - 1) * weight
     return dict(hist)
 
 
@@ -315,17 +315,35 @@ def _every_point_is_permutation(u, ctx):
                    for a, cols, _ in dv._representatives(ctx, u))
 
 
+def _burnside(ctx):
+    # orbits of the order-21 group on the q^2 + q + 1 points: the identity
+    # fixes all, the 6 elements of order 7 the three coordinate points, the
+    # 14 of order 3 one point each for odd m and three for even m
+    q, f = ctx.q, 3 if ctx.m % 2 == 0 else 1
+    return (q * q + q + 19 + 14 * f) // 21
+
+
 @pytest.mark.parametrize("ctx,us", [(F3, range(8)), (F6, (0x1, 0x2, 0x3, 0x6, 0x7, 0xF))],
                          ids=["m3", "m6"])
 def test_orbit_walk_matches_the_every_point_walk(ctx, us):
     # 0x1 and 0x6 at m=6 are 7th powers, the others are not
     q = ctx.q
     for u in us:
-        orbits = list(dv._representatives(ctx, u, folded=True))
+        orbits = list(dv._representatives(ctx, u, 7))
         assert len(orbits) == 3 + (q - 1) * (q + 2) // 7
         assert len({a for a, _, _ in orbits}) == len(orbits)
-        assert dv.differential_spectrum(u, ctx)["histogram"] == _every_point_spectrum(u, ctx)
+        assert len(list(dv._representatives(ctx, u, 21))) == _burnside(ctx)
+        every_point = _walked_spectrum(u, ctx)
+        assert _walked_spectrum(u, ctx, 7) == every_point
+        assert dv.differential_spectrum(u, ctx)["histogram"] == every_point
         assert dv.is_permutation(u, ctx) == _every_point_is_permutation(u, ctx)
+
+
+def _normaliser(ctx):
+    def normalise(a):
+        lead = ctx.inv(next(c for c in a if c))
+        return tuple(ctx.mul(lead, c) for c in a)
+    return normalise
 
 
 @pytest.mark.parametrize("ctx", [F3, F6], ids=["m3", "m6"])
@@ -335,13 +353,9 @@ def test_folded_rows_are_the_mu7_orbits(ctx):
     q, mul = ctx.q, ctx.mul
     roots = [s for s in range(1, q) if ctx.pow(s, 7) == 1]
     assert len(roots) == 7
-
-    def normalise(a):
-        lead = ctx.inv(next(c for c in a if c))
-        return tuple(mul(lead, c) for c in a)
-
+    normalise = _normaliser(ctx)
     seen, chart = set(), 0
-    for (al, _, ga), betas, weight in dv._orbit_rows(ctx, True):
+    for (al, _, ga), betas, weight in dv._orbit_rows(ctx, 7):
         for be in betas:
             orbit = {normalise((al, mul(s, be), mul(ctx.inv(mul(s, s)), ga))) for s in roots}
             assert len(orbit) == weight
@@ -350,6 +364,43 @@ def test_folded_rows_are_the_mu7_orbits(ctx):
             chart += weight if ga == 1 else 0
     assert len(seen) == q * q + q + 1
     assert chart == q * q
+
+
+@pytest.mark.parametrize("ctx", [F3, F6], ids=["m3", "m6"])
+def test_rotation_rows_are_the_order21_orbits(ctx):
+    # an independent action: the diagonal of the mu_7 test and the rotation
+    # (alpha, beta, gamma) -> (gamma, alpha, beta), on normalised points
+    q, mul = ctx.q, ctx.mul
+    roots = [s for s in range(1, q) if ctx.pow(s, 7) == 1]
+    normalise = _normaliser(ctx)
+
+    def orbit(a):
+        out = set()
+        for s in roots:
+            al, be, ga = a[0], mul(s, a[1]), mul(ctx.inv(mul(s, s)), a[2])
+            out |= {normalise(p) for p in ((al, be, ga), (ga, al, be), (be, ga, al))}
+        return out
+
+    seen, weights = set(), Counter()
+    for (al, _, ga), betas, weight in dv._orbit_rows(ctx, 21):
+        for be in betas:
+            points = orbit((al, be, ga))
+            assert len(points) == weight
+            assert not points & seen
+            seen |= points
+            weights[weight] += 1
+    assert len(seen) == q * q + q + 1
+    assert sum(weights.values()) == _burnside(ctx)
+    # the three coordinate points, and one orbit of 7 per point of P^2 that
+    # the rotation fixes: the cube roots of unity on (1, w, w^2)
+    assert weights[3] == 1 and weights[7] == (3 if ctx.m % 2 == 0 else 1)
+
+
+def test_rotation_rows_count_the_orbits_at_m9():
+    f9 = make_field(9)
+    rows = list(dv._orbit_rows(f9, 21))
+    assert sum(len(betas) for _, betas, _ in rows) == _burnside(f9) == 12509
+    assert sum(len(betas) * w for _, betas, w in rows) == f9.q ** 2 + f9.q + 1
 
 
 # -- permutation --------------------------------------------------------------------------
