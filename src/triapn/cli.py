@@ -2,14 +2,19 @@
 
 Structured output goes to stdout (or --out), human summaries and progress
 to stderr.  Exit codes: 0 for any computed verdict (including "not APN"
-and "witness not found"), 2 for usage errors, 3 for verification failures
-such as a failing identity check, a certificate that does not re-verify,
-or a cross-validation mismatch.  A malformed transcription in `formulas`
+and "witness not found"), 2 for usage errors (an --out path that cannot be
+written among them), 3 for verification failures such as a failing
+identity check, a certificate that does not re-verify, or a
+cross-validation mismatch.  A malformed transcription in `formulas`
 (an inexact division or an unparseable factor) fails the identity checks
 that build on it, so it too is a verification failure (exit 3).
 
 Identical configurations (including seeds) produce byte-identical JSON
 except for the "meta" object, which carries the timestamp and runtime.
+
+`main` can be called many times in one process (the benchmark and the tests
+do): the argument parser is built at the first call and reused after it, so
+each call pays only for parsing and its command.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cache
 
 from . import derivative, geometry, identities
 from .derivative import CertificateError, WitnessCertificate
@@ -233,7 +239,14 @@ def cmd_bound(args) -> tuple[dict, int]:
 # -- wiring ---------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every `main` call.
+
+    Each subcommand's handler is bound when the parser is built, so patching a
+    `cmd_*` function afterwards does not reach `main`; names the handlers look
+    up when they run, such as `_progress`, can still be patched.
+    """
     parser = argparse.ArgumentParser(
         prog="triapn",
         description="Differential analysis of the trivariate family C_u over F_{2^m}^3",
@@ -291,8 +304,11 @@ def _emit(doc: dict, args, started: float) -> None:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write --out {args.out}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -303,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         doc, code = args.handler(args)
+        _emit(doc, args, started)
     except ValueError as err:
         # usage errors and library precondition violations (3 | m, feasibility guards, ranges)
         print(f"error: {err}", file=sys.stderr)
@@ -310,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CertificateError, GeometryError, IdentityError, AssertionError) as err:
         print(f"internal verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFY
-    _emit(doc, args, started)
     return code
 
 

@@ -6,13 +6,15 @@ and addition is xor.  A FieldCtx pins the extension degree m and an
 irreducible modulus; it is immutable after construction and safe to share
 across workers.  For small fields, multiplication, powers and inverses read
 log/exp tables; otherwise they multiply by shift-and-reduce, powers by
-square-and-multiply.  `make_field` builds each field once per process.  Not
-constant-time; not for cryptographic use.
+square-and-multiply.  `make_field` builds each field once per process; the
+default modulus of each m (`default_modulus`) and the smallest non-7th power
+of each field (`smallest_non_seventh_power`, the CLI's `--u auto`) are also
+found once and remembered.  Not constant-time; not for cryptographic use.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 # Fields up to this degree get log/exp tables built at construction.
 _TABLE_LIMIT = 16
@@ -77,8 +79,12 @@ def is_irreducible(f: int) -> bool:
     return xq == 2
 
 
+@cache
 def default_modulus(m: int) -> int:
-    """Irreducible degree-m polynomial with the smallest integer encoding."""
+    """Irreducible degree-m polynomial with the smallest integer encoding.
+
+    Remembered per m: the search runs Rabin tests on every candidate.
+    """
     for enc in range((1 << m) | 1, 1 << (m + 1), 2):
         if is_irreducible(enc):
             return enc
@@ -245,8 +251,15 @@ def mu7_representatives(ctx: FieldCtx) -> list[int]:
     return [ctx.pow(ctx.generator, i) for i in range((ctx.q - 1) // 7)]
 
 
+# At most 8 fields, the bound of `_field`.  The CLI's fields come from
+# `make_field`, so this cache holds the same objects and no extra tables.
+@lru_cache(maxsize=8)
 def smallest_non_seventh_power(ctx: FieldCtx) -> int:
-    """Smallest-encoding u in F_q* that is not a 7th power (requires 3 | m)."""
+    """Smallest-encoding u in F_q* that is not a 7th power (requires 3 | m).
+
+    Remembered per field (equal fields share the answer); a call that raises
+    is not remembered.
+    """
     if ctx.m % 3 != 0:
         raise ValueError(f"3 must divide m, got m={ctx.m}")
     for u in range(2, ctx.q):

@@ -1,5 +1,6 @@
 """CLI: JSON documents, exit codes, determinism, certificate round trips."""
 
+import argparse
 import json
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from triapn import cli, derivative, formulas, identities
+from triapn import cli, derivative, formulas, gf2m, identities
 from triapn.mpoly import ExactDivisionError, divide_exact, parse
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -354,6 +355,14 @@ def test_out_file_and_empty_stdout(capsys, tmp_path):
     assert saved["verdicts"]["is_apn"] is True
 
 
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    for out in (tmp_path / "missing" / "doc.json", tmp_path):
+        code, doc, err = run(capsys, "--out", str(out), "field-info", "--m", "3")
+        assert code == 2 and doc is None
+        assert f"error: cannot write --out {out}: " in err
+        assert "Traceback" not in err
+
+
 def test_identical_runs_are_byte_identical_modulo_meta(capsys):
     _, doc_a, _ = run(capsys, "witness", "--m", "6", "--u", "auto", "--threads", "1")
     _, doc_b, _ = run(capsys, "witness", "--m", "6", "--u", "auto", "--threads", "2")
@@ -365,6 +374,52 @@ def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_successive_calls(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # subparsers get "triapn <command>"
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for _ in range(5):
+        assert run(capsys, "field-info", "--m", "3")[0] == 0
+    assert built.count("triapn") == 1
+    assert len(built) == len(set(built))  # no subcommand is built twice either
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    code, doc, _ = run(capsys, "witness", "--m", "3", "--sampled", "--seed", "1",
+                       "--max-draws", "50")
+    assert code == 0 and doc["seed"] == 1 and doc["max_draws"] == 50
+    code, doc, _ = run(capsys, "witness", "--m", "3")
+    assert code == 0 and doc["params"]["strategy"] == "exhaustive"
+    assert "seed" not in doc and "max_draws" not in doc
+    assert run(capsys, "apn-check", "--m", "3")[1]["schema"] == "apn/1"
+    assert run(capsys, "spectrum", "--m", "3")[1]["schema"] == "spectrum/1"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum"])
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+    code, doc, _ = run(capsys, "spectrum", "--m", "3", "--u", "0x3")
+    assert code == 0 and doc["params"]["u"] == "0x3"
+
+
+def test_field_setup_is_found_once_per_process(monkeypatch):
+    ctx = gf2m.make_field(18)
+    u, warnings = cli.resolve_u(ctx, "auto")
+
+    def boom(*args):
+        raise AssertionError("field set-up ran again")
+
+    monkeypatch.setattr(gf2m, "is_irreducible", boom)
+    monkeypatch.setattr(gf2m.FieldCtx, "pow", boom)
+    assert gf2m.make_field(18) is ctx
+    assert cli.resolve_u(ctx, "auto") == (u, warnings)
 
 
 STDLIB_ONLY = """
@@ -386,9 +441,13 @@ assert not foreign, foreign
 
 
 def test_runtime_needs_only_the_standard_library():
-    # isolated and without site: no site-packages, no PYTHONPATH
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", STDLIB_ONLY.format(src=src)],
+    # isolated and without site: no site-packages, no PYTHONPATH.  -I ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the run from writing into src/.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    before = sorted(src.rglob("*"))
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c",
+                           STDLIB_ONLY.format(src=str(src))],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["schema"] == "field/1"
+    assert sorted(src.rglob("*")) == before
