@@ -96,15 +96,17 @@ def verify_solution(a: Triple, v: Triple, u: int, ctx: FieldCtx) -> bool:
     """Direct arithmetic check of the three linearized equations.
 
     Deliberately independent of the column/kernel code path: certificates
-    must not inherit a linear-algebra bug.
+    must not inherit a linear-algebra bug.  Each equation is factored, e.g.
+    the first, alpha*x^2 + alpha^2*x + u*gamma*y^2 + u*beta^2*z, as
+    alpha*x*(x + alpha) + u*(gamma*y^2 + beta^2*z); in characteristic 2 it
+    vanishes when the two parts are equal.
     """
     al, be, ga = a
     x, y, z = v
     mul, sq = ctx.mul, ctx.square
-    e1 = mul(al, sq(x)) ^ mul(sq(al), x) ^ mul(mul(u, ga), sq(y)) ^ mul(mul(u, sq(be)), z)
-    e2 = mul(be, sq(y)) ^ mul(sq(be), y) ^ mul(mul(u, al), sq(z)) ^ mul(mul(u, sq(ga)), x)
-    e3 = mul(ga, sq(z)) ^ mul(sq(ga), z) ^ mul(mul(u, be), sq(x)) ^ mul(mul(u, sq(al)), y)
-    return e1 == 0 and e2 == 0 and e3 == 0
+    return (mul(al, mul(x, x ^ al)) == mul(u, mul(ga, sq(y)) ^ mul(sq(be), z))
+            and mul(be, mul(y, y ^ be)) == mul(u, mul(al, sq(z)) ^ mul(sq(ga), x))
+            and mul(ga, mul(z, z ^ ga)) == mul(u, mul(be, sq(x)) ^ mul(sq(al), y)))
 
 
 # -- the map's columns and its kernel --------------------------------------------
@@ -562,6 +564,20 @@ def draw_code(seed: int, index: int, bits: int) -> int:
     return v & ((1 << bits) - 1)
 
 
+def _first_witness(u: int, ctx: FieldCtx) -> WitnessCertificate | None:
+    """The certificate of the witness with the smallest code, or None if there is none.
+
+    Walks the q^2 + q + 1 projective points of the unfolded `_orbit_rows`.
+    """
+    for (al, be, ga), cols, _ in _representatives(ctx, u):
+        if len(_kernel(cols, 3 * ctx.m)) >= 2:
+            cert = build_certificate((ga, al, be), u, ctx)
+            if cert is None:
+                raise CertificateError("scan reported a witness the kernel basis rejects")
+            return cert
+    return None
+
+
 def witness_search(u: int, ctx: FieldCtx, strategy: str = "exhaustive", seed: int = 0,
                    max_draws: int = 10 ** 6) -> dict:
     """Find a triple whose kernel has dimension >= 2, or report not-found.
@@ -569,31 +585,31 @@ def witness_search(u: int, ctx: FieldCtx, strategy: str = "exhaustive", seed: in
     Returns the ``verdicts`` (``found``) and the ``certificate`` document
     (None when not found), then ``scanned`` in exhaustive mode, and
     ``generator``, ``seed``, ``max_draws`` and ``draws_used`` in sampled
-    mode.  Exhaustive mode walks the q^2 + q + 1 projective points of the
-    unfolded `_orbit_rows` in-process and returns the witness with the
-    smallest code; its not-found proves that no witness exists.  `scanned`
-    counts the triples it decided, codes 1..code (q^3 - 1 if none).
-    Sampled mode draws triples from the seeded generator; not-found there
-    is merely inconclusive.
+    mode.  Exhaustive mode walks the projective points in-process
+    (`_first_witness`) and returns the witness with the smallest code; its
+    not-found proves that no witness exists.  `scanned` counts the
+    triples it decided, codes 1..code (q^3 - 1 if none).  Sampled mode
+    draws triples from the seeded generator; not-found there is merely
+    inconclusive.  When the budget covers the field (q^3 - 1 <= max_draws,
+    m <= WITNESS_MAX_M), the exhaustive walk runs first, and if it proves
+    there is no witness the draws are skipped: they would all miss, so the
+    not-found document is the same, with draws_used = max_draws.
     """
     _guard_family(ctx)
     m, q = ctx.m, ctx.q
     if strategy == "exhaustive":
         if m > WITNESS_MAX_M:
             raise ValueError(f"exhaustive witness search needs m <= {WITNESS_MAX_M}; use --sampled")
-        for (al, be, ga), cols, _ in _representatives(ctx, u):
-            if len(_kernel(cols, 3 * m)) >= 2:
-                cert = build_certificate((ga, al, be), u, ctx)
-                if cert is None:
-                    raise CertificateError("scan reported a witness the kernel basis rejects")
-                # codes 1..code are decided, not eliminated; zero never is
-                return _search_doc(cert, scanned=encode_triple(cert.triple, m))
-        return _search_doc(None, scanned=q ** 3 - 1)
+        cert = _first_witness(u, ctx)
+        # codes 1..code are decided, not eliminated; zero never is
+        return _search_doc(cert, scanned=encode_triple(cert.triple, m) if cert else q ** 3 - 1)
     if strategy == "sampled":
         if max_draws < 1:
             raise ValueError(f"max_draws must be at least 1, got {max_draws}")
         bits = 3 * m
         sampled = {"generator": "splitmix64", "seed": seed, "max_draws": max_draws}
+        if m <= WITNESS_MAX_M and q ** 3 - 1 <= max_draws and _first_witness(u, ctx) is None:
+            return _search_doc(None, **sampled, draws_used=max_draws)
         for i in range(max_draws):
             code = draw_code(seed, i, bits)
             if code == 0:

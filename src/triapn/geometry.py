@@ -7,7 +7,9 @@ solutions.  The identity layer vouches that P = c6*w^3 + c2*w + c0 with
 w = y^2 + beta*y, so this module finds those roots in one place
 (``SurfaceEvaluator.roots``) in closed form: a depressed cubic in w, then
 an Artin-Schreier quadratic in y, both read from tables built once per
-field, each coefficient term one log-table lookup.  It counts the points
+field and process (`_field_tables`), each coefficient term one log-table
+lookup.  The identity layer verifies P once per process, so an evaluator
+for a new u only compiles the coefficients at that u.  It counts the points
 over one (alpha, beta) per orbit of the order-7 scaling, lists them and
 rebuilds witness certificates from them, cross-validates the surface
 pipeline against the kernel pipeline in one sweep of the chart, and
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from . import identities
@@ -71,7 +74,7 @@ class SurfacePoint:
         }
 
 
-def _compile(poly: MPoly, u: int, ctx: FieldCtx, log: list[int]) -> list[tuple[int, int, int]]:
+def _compile(poly: MPoly, u: int, ctx: FieldCtx) -> list[tuple[int, int, int]]:
     """Specialize a polynomial in (a, b, g, u) at g = 1 and the given u.
 
     Returns (a-exponent, b-exponent, log of the field constant) triples
@@ -87,57 +90,72 @@ def _compile(poly: MPoly, u: int, ctx: FieldCtx, log: list[int]) -> list[tuple[i
             raise ValueError("surface coefficients must lie in GF(2)")
         key = (e[ia], e[ib])
         folded[key] = folded.get(key, 0) ^ ctx.pow(u, e[iu])
-    return [(ea, eb, log[c]) for (ea, eb), c in sorted(folded.items()) if c]
+    return [(ea, eb, ctx._log[c]) for (ea, eb), c in sorted(folded.items()) if c]
+
+
+# At most 8 fields, the bound of `gf2m._field`.  One entry takes 0.34 MiB at
+# m = 9 and 3.5 MiB at m = 12, the largest field the surface runs on
+# (tracemalloc), so the cache holds at most about 28 MiB.
+@lru_cache(maxsize=8)
+def _field_tables(ctx: FieldCtx, max_e: int) -> tuple[list, ...]:
+    """The tables of `SurfaceEvaluator` that depend on the field alone.
+
+    max_e is the largest exponent of a or b in the polynomials the
+    evaluator compiles.  Returns (exp, logs, sqrt, artin_schreier,
+    depressed, cbrt): three periods of the field's exp table and then
+    zeros, the row of exponent logs of every element, and the root
+    solver's tables from one pass over the field: v^2 -> v, the smallest s
+    with s^2 + s = c, v^3 + v -> [v] and v^3 -> [v] (lists in increasing
+    order).
+    """
+    q, n, log = ctx.q, ctx.q - 1, ctx._log
+    # a term's index is below 3n without a sentinel, at least 3n with one
+    # and below 7n with two: three periods of exp, then zeros
+    sentinel = 3 * n
+    exp = ctx._exp2[:n] * 3 + [0] * (4 * n)
+    logs = [[0] + [sentinel] * max_e]
+    logs += [[e * log[v] % n for e in range(max_e + 1)] for v in range(1, q)]
+    sqrt, artin_schreier = [0] * q, [None] * q
+    depressed, cbrt = [[] for _ in range(q)], [[] for _ in range(q)]
+    for v in range(q):
+        v2 = ctx.square(v)
+        v3 = ctx.mul(v2, v)
+        sqrt[v2] = v
+        if artin_schreier[v2 ^ v] is None:
+            artin_schreier[v2 ^ v] = v
+        depressed[v3 ^ v].append(v)
+        cbrt[v3].append(v)
+    return exp, logs, sqrt, artin_schreier, depressed, cbrt
 
 
 class SurfaceEvaluator:
     """Specialized evaluation in the gamma = 1 chart for a fixed u.
 
     Construction compiles the coefficient polynomials at u into terms
-    (a-exponent, b-exponent, log of the constant) and builds, per field
-    element, a row of exponent logs v -> [e*log v mod (q-1)] and the root
-    solver's tables.  The row of 0 holds 0 for the exponent 0 (so
-    0^0 = 1) and a sentinel for every other exponent; the exp table reads
-    0 at any index that contains a sentinel.  A term alpha^ea*beta^eb*c is
-    then one lookup, exp[row(alpha)[ea] + row(beta)[eb] + log c].
+    (a-exponent, b-exponent, log of the constant); that is all it does per
+    u.  The row of exponent logs of each field element, v -> [e*log v mod
+    (q-1)], and the root solver's tables depend on the field alone and
+    come from `_field_tables`, built once per field.  The row of 0 holds 0
+    for the exponent 0 (so 0^0 = 1) and a sentinel for every other
+    exponent; the exp table reads 0 at any index that contains a sentinel.
+    A term alpha^ea*beta^eb*c is then one lookup,
+    exp[row(alpha)[ea] + row(beta)[eb] + log c].
     """
 
     def __init__(self, u: int, ctx: FieldCtx):
         self.u = u
         self.ctx = ctx
-        q, n = ctx.q, ctx.q - 1
-        exp, log = [0] * n, [0] * q
-        v = 1
-        for i in range(n):
-            exp[i], log[v] = v, i
-            v = ctx.mul(v, ctx.generator)
         coeffs = identities.verified_surface_coefficients()
-        self._surface = [_compile(c, u, ctx, log) for c in coeffs]
-        rhs_poly = identities.linearized_rhs_polynomial()
-        self._rhs = {k: _compile(rhs_poly.coeff_of("y", k), u, ctx, log) for k in (4, 2, 1)}
-        self._obstruction = _compile(identities.obstruction_polynomial(), u, ctx, log)
-        max_e = max(max(ea, eb) for terms in [*self._surface, *self._rhs.values(),
-                                               self._obstruction] for ea, eb, _ in terms)
-        # a term's index is below 3n without a sentinel, at least 3n with one
-        # and below 7n with two: three periods of exp, then zeros
-        sentinel = 3 * n
-        self._exp = exp * 3 + [0] * (4 * n)
-        self._logs = [[0] + [sentinel] * max_e]
-        self._logs += [[e * log[v] % n for e in range(max_e + 1)] for v in range(1, q)]
-        # one pass over the field: v^2 -> v, the smallest s with s^2 + s = c,
-        # v^3 + v -> [v], v^3 -> [v] (lists in increasing order)
-        self._sqrt = [0] * q
-        self._artin_schreier = [None] * q
-        self._depressed = [[] for _ in range(q)]
-        self._cbrt = [[] for _ in range(q)]
-        for v in range(q):
-            v2 = ctx.square(v)
-            v3 = ctx.mul(v2, v)
-            self._sqrt[v2] = v
-            if self._artin_schreier[v2 ^ v] is None:
-                self._artin_schreier[v2 ^ v] = v
-            self._depressed[v3 ^ v].append(v)
-            self._cbrt[v3].append(v)
+        rhs = identities.linearized_rhs_polynomial()
+        polys = [*coeffs, *(rhs.coeff_of("y", k) for k in (4, 2, 1)),
+                 identities.obstruction_polynomial()]
+        max_e = max(max(p.degree("a"), p.degree("b")) for p in polys)
+        (self._exp, self._logs, self._sqrt, self._artin_schreier, self._depressed,
+         self._cbrt) = _field_tables(ctx, max_e)
+        compiled = [_compile(p, u, ctx) for p in polys]
+        self._surface = compiled[:7]
+        self._rhs = dict(zip((4, 2, 1), compiled[7:10]))
+        self._obstruction = compiled[10]
 
     def _value(self, terms, alogs, blogs) -> int:
         exp = self._exp
@@ -340,7 +358,8 @@ def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int,
     z = mul(mul(alpha, sq(x)) ^ mul(sq(alpha), x) ^ mul(u, sq(y)),
             ctx.inv(mul(u, sq(beta))))
     v: Triple = (x, y, z)
-    if not verify_solution(a, v, u, ctx):
+    # every solution in a certificate was checked by `verify_solution` when it was built
+    if (cert is None or v not in cert.solutions) and not verify_solution(a, v, u, ctx):
         raise GeometryError(f"reconstructed vector {v} does not solve the system at {a}")
     if v in ((0, 0, 0), a):
         raise GeometryError(f"reconstructed vector {v} is a trivial solution")

@@ -195,6 +195,7 @@ def verify_x4_coefficients() -> CheckResult:
     return _compare("x4_coefficients", lhs, _x4_cleared(), notes=notes, extra_ok=ok)
 
 
+@lru_cache(maxsize=1)
 def linearized_rhs_polynomial() -> MPoly:
     """The transcribed right-hand side of the linearized equation."""
     return _expand((formulas.LINEARIZED_RHS_Y4_FACTORS, "y^4"),
@@ -451,11 +452,13 @@ def run_all(only: str | None = None) -> IdentityReport:
 # -- verified objects consumed by the geometry layer ---------------------------
 
 
+@lru_cache(maxsize=1)
 def verified_surface_coefficients() -> tuple[MPoly, ...]:
     """Coefficients (low to high) of the surface polynomial, post-verification.
 
     Both the factorization of P and its cubic form in w = y^2 + b*y must
-    pass, since the geometry layer solves P through that form.
+    pass, since the geometry layer solves P through that form.  They are
+    verified once per process; a failure is not remembered, as it raises.
     """
     if not all(_run_check(name).passed
                for name in ("eliminant_factorization", "surface_w_cubic")):

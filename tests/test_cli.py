@@ -182,7 +182,7 @@ def test_verify_identities_matches_frozen_json(capsys):
     assert without_meta(doc) == json.loads((GOLDEN / "identities.json").read_text())
 
 
-def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch):
+def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch, fresh_chain):
     monkeypatch.setattr(formulas, "SURFACE_COEFF_6_FACTORS",
                         formulas.SURFACE_COEFF_6_FACTORS + (("u", 1),))
     for argv in (("surface", "--m", "3", "--u", "0x2"), ("bound",)):
@@ -191,7 +191,7 @@ def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch)
         assert "internal verification failure" in err
 
 
-def test_surface_w_cubic_fault_stops_the_surface(capsys, monkeypatch):
+def test_surface_w_cubic_fault_stops_the_surface(capsys, monkeypatch, fresh_chain):
     monkeypatch.setattr(formulas, "SURFACE_COEFF_5_FACTORS",
                         formulas.SURFACE_COEFF_5_FACTORS + (("u", 1),))
     code, doc, _ = run(capsys, "verify-identities")
@@ -203,7 +203,7 @@ def test_surface_w_cubic_fault_stops_the_surface(capsys, monkeypatch):
     assert "internal verification failure" in err
 
 
-def test_surface_needs_the_w_cubic_check_alone(capsys, monkeypatch):
+def test_surface_needs_the_w_cubic_check_alone(capsys, monkeypatch, fresh_chain):
     # the factorization still passes: the cubic-form check must stop the surface by itself
     failed = identities.CheckResult("surface_w_cubic", False, None, None, 0, 0)
     monkeypatch.setitem(identities.CHECKS, "surface_w_cubic", lambda: failed)
@@ -227,8 +227,9 @@ PLANTED_FAULTS = [
 @pytest.fixture
 def fresh_chain():
     """Empty the cached chain objects around a test that plants a fault."""
-    cached = (identities.linearized_equation, identities.eliminant,
-              identities.surface_polynomial)
+    cached = (identities.linearized_rhs_polynomial, identities.linearized_equation,
+              identities.eliminant, identities.surface_polynomial,
+              identities.verified_surface_coefficients)
     for fn in cached:
         fn.cache_clear()
     yield
@@ -407,6 +408,25 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert "--m" in capsys.readouterr().err
     code, doc, _ = run(capsys, "spectrum", "--m", "3", "--u", "0x3")
     assert code == 0 and doc["params"]["u"] == "0x3"
+
+
+def test_sampled_search_of_a_small_field_is_decided_at_once(capsys):
+    # q^3 - 1 = 511 triples, within the default budget of 10^6 draws: the
+    # exhaustive walk proves there is no witness, and the document is the
+    # one all 10^6 draws would have produced
+    t0 = time.perf_counter()
+    code, doc, err = run(capsys, "witness", "--m", "3", "--sampled", "--seed", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and "inconclusive" in err
+    assert without_meta(doc) == {
+        "schema": "witness-search/1",
+        "params": {"m": 3, "modulus": "0xB", "q": 8, "strategy": "sampled", "u": "0x2"},
+        "verdicts": {"found": False}, "certificate": None,
+        "generator": "splitmix64", "seed": 1, "max_draws": 10 ** 6, "draws_used": 10 ** 6}
+    # where a witness exists the draws still find it, at the same draw
+    code, doc, _ = run(capsys, "witness", "--m", "3", "--u", "0x1", "--sampled", "--seed", "1")
+    assert code == 0 and doc["verdicts"]["found"] and doc["draws_used"] == 1
+    assert doc["certificate"]["triple"] == ["0x3", "0x0", "0x1"]
 
 
 def test_field_setup_is_found_once_per_process(monkeypatch):

@@ -137,8 +137,43 @@ def test_matrix_matches_direct_derivative_condition():
             assert (s == (0, 0, 0)) == (apply(cols, w) == 0)
 
 
+def test_verify_solution_matches_the_difference_of_c_u():
+    # oracle: C_u(v + a) + C_u(v) + C_u(a) = 0 from C_u alone (C_u(0) = 0),
+    # against the factored equations; every (a, v) at m = 3, for a u with
+    # witnesses and one without
+    vecs = [dv.unpack_vec(w, 3) for w in range(512)]
+    for u in (0x1, 0x2):
+        image = [dv.pack_vec(dv.eval_cu(*v, u, F3), 3) for v in vecs]
+        wrong = [(a, v) for a in range(512) for v in range(512)
+                 if dv.verify_solution(vecs[a], vecs[v], u, F3)
+                 != (image[v ^ a] ^ image[v] == image[a])]
+        assert not wrong, (u, wrong[:5])
+    # a seeded sample where the field has no log tables: solutions from the
+    # kernel basis, and random vectors
+    ctx = make_field(21)
+    u = smallest_non_seventh_power(ctx)
+    rng = random.Random(21)
+    for _ in range(40):
+        a = tuple(rng.randrange(ctx.q) for _ in range(3))
+        span = [0]
+        for b in dv.kernel_basis(a, u, ctx):
+            span += [w ^ b for w in span]
+        vs = [dv.unpack_vec(w, 21) for w in span]
+        vs += [tuple(rng.randrange(ctx.q) for _ in range(3)) for _ in range(4)]
+        vs += [(a[0], a[1], a[2] ^ 1), (a[0] ^ 1, a[1], a[2])]
+        ca = dv.eval_cu(*a, u, ctx)
+        for v in vs:
+            vpa = tuple(p ^ r for p, r in zip(v, a))
+            diff = [p ^ q ^ r for p, q, r in zip(dv.eval_cu(*vpa, u, ctx),
+                                                 dv.eval_cu(*v, u, ctx), ca)]
+            assert dv.verify_solution(a, v, u, ctx) == (diff == [0, 0, 0]), (a, v)
+
+
 def linearized(a, v, u, ctx):
-    """The three linearized equations at v, term for term as in `verify_solution`."""
+    """The three linearized equations at v, each expanded term by term.
+
+    `verify_solution` evaluates the same equations factored.
+    """
     al, be, ga = a
     x, y, z = v
     mul, sq = ctx.mul, ctx.square

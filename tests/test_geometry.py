@@ -9,7 +9,7 @@ import pytest
 
 from triapn import geometry as geo
 from triapn import identities
-from triapn.gf2m import make_field
+from triapn.gf2m import FieldCtx, make_field
 from triapn.mpoly import parse
 
 F3 = make_field(3)
@@ -171,6 +171,26 @@ def test_roots_match_brute_force_m9_sampled():
     pairs += [(0, beta) for beta in range(512)] + [(alpha, 0) for alpha in range(512)]
     for alpha, beta in pairs:
         assert ev.roots(alpha, beta) == _brute_roots(ev, alpha, beta), (alpha, beta)
+
+
+def test_surface_setup_runs_once_per_process(monkeypatch):
+    geo.SurfaceEvaluator(0x2, F6)
+
+    def boom(*args):
+        raise AssertionError("surface set-up ran again")
+
+    # a new u re-verifies no identity and rebuilds no field table
+    monkeypatch.setattr(identities, "_run_check", boom)
+    monkeypatch.setattr(FieldCtx, "square", boom)
+    ev = geo.SurfaceEvaluator(0x3, F6)
+    monkeypatch.undo()
+    for cached in (identities.verified_surface_coefficients,
+                   identities.linearized_rhs_polynomial, geo._field_tables):
+        cached.cache_clear()
+    fresh = geo.SurfaceEvaluator(0x3, F6)
+    for alpha in range(64):
+        for beta in range(64):
+            assert ev.roots(alpha, beta) == fresh.roots(alpha, beta), (alpha, beta)
 
 
 def test_surface_counts_m6_frozen():
