@@ -7,15 +7,17 @@ solutions.  The identity layer vouches that P = c6*w^3 + c2*w + c0 with
 w = y^2 + beta*y, so this module finds those roots in one place
 (``SurfaceEvaluator.roots``) in closed form: a depressed cubic in w, then
 an Artin-Schreier quadratic in y, both read from tables built once per
-field and process (`_field_tables`), each coefficient term one log-table
-lookup.  The identity layer verifies P once per process, so an evaluator
-for a new u only compiles the coefficients at that u.  It counts the points
-over one (alpha, beta) per orbit of the order-7 scaling, lists them and
-rebuilds witness certificates from them, cross-validates the surface
-pipeline against the kernel pipeline in one sweep of the chart, and
-evaluates the point-count lower bound that closes the argument for large
-fields - in exact integer arithmetic, with every rounding taken in the
-direction that weakens the bound.
+field and process (`_field_tables`).  Every per-pair step (coefficients,
+roots, the degree-44 curve, rebuilt witness vectors) is log/exp-table
+arithmetic with no field-method call; `surface_coeffs` and `count_vs_band`
+stay on `FieldCtx.mul` as oracles.  The identity layer verifies P once per
+process, so an evaluator for a new u only compiles the coefficients at that
+u.  It counts the points over one (alpha, beta) per orbit of the order-7
+scaling, lists them and rebuilds witness certificates from them,
+cross-validates the surface pipeline against the kernel pipeline in one
+sweep of the chart, and evaluates the point-count lower bound that closes
+the argument for large fields - in exact integer arithmetic, with every
+rounding taken in the direction that weakens the bound.
 """
 
 from __future__ import annotations
@@ -139,7 +141,10 @@ class SurfaceEvaluator:
     for the exponent 0 (so 0^0 = 1) and a sentinel for every other
     exponent; the exp table reads 0 at any index that contains a sentinel.
     A term alpha^ea*beta^eb*c is then one lookup,
-    exp[row(alpha)[ea] + row(beta)[eb] + log c].
+    exp[row(alpha)[ea] + row(beta)[eb] + log c].  The root solver works on
+    the logs of the coefficients in the same way, so `roots` makes no
+    `FieldCtx` call; `surface_coeffs` evaluates every coefficient for the
+    oracles that check it.
     """
 
     def __init__(self, u: int, ctx: FieldCtx):
@@ -152,6 +157,7 @@ class SurfaceEvaluator:
         max_e = max(max(p.degree("a"), p.degree("b")) for p in polys)
         (self._exp, self._logs, self._sqrt, self._artin_schreier, self._depressed,
          self._cbrt) = _field_tables(ctx, max_e)
+        self._log = ctx._log
         compiled = [_compile(p, u, ctx) for p in polys]
         self._surface = compiled[:7]
         self._rhs = dict(zip((4, 2, 1), compiled[7:10]))
@@ -171,36 +177,48 @@ class SurfaceEvaluator:
 
     def _cubic_coeffs(self, alpha: int, beta: int) -> tuple[int, int, int]:
         """(c_0, c_2, c_6): the coefficients of P as a cubic in w = y^2 + beta*y."""
-        alogs, blogs = self._logs[alpha], self._logs[beta]
-        return tuple(self._value(self._surface[k], alogs, blogs) for k in (0, 2, 6))
+        exp, alogs, blogs = self._exp, self._logs[alpha], self._logs[beta]
+        t0, _, t2, _, _, _, t6 = self._surface
+        c0 = c2 = c6 = 0
+        for ea, eb, lc in t0:
+            c0 ^= exp[alogs[ea] + blogs[eb] + lc]
+        for ea, eb, lc in t2:
+            c2 ^= exp[alogs[ea] + blogs[eb] + lc]
+        for ea, eb, lc in t6:
+            c6 ^= exp[alogs[ea] + blogs[eb] + lc]
+        return c0, c2, c6
+
     def _solve(self, c0: int, c2: int, c6: int, beta: int) -> list[int]:
-        """The y in F_q with c6*w^3 + c2*w + c0 = 0 for w = y^2 + beta*y, sorted."""
-        ctx = self.ctx
-        mul, inv = ctx.mul, ctx.inv
+        """The y in F_q with c6*w^3 + c2*w + c0 = 0 for w = y^2 + beta*y, sorted.
+
+        Sums of logs, offset by multiples of n = q-1 to index exp in [0, 3n);
+        log[0] reads 0, the log of 1, so each operand that can be 0 is tested.
+        """
+        log, exp, n = self._log, self._exp, self.ctx.q - 1
         if c6:
-            p, r = mul(c2, inv(c6)), mul(c0, inv(c6))
-            if p:
-                # w = s*v turns w^3 + p*w + r into v^3 + v = r/s^3, s = sqrt(p)
-                s = self._sqrt[p]
-                ws = [mul(s, v) for v in self._depressed[mul(r, inv(mul(p, s)))]]
+            if c2:
+                # w = s*v turns w^3 + p*w + r into v^3 + v = r/(p*s) for p = c2/c6,
+                # r = c0/c6 and s = sqrt(p); halving a log mod n is times q/2
+                ls = (log[c2] - log[c6]) * ((n + 1) // 2) % n
+                t = exp[log[c0] - log[c2] - ls + 2 * n] if c0 else 0
+                ws = [exp[ls + log[v]] if v else 0 for v in self._depressed[t]]
             else:
-                ws = self._cbrt[r]
+                ws = self._cbrt[exp[log[c0] - log[c6] + n] if c0 else 0]
         elif c2:
-            ws = [mul(c0, inv(c2))]
+            ws = [exp[log[c0] - log[c2] + n] if c0 else 0]
         elif c0:
             return []
         else:
-            return list(range(ctx.q))
+            return list(range(n + 1))
+        if not beta:
+            return sorted([self._sqrt[w] for w in ws])
+        # y = beta*t with t^2 + t = w/beta^2; distinct w give disjoint pairs of y
         out = []
-        if beta:
-            # y = beta*t with t^2 + t = w/beta^2; distinct w give disjoint pairs of y
-            ib2 = inv(ctx.square(beta))
-            for w in ws:
-                t = self._artin_schreier[mul(w, ib2)]
-                if t is not None:
-                    out += (mul(beta, t), mul(beta, t ^ 1))
-        else:
-            out = [self._sqrt[w] for w in ws]
+        lb = log[beta]
+        for w in ws:
+            t = self._artin_schreier[exp[log[w] - 2 * lb + 2 * n] if w else 0]
+            if t is not None:
+                out += (exp[lb + log[t]] if t else 0, exp[lb + log[t ^ 1]] if t ^ 1 else 0)
         return sorted(out)
 
     def roots(self, alpha: int, beta: int) -> list[int]:
@@ -213,14 +231,10 @@ class SurfaceEvaluator:
         """
         return self._solve(*self._cubic_coeffs(alpha, beta), beta)
 
-    def linearized_rhs_value(self, alpha: int, beta: int, y: int) -> int:
+    def rhs_coeffs(self, alpha: int, beta: int) -> list[int]:
+        """[c_4, c_2, c_1]: the linearized right-hand side is c_4*y^4 + c_2*y^2 + c_1*y."""
         alogs, blogs = self._logs[alpha], self._logs[beta]
-        mul, sq = self.ctx.mul, self.ctx.square
-        y2 = sq(y)
-        c4 = self._value(self._rhs[4], alogs, blogs)
-        c2 = self._value(self._rhs[2], alogs, blogs)
-        c1 = self._value(self._rhs[1], alogs, blogs)
-        return mul(c4, sq(y2)) ^ mul(c2, y2) ^ mul(c1, y)
+        return [self._value(self._rhs[k], alogs, blogs) for k in (4, 2, 1)]
 
     def obstruction_value(self, alpha: int, beta: int) -> int:
         return self._value(self._obstruction, self._logs[alpha], self._logs[beta])
@@ -235,8 +249,12 @@ def _guard_surface(ctx: FieldCtx, points_listed: str | None = None) -> None:
         raise ValueError(f"{points_listed} is limited to m <= {POINTS_MAX_M}")
 
 
-def _on_curve(alpha: int, beta: int, u2: int, ctx: FieldCtx) -> bool:
-    return alpha ^ ctx.mul(u2, ctx.pow(beta, 3)) == 0
+def _curve_alphas(u: int, ctx: FieldCtx) -> list[int]:
+    """u^2*beta^3 for every beta: (alpha, beta) is on the degree-44 curve iff alpha is that."""
+    if not u:
+        return [0] * ctx.q
+    log, exp, n = ctx._log, ctx._exp2, ctx.q - 1
+    return [0] + [exp[(2 * log[u] + 3 * log[beta]) % n] for beta in range(1, ctx.q)]
 
 
 def _chart_rows(ctx: FieldCtx, fold: int) -> list:
@@ -251,15 +269,14 @@ def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
     """
     ctx = ev.ctx
     _guard_surface(ctx)
-    u2 = ctx.square(ev.u)
+    curve = _curve_alphas(ev.u, ctx)
     for alpha, betas, _ in _chart_rows(ctx, 1):
         for beta in betas:
-            on_curve = _on_curve(alpha, beta, u2, ctx)
             for y in ev.roots(alpha, beta):
                 yield SurfacePoint(
                     alpha, beta, y,
                     on_excluded_lines=alpha == 0 or beta == 0 or y == 0 or y == beta,
-                    on_degree44_curve=on_curve,
+                    on_degree44_curve=alpha == curve[beta],
                 )
 
 
@@ -287,7 +304,7 @@ def surface_report(
     """
     _guard_surface(ctx, "listing surface points" if collect_points else None)
     ev = SurfaceEvaluator(u, ctx)
-    u2 = ctx.square(u)
+    curve_alphas = _curve_alphas(u, ctx)
     rows = _chart_rows(ctx, 7)
     total = lines = curve = kept = 0
     has_witness = False
@@ -300,7 +317,7 @@ def surface_report(
             on_lines = k if alpha == 0 or beta == 0 else (0 in roots) + (beta in roots)
             total += weight * k
             lines += weight * on_lines
-            if _on_curve(alpha, beta, u2, ctx):
+            if alpha == curve_alphas[beta]:
                 curve += weight * k
             elif k > on_lines:
                 kept += weight * (k - on_lines)
@@ -337,26 +354,42 @@ def point_to_witness(p: SurfacePoint, ev: SurfaceEvaluator) -> WitnessCertificat
                             "witness reconstruction is undefined")
     a: Triple = (p.alpha, p.beta, 1)
     cert = build_certificate(a, ev.u, ev.ctx)
-    _check_root(ev, a, p.y, h, cert)
+    _check_root(ev, a, p.y, h, ev.rhs_coeffs(p.alpha, p.beta), cert)
     return cert
 
 
-def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int,
-                cert: WitnessCertificate | None) -> None:
+def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
+                cert: WitnessCertificate | None) -> Triple:
     """Rebuild x and z from a surface root y and check (x, y, z) against the kernel.
 
-    h is the nonzero obstruction value at (alpha, beta) and cert the
-    triple's certificate (None when its kernel has dimension < 2).  Raises
-    GeometryError when the vector does not solve the system, is trivial or
-    is missing from the kernel; ZeroDivisionError when u = 0.
+    h is the nonzero obstruction value at (alpha, beta), rhs its
+    `SurfaceEvaluator.rhs_coeffs` and cert the triple's certificate (None
+    when its kernel has dimension < 2).  x = rhs(y)/(u^3*beta^6*h) and
+    z = (alpha*x^2 + alpha^2*x + u*y^2)/(u*beta^2) are sums of logs.
+    Returns (x, y, z).  Raises GeometryError when the vector does not solve
+    the system, is trivial or is missing from the kernel; ZeroDivisionError
+    when u, beta or h is 0.
     """
     ctx, u = ev.ctx, ev.u
     alpha, beta, _ = a
-    mul, sq = ctx.mul, ctx.square
-    denom = mul(ctx.pow(u, 3), mul(ctx.pow(beta, 6), h))
-    x = mul(ev.linearized_rhs_value(alpha, beta, y), ctx.inv(denom))
-    z = mul(mul(alpha, sq(x)) ^ mul(sq(alpha), x) ^ mul(u, sq(y)),
-            ctx.inv(mul(u, sq(beta))))
+    if not (u and beta and h):
+        raise ZeroDivisionError("inverse of 0 in F_{2^m}")
+    log, exp, n = ctx._log, ev._exp, ctx.q - 1
+    lu, lb = log[u], log[beta]
+    x = z = 0
+    if y:
+        ly = log[y]
+        acc = 0
+        for c, e in zip(rhs, (4, 2, 1)):
+            if c:
+                acc ^= exp[log[c] + e * ly % n]
+        if acc:
+            x = exp[log[acc] - (3 * lu + 6 * lb + log[h]) % n + n]
+        z = exp[lu + 2 * ly % n]
+    if alpha and x and x != alpha:
+        z ^= exp[log[alpha] + log[x] + log[x ^ alpha]]  # alpha*x^2 + alpha^2*x
+    if z:
+        z = exp[log[z] - (lu + 2 * lb) % n + n]
     v: Triple = (x, y, z)
     # every solution in a certificate was checked by `verify_solution` when it was built
     if (cert is None or v not in cert.solutions) and not verify_solution(a, v, u, ctx):
@@ -367,6 +400,7 @@ def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int,
         raise GeometryError(f"kernel at {a} has dimension < 2 despite a surface point")
     if v not in cert.solutions:
         raise GeometryError(f"reconstructed vector {v} missing from the kernel solutions")
+    return v
 
 
 def cross_validate(u: int, ctx: FieldCtx) -> dict:
@@ -395,12 +429,12 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
     if u == 0:
         raise ValueError("u = 0 lies outside the family (u must be nonzero)")
     ev = SurfaceEvaluator(u, ctx)
-    u2 = ctx.square(u)
+    curve_alphas = _curve_alphas(u, ctx)
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
     for a, cols, _ in _representatives(ctx, u):
         alpha, beta, gamma = a
-        if not (alpha and beta and gamma) or _on_curve(alpha, beta, u2, ctx) \
+        if not (alpha and beta and gamma) or alpha == curve_alphas[beta] \
                 or not (h := ev.obstruction_value(alpha, beta)):
             continue
         triples += 1
@@ -414,10 +448,11 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
                     "triple": [elem_to_hex(c) for c in a],
                     "detail": "no kernel solution has a surface root y outside {0, beta}",
                 })
+        rhs = ev.rhs_coeffs(alpha, beta) if roots else None
         for y in roots:
             points += 1
             try:
-                _check_root(ev, a, y, h, cert)
+                _check_root(ev, a, y, h, rhs, cert)
             except GeometryError as err:
                 to_kernel.append({
                     "direction": "surface_to_kernel",

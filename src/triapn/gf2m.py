@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 
-# Fields up to this degree get log/exp tables built at construction.
+# Fields up to this degree get log/exp tables built at construction; the
+# build multiplies by the generator one byte of an element at a time, so at most 16.
 _TABLE_LIMIT = 16
 
 
@@ -124,9 +125,21 @@ class FieldCtx:
     def _build_tables(self) -> None:
         g = self._find_generator()
         n = self.q - 1
+        # v -> v*g is GF(2)-linear: for v < 2^16 it is lo[v & 255] ^ hi[v >> 8],
+        # xors of the columns t^j*g, each one doubling of the last
+        cols = [g]
+        for _ in range(15):
+            c = cols[-1] << 1
+            cols.append(c ^ self.modulus if c >> self.m else c)
+        lo, hi = [0] * 256, [0] * 256
+        for k in range(1, 256):
+            j = (k & -k).bit_length() - 1
+            lo[k] = lo[k & k - 1] ^ cols[j]
+            hi[k] = hi[k & k - 1] ^ cols[j + 8]
         exp = [1] * n
+        v = 1
         for i in range(1, n):
-            exp[i] = _gf2_mulmod(exp[i - 1], g, self.modulus)
+            exp[i] = v = lo[v & 255] ^ hi[v >> 8]
         log = [0] * self.q
         for i, v in enumerate(exp):
             log[v] = i

@@ -326,6 +326,7 @@ def test_cross_validate_command(capsys):
 @pytest.mark.parametrize("argv, golden", [
     (("bound",), "bound.json"),
     (("cross-validate", "--m", "6", "--u", "0x2"), "cross_validate_m6_u0x02.json"),
+    (("surface", "--m", "6", "--u", "0x2", "--emit-witness"), "surface_m6_u0x02.json"),
 ])
 def test_report_matches_golden(capsys, argv, golden):
     code, doc, _ = run(capsys, *argv)

@@ -9,6 +9,7 @@ import pytest
 
 from triapn import geometry as geo
 from triapn import identities
+from triapn.derivative import build_certificate
 from triapn.gf2m import FieldCtx, make_field
 from triapn.mpoly import parse
 
@@ -138,21 +139,40 @@ def _brute_roots(ev, alpha, beta):
     return out
 
 
+def _brute_solve(ctx, c0, c2, c6, beta):
+    """The y with c6*w^3 + c2*w + c0 = 0 for w = y^2 + beta*y, by FieldCtx.mul."""
+    mul = ctx.mul
+    out = []
+    for y in range(ctx.q):
+        w = ctx.square(y) ^ mul(beta, y)
+        if mul(c6, ctx.pow(w, 3)) ^ mul(c2, w) ^ c0 == 0:
+            out.append(y)
+    return out
+
+
 def test_solver_matches_brute_force_on_every_branch_f8():
     # made-up (c0, c2, c6, beta) over all of F_8^4 reach every branch,
     # c6 = c2 = 0 != c0 included, which the surface itself never does
     ev = geo.SurfaceEvaluator(2, F3)
-    mul = F3.mul
     for c0 in range(8):
         for c2 in range(8):
             for c6 in range(8):
                 for beta in range(8):
-                    expected = []
-                    for y in range(8):
-                        w = F3.square(y) ^ mul(beta, y)
-                        if mul(c6, F3.pow(w, 3)) ^ mul(c2, w) ^ c0 == 0:
-                            expected.append(y)
+                    expected = _brute_solve(F3, c0, c2, c6, beta)
                     assert ev._solve(c0, c2, c6, beta) == expected, (c0, c2, c6, beta)
+
+
+@pytest.mark.parametrize("m, draws", [(6, 600), (9, 250)])
+def test_solver_matches_brute_force_sampled(m, draws):
+    # the log-domain solver's index arithmetic mod q-1 shows faults only at
+    # larger q; each operand is 0 in about a quarter of the draws
+    ctx = make_field(m)
+    ev = geo.SurfaceEvaluator(2, ctx)
+    rng = random.Random(m)
+    for _ in range(draws):
+        c0, c2, c6, beta = (rng.randrange(ctx.q) if rng.random() < 0.75 else 0 for _ in range(4))
+        expected = _brute_solve(ctx, c0, c2, c6, beta)
+        assert ev._solve(c0, c2, c6, beta) == expected, (m, c0, c2, c6, beta)
 
 
 def test_roots_match_brute_force_m6_every_pair():
@@ -270,7 +290,9 @@ def test_log_domain_terms_match_polynomial_evaluation():
             assert ev.surface_coeffs(alpha, beta) == [c.eval(point, ctx) for c in coeffs]
             assert ev.obstruction_value(alpha, beta) == H.eval(point, ctx)
             y = (alpha * 5 + beta) % ctx.q
-            assert ev.linearized_rhs_value(alpha, beta, y) == rhs.eval(
+            c4, c2, c1 = ev.rhs_coeffs(alpha, beta)
+            value = ctx.mul(c4, ctx.pow(y, 4)) ^ ctx.mul(c2, ctx.square(y)) ^ ctx.mul(c1, y)
+            assert value == rhs.eval(
                 {**point, "y": y, "x": 0, "z": 0, "xi": 0}, ctx), (ctx.m, u, alpha, beta)
 
 
@@ -320,6 +342,71 @@ def test_point_to_witness_vanishing_obstruction_is_a_geometry_error():
               if p.passes_filters and not ev.obstruction_value(p.alpha, p.beta))
     with pytest.raises(geo.GeometryError, match="obstruction form vanishes"):
         geo.point_to_witness(pt, ev)
+
+
+def test_curve_table_matches_field_arithmetic():
+    for u in range(64):
+        expected = [F6.mul(F6.square(u), F6.pow(beta, 3)) for beta in range(64)]
+        assert geo._curve_alphas(u, F6) == expected, u
+
+
+def _rebuilt_by_mul(ctx, u, a, y, h, rhs):
+    """x = rhs(y)/(u^3*beta^6*h), z = (alpha*x^2 + alpha^2*x + u*y^2)/(u*beta^2) by FieldCtx.mul."""
+    mul, sq, inv = ctx.mul, ctx.square, ctx.inv
+    alpha, beta, _ = a
+    c4, c2, c1 = rhs
+    rhs_y = mul(c4, ctx.pow(y, 4)) ^ mul(c2, sq(y)) ^ mul(c1, y)
+    x = mul(rhs_y, inv(mul(ctx.pow(u, 3), mul(ctx.pow(beta, 6), h))))
+    z = mul(mul(alpha, sq(x)) ^ mul(sq(alpha), x) ^ mul(u, sq(y)), inv(mul(u, sq(beta))))
+    return x, y, z
+
+
+def test_check_root_rebuilds_the_mul_formulas():
+    # at every root y outside {0, beta} of every generic pair
+    for u in (0x2, 0x6):
+        ev = geo.SurfaceEvaluator(u, F6)
+        checked = 0
+        for alpha in range(1, 64):
+            for beta in range(1, 64):
+                h = ev.obstruction_value(alpha, beta)
+                roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
+                if not (h and roots) or alpha == F6.mul(F6.square(u), F6.pow(beta, 3)):
+                    continue
+                a = (alpha, beta, 1)
+                rhs = ev.rhs_coeffs(alpha, beta)
+                cert = build_certificate(a, u, F6)
+                for y in roots:
+                    expected = _rebuilt_by_mul(F6, u, a, y, h, rhs)
+                    assert geo._check_root(ev, a, y, h, rhs, cert) == expected, (u, a, y)
+                    checked += 1
+        assert checked == {0x2: 4144, 0x6: 5194}[u]
+
+
+def test_check_root_formulas_hold_off_the_surface(monkeypatch):
+    # made-up inputs reach the zero guards that surface roots never do:
+    # alpha = 0, alpha = x, y in {0, beta} and zero rhs coefficients
+    seen = []
+    monkeypatch.setattr(geo, "verify_solution", lambda a, v, u, ctx: seen.append(v) or False)
+    ev = geo.SurfaceEvaluator(0x2, F6)
+    rng = random.Random(7)
+    for _ in range(1000):
+        beta, h = rng.randrange(1, 64), rng.randrange(1, 64)
+        y = rng.choice((0, beta, rng.randrange(64)))
+        rhs = [rng.choice((0, rng.randrange(64))) for _ in range(3)]
+        x = _rebuilt_by_mul(F6, 0x2, (0, beta, 1), y, h, rhs)[0]  # x does not depend on alpha
+        for alpha in (0, x, rng.randrange(64)):
+            a = (alpha, beta, 1)
+            seen.clear()
+            with pytest.raises(geo.GeometryError, match="does not solve"):
+                geo._check_root(ev, a, y, h, rhs, None)
+            assert seen == [_rebuilt_by_mul(F6, 0x2, a, y, h, rhs)], (a, y, h, rhs)
+
+
+def test_check_root_divides_by_u_beta_and_h():
+    ev, ev0 = geo.SurfaceEvaluator(2, F6), geo.SurfaceEvaluator(0, F6)
+    for e, a, h in ((ev0, (3, 5, 1), 1), (ev, (3, 0, 1), 1), (ev, (3, 5, 1), 0)):
+        with pytest.raises(ZeroDivisionError):
+            geo._check_root(e, a, 7, h, e.rhs_coeffs(a[0], a[1]), None)
 
 
 def test_cross_validation_consistent_m3():

@@ -97,6 +97,19 @@ def test_tables_match_shift_and_reduce():
         assert ctx.mul(a, b) == _gf2_mulmod(a, b, ctx.modulus)
 
 
+def test_table_build_matches_the_mulmod_recurrence():
+    # exp[i] = exp[i-1]*g by shift-and-reduce, for every default modulus that
+    # gets tables and for two others; FieldCtx directly, to leave make_field's cache
+    moduli = [(m, default_modulus(m)) for m in range(2, 17)] + [(8, 0x11B), (16, 0x1100B)]
+    for m, modulus in moduli:
+        ctx = FieldCtx(m, modulus)
+        exp = [1]
+        for _ in range(ctx.q - 2):
+            exp.append(_gf2_mulmod(exp[-1], ctx.generator, modulus))
+        assert ctx._exp2 == exp + exp, ctx
+        assert [ctx._log[v] for v in exp] == list(range(ctx.q - 1)), ctx
+
+
 def _pow_by_square_and_multiply(a, e, modulus):
     r = 1
     while e:
