@@ -213,7 +213,8 @@ def cmd_surface(args) -> tuple[dict, int]:
 def cmd_cross_validate(args) -> tuple[dict, int]:
     ctx = _field(args)
     u, warnings = resolve_u(ctx, args.u)
-    rep = geometry.cross_validate(u, ctx)
+    rep = geometry.cross_validate(
+        u, ctx, progress=_progress("cross-validate") if ctx.m >= 6 else None)
     doc = {
         "schema": "cross-validate/1",
         "params": _params(ctx, u, warnings),

@@ -186,6 +186,20 @@ def _kernel(tagged: Iterable[int], n: int) -> list[int]:
     return kernel
 
 
+def _in_kernel(cols: list[int], w: int) -> bool:
+    """Whether the packed vector w solves the map with these tagged columns.
+
+    The columns at w's set bits XOR to (M w) << 3m | w: to w itself exactly
+    when M w = 0.
+    """
+    acc, rest = 0, w
+    while rest:
+        low = rest & -rest
+        acc ^= cols[low.bit_length() - 1]
+        rest ^= low
+    return acc == w
+
+
 def _echelon_basis(cols: list[int]) -> list[int]:
     """The kernel of 3m tagged columns as packed 3m-bit ints, in reduced echelon form.
 
@@ -353,10 +367,13 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
 def _in_image(cols: list[int], w: int, n: int) -> bool:
     """Whether w is an image of the map with these tagged columns.
 
-    The untagged column w << n joins the kernel iff its image part reduces
-    to zero; what is left of it then is the pivots' tags, not 0.
+    One elimination: the tags move up a bit and w joins last as the column
+    w << (n + 1) | 1.  It reduces to zero against the pivots of the other
+    columns iff w is an image, and then it is the only kernel vector that
+    holds the tag 1, the last one found.
     """
-    return len(_kernel([*cols, w << n], n)) > len(_kernel(cols, n))
+    kernel = _kernel([*(c << 1 for c in cols), w << (n + 1) | 1], n + 1)
+    return bool(kernel) and kernel[-1] & 1 == 1
 
 
 def is_permutation(u: int, ctx: FieldCtx) -> bool:

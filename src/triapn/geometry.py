@@ -17,7 +17,12 @@ scaling, lists them and rebuilds witness certificates from them,
 cross-validates the surface pipeline against the kernel pipeline in one
 sweep of the chart, and evaluates the point-count lower bound that closes
 the argument for large fields - in exact integer arithmetic, with every
-rounding taken in the direction that weakens the bound.
+rounding taken in the direction that weakens the bound.  The
+cross-validation checks every pair by the count relation
+2^dim = 2 + #{roots y outside {0, beta}}: one elimination gives the
+dimension, and the rebuilt vectors of the roots, each checked by
+`verify_solution` and against the pair's columns, must fill the kernel.
+A certificate is built only at a pair that fails the relation.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import identities
-from .derivative import (Triple, WitnessCertificate, _orbit_rows, _representatives,
-                         build_certificate, certificate_from_columns, verify_solution)
+from .derivative import (Triple, WitnessCertificate, _in_kernel, _kernel, _orbit_rows,
+                         _representatives, build_certificate, certificate_from_columns,
+                         pack_vec, verify_solution)
 from .gf2m import FieldCtx, elem_to_hex
 from .mpoly import MPoly
 
@@ -358,17 +364,13 @@ def point_to_witness(p: SurfacePoint, ev: SurfaceEvaluator) -> WitnessCertificat
     return cert
 
 
-def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
-                cert: WitnessCertificate | None) -> Triple:
-    """Rebuild x and z from a surface root y and check (x, y, z) against the kernel.
+def _rebuild(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int]) -> Triple:
+    """The vector (x, y, z) that a surface root y stands for at the triple a.
 
-    h is the nonzero obstruction value at (alpha, beta), rhs its
-    `SurfaceEvaluator.rhs_coeffs` and cert the triple's certificate (None
-    when its kernel has dimension < 2).  x = rhs(y)/(u^3*beta^6*h) and
+    h is the nonzero obstruction value at (alpha, beta) and rhs its
+    `SurfaceEvaluator.rhs_coeffs`.  x = rhs(y)/(u^3*beta^6*h) and
     z = (alpha*x^2 + alpha^2*x + u*y^2)/(u*beta^2) are sums of logs.
-    Returns (x, y, z).  Raises GeometryError when the vector does not solve
-    the system, is trivial or is missing from the kernel; ZeroDivisionError
-    when u, beta or h is 0.
+    Raises ZeroDivisionError when u, beta or h is 0.
     """
     ctx, u = ev.ctx, ev.u
     alpha, beta, _ = a
@@ -390,9 +392,22 @@ def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
         z ^= exp[log[alpha] + log[x] + log[x ^ alpha]]  # alpha*x^2 + alpha^2*x
     if z:
         z = exp[log[z] - (lu + 2 * lb) % n + n]
-    v: Triple = (x, y, z)
+    return x, y, z
+
+
+def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
+                cert: WitnessCertificate | None) -> Triple:
+    """Rebuild x and z from a surface root y and check (x, y, z) against the kernel.
+
+    h, rhs and the formulas are those of `_rebuild`; cert is the triple's
+    certificate (None when its kernel has dimension < 2).  Returns
+    (x, y, z).  Raises GeometryError when the vector does not solve the
+    system, is trivial or is missing from the kernel; ZeroDivisionError
+    when u, beta or h is 0.
+    """
+    v = _rebuild(ev, a, y, h, rhs)
     # every solution in a certificate was checked by `verify_solution` when it was built
-    if (cert is None or v not in cert.solutions) and not verify_solution(a, v, u, ctx):
+    if (cert is None or v not in cert.solutions) and not verify_solution(a, v, ev.u, ev.ctx):
         raise GeometryError(f"reconstructed vector {v} does not solve the system at {a}")
     if v in ((0, 0, 0), a):
         raise GeometryError(f"reconstructed vector {v} is a trivial solution")
@@ -403,7 +418,28 @@ def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
     return v
 
 
-def cross_validate(u: int, ctx: FieldCtx) -> dict:
+def _kernel_is_rebuilt(ev: SurfaceEvaluator, a: Triple, roots: list[int], h: int,
+                       rhs: list[int] | None, cols: list[int], k: int) -> bool:
+    """Whether the kernel of cols is exactly 0, a and the rebuilt vector of each root.
+
+    cols are the tagged columns at a, k the dimension of their kernel and
+    roots the surface roots outside {0, beta}, so no rebuilt v, whose y is
+    its root, is 0 or a.  It holds when each v solves the system
+    (`verify_solution`), the columns send a and every v to 0, and these
+    vectors number 2^k = 2 + #roots.  Then 2^k solutions of the system lie
+    in a kernel of 2^k vectors, so they are all of it.
+    """
+    u, ctx, m = ev.u, ev.ctx, ev.ctx.m
+    vecs = {0, pack_vec(a, m)}
+    for y in roots:
+        v = _rebuild(ev, a, y, h, rhs)
+        if not verify_solution(a, v, u, ctx):
+            return False
+        vecs.add(pack_vec(v, m))
+    return len(vecs) == 1 << k and all(_in_kernel(cols, w) for w in vecs)
+
+
+def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     """Check the kernel and surface pipelines against each other.
 
     Returns the ``report`` object of the ``cross-validate/1`` document:
@@ -412,34 +448,52 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
     ``mismatches`` and ``consistent``.
 
     One sweep over the pairs (alpha, beta) with alpha*beta != 0 off the
-    degree-44 curve builds each triple's certificate and its surface roots
-    y outside {0, beta} once.  The certificate is built from the columns
-    of the row walk `_representatives(ctx, u)`: the base columns of
-    (alpha, 0, 1) XOR beta's share, with no per-triple column build.  Both directions hold only where the
+    degree-44 curve checks every triple (alpha, beta, 1), with no fold: a
+    fault at one pair need not repeat along its orbit.  The columns come
+    from the row walk `_representatives(ctx, u)`: the base columns of
+    (alpha, 0, 1) XOR beta's share.  Both directions hold only where the
     obstruction form h = H(alpha, beta, 1) is nonzero, so pairs with h = 0
-    are skipped (there are none for a u that is not a 7th power).  Kernel
-    to surface: a triple with kernel dimension >= 2 must have a solution
-    whose y is such a root.  Surface to kernel: every such root must
-    rebuild a nontrivial solution that is in the kernel.  Mismatches list
+    are skipped (there are none for a u that is not a 7th power).
+
+    Each pair is checked by the count relation 2^k = 2 + #roots, for the
+    kernel dimension k from one elimination and the surface roots y outside
+    {0, beta} (`_kernel_is_rebuilt`).  Where it holds, the kernel is
+    exactly 0, a and the rebuilt vectors, so both directions hold and no
+    certificate is built.  Where it fails, the certificate path names the
+    fault; in a correct program it never runs.  Kernel to surface: a
+    triple with kernel dimension >= 2 must have a solution whose y is such
+    a root.  Surface to kernel: every such root must rebuild a nontrivial
+    solution in the certificate's kernel (`_check_root`).  Mismatches list
     every kernel-to-surface entry first, then every surface-to-kernel
-    entry, each in encoding order.  Raises ValueError for u = 0, which lies
-    outside the family.
+    entry, each in encoding order.  progress gets the share of the chart's
+    rows done, once per row and last at 1.0.  Raises ValueError for u = 0,
+    which lies outside the family.
     """
     _guard_surface(ctx, "cross-validation")
     if u == 0:
         raise ValueError("u = 0 lies outside the family (u must be nonzero)")
     ev = SurfaceEvaluator(u, ctx)
     curve_alphas = _curve_alphas(u, ctx)
+    n = 3 * ctx.m
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
     for a, cols, _ in _representatives(ctx, u):
         alpha, beta, gamma = a
+        if progress is not None and gamma and not beta:
+            progress(alpha / ctx.q)
         if not (alpha and beta and gamma) or alpha == curve_alphas[beta] \
                 or not (h := ev.obstruction_value(alpha, beta)):
             continue
         triples += 1
+        cols = list(cols)
+        k = len(_kernel(cols, n))
         roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
-        cert = certificate_from_columns(a, list(cols), u, ctx)
+        rhs = ev.rhs_coeffs(alpha, beta) if roots else None
+        if _kernel_is_rebuilt(ev, a, roots, h, rhs, cols, k):
+            witnesses += k >= 2
+            points += len(roots)
+            continue
+        cert = certificate_from_columns(a, cols, u, ctx)
         if cert is not None:
             witnesses += 1
             if not any(v[1] in roots for v in cert.solutions):
@@ -448,7 +502,6 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
                     "triple": [elem_to_hex(c) for c in a],
                     "detail": "no kernel solution has a surface root y outside {0, beta}",
                 })
-        rhs = ev.rhs_coeffs(alpha, beta) if roots else None
         for y in roots:
             points += 1
             try:
@@ -459,6 +512,8 @@ def cross_validate(u: int, ctx: FieldCtx) -> dict:
                     "point": SurfacePoint(alpha, beta, y, False, False).to_json(),
                     "detail": str(err),
                 })
+    if progress is not None:
+        progress(1.0)
     mismatches = to_surface + to_kernel
     return {
         "m": ctx.m,

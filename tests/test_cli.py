@@ -290,7 +290,8 @@ def test_point_lists_stop_at_m9(capsys):
         assert code == 2 and doc is None and "m <= 9" in err
 
 
-def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
+def record_progress(monkeypatch) -> list[float]:
+    """Patch `cli._progress` to also record every fraction it is given."""
     fracs = []
     progress = cli._progress
 
@@ -299,6 +300,11 @@ def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
         return lambda frac: (fracs.append(frac), cb(frac))
 
     monkeypatch.setattr(cli, "_progress", recording)
+    return fracs
+
+
+def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
+    fracs = record_progress(monkeypatch)
     code, _, err = run(capsys, "surface", "--m", "6", "--u", "0x7")
     assert code == 0
     marks = [line for line in err.splitlines() if line.endswith("%")]
@@ -312,6 +318,17 @@ def test_spectrum_progress_marks_each_quarter_once(capsys):
     assert code == 0 and doc["verdicts"]["max_kernel_dim"] == 3
     marks = [line for line in err.splitlines() if line.endswith("%")]
     assert marks == ["spectrum: 25%", "spectrum: 50%", "spectrum: 75%", "spectrum: 100%"]
+
+
+def test_cross_validate_progress_marks_each_quarter_once(capsys, monkeypatch):
+    fracs = record_progress(monkeypatch)
+    code, doc, err = run(capsys, "cross-validate", "--m", "6", "--u", "0x7")
+    assert code == 0 and doc["verdicts"]["consistent"] is True
+    marks = [line for line in err.splitlines() if line.endswith("%")]
+    assert marks == ["cross-validate: 25%", "cross-validate: 50%",
+                     "cross-validate: 75%", "cross-validate: 100%"]
+    # one call per chart row alpha and one at the end, not one per pair (4161)
+    assert fracs == [alpha / 64 for alpha in range(64)] + [1.0]
 
 
 def test_cross_validate_command(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from triapn import geometry as geo
 from triapn import identities
-from triapn.derivative import build_certificate
+from triapn.derivative import CertificateError, _kernel, build_certificate, derivative_columns
 from triapn.gf2m import FieldCtx, make_field
 from triapn.mpoly import parse
 
@@ -418,22 +418,121 @@ def test_cross_validation_consistent_m3():
 
 
 def test_cross_validation_consistent_m6(monkeypatch):
-    # one sweep: one certificate per checked triple, no per-point rebuild.
-    # u = 0x6 is a 7th power: the surface need not carry the kernel at the
-    # 413 pairs where the obstruction form vanishes, so they are skipped
+    # one sweep, decided by the count relation: no certificate is built and
+    # no point is rebuilt into one.  u = 0x6 is a 7th power: the surface need
+    # not carry the kernel at the 413 pairs where the obstruction form
+    # vanishes, so they are skipped
+    monkeypatch.setattr(geo, "certificate_from_columns",
+                        lambda *args: pytest.fail("certificate_from_columns was called"))
+    monkeypatch.setattr(geo, "point_to_witness",
+                        lambda *args, **kwargs: pytest.fail("point_to_witness was called"))
+    for u, triples, witnesses, points in ((0x2, 3906, 1680, 4144), (0x6, 3493, 1771, 5194)):
+        rep = geo.cross_validate(u, F6)
+        assert rep["consistent"] and rep["mismatches"] == []
+        assert (rep["kernel_triples_checked"], rep["kernel_witness_triples"],
+                rep["surface_points_checked"]) == (triples, witnesses, points)
+        # 2^dim = 2 + #roots on every checked pair, the dimension taken from
+        # the per-triple columns rather than the row walk
+        ev = geo.SurfaceEvaluator(u, F6)
+        dims = []
+        for alpha in range(1, 64):
+            for beta in range(1, 64):
+                if alpha == F6.mul(F6.square(u), F6.pow(beta, 3)) \
+                        or not ev.obstruction_value(alpha, beta):
+                    continue
+                k = len(_kernel(derivative_columns((alpha, beta, 1), u, F6), 18))
+                roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
+                assert 1 << k == 2 + len(roots), (u, alpha, beta)
+                dims.append(k)
+        assert len(dims) == triples and sum(k >= 2 for k in dims) == witnesses
+
+
+def _with_column_faults(walk, faults):
+    """walk, a row walk, with image bit b of column j flipped at each ((alpha, beta), j, b)."""
+    table = {(alpha, beta, 1): (j, b) for (alpha, beta), j, b in faults}
+
+    def faulty(ctx, u, fold=1):
+        for a, cols, weight in walk(ctx, u, fold):
+            if a in table:
+                j, b = table[a]
+                cols = list(cols)
+                cols[j] ^= 1 << (3 * ctx.m + b)
+            yield a, cols, weight
+
+    return faulty
+
+
+def _spy_certificates(monkeypatch) -> list:
+    """Record the triple of every `certificate_from_columns` call cross_validate makes."""
     built = []
     certify = geo.certificate_from_columns
     monkeypatch.setattr(geo, "certificate_from_columns",
                         lambda a, cols, u, ctx: built.append(a) or certify(a, cols, u, ctx))
-    monkeypatch.setattr(geo, "point_to_witness",
-                        lambda *args, **kwargs: pytest.fail("point_to_witness was called"))
-    for u, triples, points in ((0x2, 3906, 4144), (0x6, 3493, 5194)):
+    return built
+
+
+def _outcome(u, ctx):
+    """cross_validate's exception, or its mismatch count and a sha256 prefix of its report."""
+    try:
+        rep = geo.cross_validate(u, ctx)
+    except CertificateError as err:
+        return f"CertificateError: {err}"
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    return f"{len(rep['mismatches'])} {digest[:16]}"
+
+
+def _flags(solve, triple):
+    flags = {"solutions_solve_system": solve, "contains_zero": True,
+             "contains_triple": triple, "count_is_power_of_two": True}
+    return f"CertificateError: certificate re-verification failed: {flags}"
+
+
+CLEAN_M6_U2 = "0 959f43f1e9317014"
+# Corrupt columns at m = 6, u = 0x2, one or two pairs each, none of them
+# symmetric under mu_7.  Each outcome (an exception, or the mismatch count
+# and a sha256 prefix of the report) was frozen from a cross-validation that
+# built every pair's certificate.
+COLUMN_FAULTS = [
+    ((((11, 27), 9, 15), ((45, 27), 6, 15)), CLEAN_M6_U2),
+    ((((52, 62), 16, 5),), CLEAN_M6_U2),
+    ((((33, 34), 7, 0),), CLEAN_M6_U2),
+    ((((1, 24), 13, 2), ((60, 38), 4, 7)), _flags(False, True)),
+    ((((59, 15), 1, 13),), "2 9a9eeb2c28c6b018"),
+    ((((48, 50), 13, 14),), CLEAN_M6_U2),
+    ((((3, 62), 15, 3), ((22, 35), 11, 0)), "2 fa3e8d78bd5b020d"),
+    ((((10, 48), 2, 3),), CLEAN_M6_U2),
+    ((((52, 60), 0, 14),), "2 7e8e5081e4a058b7"),
+    ((((11, 36), 12, 15), ((47, 22), 4, 5)), _flags(False, False)),
+    ((((43, 3), 15, 7),), CLEAN_M6_U2),
+    ((((5, 50), 6, 6),), _flags(False, True)),
+    ((((54, 6), 5, 15),), _flags(True, False)),
+    ((((43, 11), 11, 10),), "2 8604315fbbfd0dea"),
+    ((((36, 5), 13, 15), ((29, 52), 1, 9)), "4 663265f4ac695007"),
+]
+
+
+def test_cross_validation_column_faults_match_the_certificate_path(monkeypatch):
+    # a corrupt column breaks the count relation at its pair (or leaves the
+    # kernel alone); the certificate path then reports or raises exactly as
+    # it would with every pair certified, and runs nowhere else
+    assert _outcome(2, F6) == CLEAN_M6_U2
+    built, walk = _spy_certificates(monkeypatch), geo._representatives
+    for faults, expected in COLUMN_FAULTS:
         built.clear()
-        rep = geo.cross_validate(u, F6)
-        assert len(built) == len(set(built)) == rep["kernel_triples_checked"] == triples
-        assert rep["consistent"] and rep["mismatches"] == []
-        assert rep["kernel_witness_triples"] > 0
-        assert rep["surface_points_checked"] == points
+        monkeypatch.setattr(geo, "_representatives", _with_column_faults(walk, faults))
+        assert _outcome(2, F6) == expected, faults
+        assert set(built) <= {(alpha, beta, 1) for (alpha, beta), _, _ in faults}, faults
+
+
+def test_cross_validation_falls_back_where_verify_solution_rejects(monkeypatch):
+    # the count relation needs each rebuilt vector to solve the system by
+    # direct arithmetic: with that check rejecting everything, every pair
+    # with a root takes the certificate path, whose solutions were checked
+    # by derivative's own verify_solution, and the report does not change
+    built = _spy_certificates(monkeypatch)
+    monkeypatch.setattr(geo, "verify_solution", lambda a, v, u, ctx: False)
+    rep = geo.cross_validate(2, F6)
+    assert rep["consistent"] and len(built) == rep["kernel_witness_triples"] == 1680
 
 
 def test_cross_validation_planted_fault_is_detected(monkeypatch):
