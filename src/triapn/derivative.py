@@ -12,11 +12,11 @@ reduced mod the modulus, laid out once per (field, u).  Every path runs
 through those columns, in one process: every scan walks the rows of
 `_orbit_rows`, each row (alpha, 0, gamma) adding its betas' shares from
 one table; and the per-triple kernel basis behind sampled search and
-certificates, whose core (`certificate_from_columns`) also takes the
-columns of such a row walk.  A witness is a triple whose kernel has
-dimension >= 2 (at least 4 solutions), packaged as a certificate whose
-re-verification uses no elimination: direct arithmetic on each solution
-and the span of the basis.
+certificates.  A witness is a triple whose kernel has dimension >= 2 (at
+least 4 solutions), packaged as a certificate whose re-verification uses
+no elimination: direct arithmetic on each solution and the span of the
+basis (`_kernel_solutions`, which the surface cross-validation also runs
+on the kernel of a row walk's columns).
 
 The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
 sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
@@ -55,6 +55,9 @@ WITNESS_MAX_M = 15
 # verify-cert busy for hours; the sampled search is exercised up to m = 21.
 CERT_MAX_M = 63
 WITNESS_SCHEMA = "witness/1"
+# the invariants a certificate records as re-verified, in its "reverified" order
+_REVERIFIED = ("solutions_solve_system", "contains_zero", "contains_triple",
+              "count_is_power_of_two")
 
 
 class CertificateError(RuntimeError):
@@ -184,20 +187,6 @@ def _kernel(tagged: Iterable[int], n: int) -> list[int]:
         else:
             kernel.append(cur)
     return kernel
-
-
-def _in_kernel(cols: list[int], w: int) -> bool:
-    """Whether the packed vector w solves the map with these tagged columns.
-
-    The columns at w's set bits XOR to (M w) << 3m | w: to w itself exactly
-    when M w = 0.
-    """
-    acc, rest = 0, w
-    while rest:
-        low = rest & -rest
-        acc ^= cols[low.bit_length() - 1]
-        rest ^= low
-    return acc == w
 
 
 def _echelon_basis(cols: list[int]) -> list[int]:
@@ -458,47 +447,49 @@ def _hex(s) -> int:
     return int(s, 16)
 
 
+def _kernel_solutions(a: Triple, basis: list[int], u: int, ctx: FieldCtx) -> set[int]:
+    """The packed span of a kernel basis of k >= 2 vectors at a, checked by `verify_solution`.
+
+    Raises CertificateError when the basis is dependent, when a vector of
+    the span does not solve the system or when a is not in it, with the
+    flags a certificate records.  0 and a are not passed to
+    `verify_solution`, which cannot reject them: in each equation both
+    sides reduce to mul(..., 0) or to the same product twice, as the
+    `trivial_solutions` identity shows in the algebra.  contains_zero and
+    count_is_power_of_two hold by construction.
+    """
+    m, k = ctx.m, len(basis)
+    span = {0}
+    for b in basis:
+        span |= {v ^ b for v in span}
+    if len(span) != 1 << k:
+        raise CertificateError("kernel basis is not linearly independent")
+    packed = pack_vec(a, m)
+    solve = all(verify_solution(a, unpack_vec(w, m), u, ctx) for w in span if w not in (0, packed))
+    if not (solve and packed in span):
+        flags = dict(zip(_REVERIFIED, (solve, True, packed in span, True)))
+        raise CertificateError(f"certificate re-verification failed: {flags}")
+    return span
+
+
 def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | None:
     """Certificate for a triple with kernel dimension >= 2, else None.
 
     Every invariant is re-established through direct arithmetic before the
-    certificate is returned; a failure there is a hard internal error.
-    """
-    return certificate_from_columns(a, derivative_columns(a, u, ctx), u, ctx)
-
-
-def certificate_from_columns(a: Triple, cols: list[int], u: int,
-                             ctx: FieldCtx) -> WitnessCertificate | None:
-    """`build_certificate` for a triple whose tagged columns are already built.
-
-    cols must be `derivative_columns(a, u, ctx)`, however obtained: a scan
-    that walks the rows of `_orbit_rows` passes each row's columns.
+    certificate is returned (`_kernel_solutions`); a failure there is a
+    hard internal error.
     """
     if a == (0, 0, 0):
         raise ValueError("the difference triple must be nonzero")
-    basis = _echelon_basis(cols)
-    k = len(basis)
-    if k < 2:
+    basis = _echelon_basis(derivative_columns(a, u, ctx))
+    if len(basis) < 2:
         return None
     m = ctx.m
-    vecs = {0}
-    for b in basis:
-        vecs |= {v ^ b for v in vecs}
-    if len(vecs) != 1 << k:
-        raise CertificateError("kernel basis is not linearly independent")
-    solutions = sorted(unpack_vec(v, m) for v in vecs)
-    flags = {
-        "solutions_solve_system": all(verify_solution(a, v, u, ctx) for v in solutions),
-        "contains_zero": (0, 0, 0) in solutions,
-        "contains_triple": a in solutions,
-        "count_is_power_of_two": len(solutions) == 1 << k,
-    }
-    if not all(flags.values()):
-        raise CertificateError(f"certificate re-verification failed: {flags}")
     return WitnessCertificate(
-        m=ctx.m, modulus=ctx.modulus, u=u, triple=a, kernel_dim=k,
+        m=m, modulus=ctx.modulus, u=u, triple=a, kernel_dim=len(basis),
         kernel_basis=sorted(unpack_vec(v, m) for v in basis),
-        solutions=solutions, reverified=flags)
+        solutions=sorted(unpack_vec(v, m) for v in _kernel_solutions(a, basis, u, ctx)),
+        reverified=dict.fromkeys(_REVERIFIED, True))
 
 
 def verify_certificate(cert: WitnessCertificate) -> list[str]:

@@ -18,11 +18,10 @@ cross-validates the surface pipeline against the kernel pipeline in one
 sweep of the chart, and evaluates the point-count lower bound that closes
 the argument for large fields - in exact integer arithmetic, with every
 rounding taken in the direction that weakens the bound.  The
-cross-validation checks every pair by the count relation
-2^dim = 2 + #{roots y outside {0, beta}}: one elimination gives the
-dimension, and the rebuilt vectors of the roots, each checked by
-`verify_solution` and against the pair's columns, must fill the kernel.
-A certificate is built only at a pair that fails the relation.
+cross-validation runs one elimination per pair; where the kernel has
+dimension >= 2, its span is checked as a certificate's would be
+(`_kernel_solutions`), with no certificate built, and every root must
+rebuild a vector of that span.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import identities
-from .derivative import (Triple, WitnessCertificate, _in_kernel, _kernel, _orbit_rows,
-                         _representatives, build_certificate, certificate_from_columns,
-                         pack_vec, verify_solution)
+from .derivative import (Triple, WitnessCertificate, _kernel, _kernel_solutions, _orbit_rows,
+                         _representatives, build_certificate, pack_vec, verify_solution)
 from .gf2m import FieldCtx, elem_to_hex
 from .mpoly import MPoly
 
@@ -360,7 +358,8 @@ def point_to_witness(p: SurfacePoint, ev: SurfaceEvaluator) -> WitnessCertificat
                             "witness reconstruction is undefined")
     a: Triple = (p.alpha, p.beta, 1)
     cert = build_certificate(a, ev.u, ev.ctx)
-    _check_root(ev, a, p.y, h, ev.rhs_coeffs(p.alpha, p.beta), cert)
+    solutions = {pack_vec(v, ev.ctx.m) for v in cert.solutions} if cert else None
+    _check_root(ev, a, p.y, h, ev.rhs_coeffs(p.alpha, p.beta), solutions)
     return cert
 
 
@@ -396,47 +395,27 @@ def _rebuild(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int]) ->
 
 
 def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
-                cert: WitnessCertificate | None) -> Triple:
+                solutions: set[int] | None) -> Triple:
     """Rebuild x and z from a surface root y and check (x, y, z) against the kernel.
 
-    h, rhs and the formulas are those of `_rebuild`; cert is the triple's
-    certificate (None when its kernel has dimension < 2).  Returns
-    (x, y, z).  Raises GeometryError when the vector does not solve the
-    system, is trivial or is missing from the kernel; ZeroDivisionError
-    when u, beta or h is 0.
+    h, rhs and the formulas are those of `_rebuild`; solutions is the
+    packed kernel at a from `_kernel_solutions` (None when its dimension is
+    below 2).  Returns (x, y, z).  Raises GeometryError when the vector
+    does not solve the system, is trivial or is missing from the kernel;
+    ZeroDivisionError when u, beta or h is 0.
     """
     v = _rebuild(ev, a, y, h, rhs)
-    # every solution in a certificate was checked by `verify_solution` when it was built
-    if (cert is None or v not in cert.solutions) and not verify_solution(a, v, ev.u, ev.ctx):
+    w = pack_vec(v, ev.ctx.m)
+    # every vector of the span was checked by `verify_solution` when it was built
+    if (solutions is None or w not in solutions) and not verify_solution(a, v, ev.u, ev.ctx):
         raise GeometryError(f"reconstructed vector {v} does not solve the system at {a}")
     if v in ((0, 0, 0), a):
         raise GeometryError(f"reconstructed vector {v} is a trivial solution")
-    if cert is None:
+    if solutions is None:
         raise GeometryError(f"kernel at {a} has dimension < 2 despite a surface point")
-    if v not in cert.solutions:
+    if w not in solutions:
         raise GeometryError(f"reconstructed vector {v} missing from the kernel solutions")
     return v
-
-
-def _kernel_is_rebuilt(ev: SurfaceEvaluator, a: Triple, roots: list[int], h: int,
-                       rhs: list[int] | None, cols: list[int], k: int) -> bool:
-    """Whether the kernel of cols is exactly 0, a and the rebuilt vector of each root.
-
-    cols are the tagged columns at a, k the dimension of their kernel and
-    roots the surface roots outside {0, beta}, so no rebuilt v, whose y is
-    its root, is 0 or a.  It holds when each v solves the system
-    (`verify_solution`), the columns send a and every v to 0, and these
-    vectors number 2^k = 2 + #roots.  Then 2^k solutions of the system lie
-    in a kernel of 2^k vectors, so they are all of it.
-    """
-    u, ctx, m = ev.u, ev.ctx, ev.ctx.m
-    vecs = {0, pack_vec(a, m)}
-    for y in roots:
-        v = _rebuild(ev, a, y, h, rhs)
-        if not verify_solution(a, v, u, ctx):
-            return False
-        vecs.add(pack_vec(v, m))
-    return len(vecs) == 1 << k and all(_in_kernel(cols, w) for w in vecs)
 
 
 def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
@@ -455,15 +434,12 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     obstruction form h = H(alpha, beta, 1) is nonzero, so pairs with h = 0
     are skipped (there are none for a u that is not a 7th power).
 
-    Each pair is checked by the count relation 2^k = 2 + #roots, for the
-    kernel dimension k from one elimination and the surface roots y outside
-    {0, beta} (`_kernel_is_rebuilt`).  Where it holds, the kernel is
-    exactly 0, a and the rebuilt vectors, so both directions hold and no
-    certificate is built.  Where it fails, the certificate path names the
-    fault; in a correct program it never runs.  Kernel to surface: a
-    triple with kernel dimension >= 2 must have a solution whose y is such
-    a root.  Surface to kernel: every such root must rebuild a nontrivial
-    solution in the certificate's kernel (`_check_root`).  Mismatches list
+    Each pair runs one elimination.  Where its kernel has dimension >= 2,
+    `_kernel_solutions` checks the span as `build_certificate` would,
+    raising its CertificateError, but builds no certificate.  Kernel to
+    surface: such a kernel must have a solution whose y is a surface root
+    outside {0, beta}.  Surface to kernel: every such root must rebuild a
+    nontrivial solution in that span (`_check_root`).  Mismatches list
     every kernel-to-surface entry first, then every surface-to-kernel
     entry, each in encoding order.  progress gets the share of the chart's
     rows done, once per row and last at 1.0.  Raises ValueError for u = 0,
@@ -474,7 +450,7 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
         raise ValueError("u = 0 lies outside the family (u must be nonzero)")
     ev = SurfaceEvaluator(u, ctx)
     curve_alphas = _curve_alphas(u, ctx)
-    n = 3 * ctx.m
+    m, mask = ctx.m, ctx.q - 1
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
     for a, cols, _ in _representatives(ctx, u):
@@ -485,27 +461,23 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
                 or not (h := ev.obstruction_value(alpha, beta)):
             continue
         triples += 1
-        cols = list(cols)
-        k = len(_kernel(cols, n))
+        basis = _kernel(cols, 3 * m)
         roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
-        rhs = ev.rhs_coeffs(alpha, beta) if roots else None
-        if _kernel_is_rebuilt(ev, a, roots, h, rhs, cols, k):
-            witnesses += k >= 2
-            points += len(roots)
-            continue
-        cert = certificate_from_columns(a, cols, u, ctx)
-        if cert is not None:
+        solutions = None
+        if len(basis) >= 2:
             witnesses += 1
-            if not any(v[1] in roots for v in cert.solutions):
+            solutions = _kernel_solutions(a, basis, u, ctx)
+            if not any((w >> m) & mask in roots for w in solutions):
                 to_surface.append({
                     "direction": "kernel_to_surface",
                     "triple": [elem_to_hex(c) for c in a],
                     "detail": "no kernel solution has a surface root y outside {0, beta}",
                 })
+        rhs = ev.rhs_coeffs(alpha, beta) if roots else None
         for y in roots:
             points += 1
             try:
-                _check_root(ev, a, y, h, rhs, cert)
+                _check_root(ev, a, y, h, rhs, solutions)
             except GeometryError as err:
                 to_kernel.append({
                     "direction": "surface_to_kernel",

@@ -351,6 +351,14 @@ def test_report_matches_golden(capsys, argv, golden):
     assert without_meta(doc) == json.loads((GOLDEN / golden).read_text())
 
 
+@pytest.mark.parametrize("line", json.loads((GOLDEN / "certificates.json").read_text()))
+def test_witness_certificate_matches_golden(capsys, line):
+    # the golden certificates are keyed by the command line that prints them
+    code, doc, _ = run(capsys, *line.split())
+    assert code == 0
+    assert doc["certificate"] == json.loads((GOLDEN / "certificates.json").read_text())[line]
+
+
 def test_bound_command(capsys):
     code, doc, _ = run(capsys, "bound", "--m-from", "3", "--m-to", "24")
     assert code == 0

@@ -9,12 +9,14 @@ import pytest
 
 from triapn import geometry as geo
 from triapn import identities
-from triapn.derivative import CertificateError, _kernel, build_certificate, derivative_columns
+from triapn.derivative import (CertificateError, _kernel, build_certificate, derivative_columns,
+                               pack_vec)
 from triapn.gf2m import FieldCtx, make_field
 from triapn.mpoly import parse
 
 F3 = make_field(3)
 F6 = make_field(6)
+F9 = make_field(9)
 BOUND_ROWS_DELTA16_SHA256 = "18df11328c805b6b2c3c0bd131e4b212a99c75e52d920f8125394ac48c7c5bc5"
 
 
@@ -374,10 +376,10 @@ def test_check_root_rebuilds_the_mul_formulas():
                     continue
                 a = (alpha, beta, 1)
                 rhs = ev.rhs_coeffs(alpha, beta)
-                cert = build_certificate(a, u, F6)
+                solutions = {pack_vec(v, 6) for v in build_certificate(a, u, F6).solutions}
                 for y in roots:
                     expected = _rebuilt_by_mul(F6, u, a, y, h, rhs)
-                    assert geo._check_root(ev, a, y, h, rhs, cert) == expected, (u, a, y)
+                    assert geo._check_root(ev, a, y, h, rhs, solutions) == expected, (u, a, y)
                     checked += 1
         assert checked == {0x2: 4144, 0x6: 5194}[u]
 
@@ -417,34 +419,52 @@ def test_cross_validation_consistent_m3():
     assert rep["surface_points_checked"] == 0
 
 
+def _count_relation_dims(u, ctx, pairs):
+    """The kernel dimension k at each generic pair, asserting 2^k = 2 + #roots outside {0, beta}.
+
+    A pair is generic when alpha*beta != 0, it is off the degree-44 curve
+    and the obstruction form is nonzero.  k is taken from the per-triple
+    columns rather than the row walk.
+    """
+    ev = geo.SurfaceEvaluator(u, ctx)
+    dims = []
+    for alpha, beta in pairs:
+        if not (alpha and beta) or alpha == ctx.mul(ctx.square(u), ctx.pow(beta, 3)) \
+                or not ev.obstruction_value(alpha, beta):
+            continue
+        k = len(_kernel(derivative_columns((alpha, beta, 1), u, ctx), 3 * ctx.m))
+        roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
+        assert 1 << k == 2 + len(roots), (u, alpha, beta)
+        dims.append(k)
+    return dims
+
+
 def test_cross_validation_consistent_m6(monkeypatch):
-    # one sweep, decided by the count relation: no certificate is built and
-    # no point is rebuilt into one.  u = 0x6 is a 7th power: the surface need
-    # not carry the kernel at the 413 pairs where the obstruction form
-    # vanishes, so they are skipped
-    monkeypatch.setattr(geo, "certificate_from_columns",
-                        lambda *args: pytest.fail("certificate_from_columns was called"))
-    monkeypatch.setattr(geo, "point_to_witness",
-                        lambda *args, **kwargs: pytest.fail("point_to_witness was called"))
+    # one sweep with no certificate built and no point rebuilt into one.
+    # u = 0x6 is a 7th power: the surface need not carry the kernel at the
+    # 413 pairs where the obstruction form vanishes, so they are skipped
+    for name in ("build_certificate", "point_to_witness"):
+        monkeypatch.setattr(geo, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
     for u, triples, witnesses, points in ((0x2, 3906, 1680, 4144), (0x6, 3493, 1771, 5194)):
         rep = geo.cross_validate(u, F6)
         assert rep["consistent"] and rep["mismatches"] == []
         assert (rep["kernel_triples_checked"], rep["kernel_witness_triples"],
                 rep["surface_points_checked"]) == (triples, witnesses, points)
-        # 2^dim = 2 + #roots on every checked pair, the dimension taken from
-        # the per-triple columns rather than the row walk
-        ev = geo.SurfaceEvaluator(u, F6)
-        dims = []
-        for alpha in range(1, 64):
-            for beta in range(1, 64):
-                if alpha == F6.mul(F6.square(u), F6.pow(beta, 3)) \
-                        or not ev.obstruction_value(alpha, beta):
-                    continue
-                k = len(_kernel(derivative_columns((alpha, beta, 1), u, F6), 18))
-                roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
-                assert 1 << k == 2 + len(roots), (u, alpha, beta)
-                dims.append(k)
+        dims = _count_relation_dims(u, F6, ((a, b) for a in range(64) for b in range(64)))
         assert len(dims) == triples and sum(k >= 2 for k in dims) == witnesses
+
+
+def test_count_relation_on_sampled_pairs_m9():
+    # cross_validate does not evaluate 2^dim = 2 + #roots; it holds on
+    # seeded generic pairs at m = 9, u = 0x7, over kernels of dimension 1 to 3
+    rng = random.Random(9)
+    pairs = []
+    while len(pairs) < 2000:
+        alpha, beta = rng.randrange(1, 512), rng.randrange(1, 512)
+        if alpha != F9.mul(F9.square(7), F9.pow(beta, 3)):
+            pairs.append((alpha, beta))
+    dims = _count_relation_dims(7, F9, pairs)
+    assert len(dims) == 2000 and set(dims) == {1, 2, 3}
 
 
 def _with_column_faults(walk, faults):
@@ -460,15 +480,6 @@ def _with_column_faults(walk, faults):
             yield a, cols, weight
 
     return faulty
-
-
-def _spy_certificates(monkeypatch) -> list:
-    """Record the triple of every `certificate_from_columns` call cross_validate makes."""
-    built = []
-    certify = geo.certificate_from_columns
-    monkeypatch.setattr(geo, "certificate_from_columns",
-                        lambda a, cols, u, ctx: built.append(a) or certify(a, cols, u, ctx))
-    return built
 
 
 def _outcome(u, ctx):
@@ -512,27 +523,24 @@ COLUMN_FAULTS = [
 
 
 def test_cross_validation_column_faults_match_the_certificate_path(monkeypatch):
-    # a corrupt column breaks the count relation at its pair (or leaves the
-    # kernel alone); the certificate path then reports or raises exactly as
-    # it would with every pair certified, and runs nowhere else
+    # a corrupt column changes the kernel at its pair (or leaves it alone);
+    # the span checks then report or raise exactly as a certificate built
+    # at every pair did
     assert _outcome(2, F6) == CLEAN_M6_U2
-    built, walk = _spy_certificates(monkeypatch), geo._representatives
+    walk = geo._representatives
     for faults, expected in COLUMN_FAULTS:
-        built.clear()
         monkeypatch.setattr(geo, "_representatives", _with_column_faults(walk, faults))
         assert _outcome(2, F6) == expected, faults
-        assert set(built) <= {(alpha, beta, 1) for (alpha, beta), _, _ in faults}, faults
 
 
-def test_cross_validation_falls_back_where_verify_solution_rejects(monkeypatch):
-    # the count relation needs each rebuilt vector to solve the system by
-    # direct arithmetic: with that check rejecting everything, every pair
-    # with a root takes the certificate path, whose solutions were checked
-    # by derivative's own verify_solution, and the report does not change
-    built = _spy_certificates(monkeypatch)
+def test_cross_validation_does_not_reverify_vectors_in_the_span(monkeypatch):
+    # every rebuilt vector lies in the span that derivative's own
+    # verify_solution checked, so geometry's is never asked again: with it
+    # rejecting everything, the report does not change
+    clean = geo.cross_validate(2, F6)
     monkeypatch.setattr(geo, "verify_solution", lambda a, v, u, ctx: False)
     rep = geo.cross_validate(2, F6)
-    assert rep["consistent"] and len(built) == rep["kernel_witness_triples"] == 1680
+    assert rep == clean and rep["consistent"] and rep["kernel_witness_triples"] == 1680
 
 
 def test_cross_validation_planted_fault_is_detected(monkeypatch):
