@@ -8,26 +8,28 @@ map on F_q^3.  This module builds the 3m columns of that map and finds their
 kernel with a single GF(2) elimination.  What a coordinate of a adds to the
 columns is F_2-linear in its value, so `derivative_columns` XORs the tags
 with the shares of the coordinates' set bits: monomials t^n and u*t^n
-reduced mod the modulus, laid out once per (field, u).  Every path runs
-through those columns, in one process: every scan walks the rows of
+reduced mod the modulus, laid out once per (field, u).  Every elimination
+runs on those columns, in one process: the scans walk the rows of
 `_orbit_rows`, each row (alpha, 0, gamma) adding its betas' shares from
-one table; and the per-triple kernel basis behind sampled search and
-certificates.  A witness is a triple whose kernel has dimension >= 2 (at
-least 4 solutions), packaged as a certificate whose re-verification uses
-no elimination: direct arithmetic on each solution and the span of the
-basis (`_kernel_solutions`, which the surface cross-validation also runs
-on the kernel of a row walk's columns).
+one table or, in the spectrum, building a triple's columns; and the
+per-triple kernel basis behind sampled search and certificates.  A witness
+is a triple whose kernel has dimension >= 2 (at least 4 solutions),
+packaged as a certificate whose re-verification uses no elimination:
+direct arithmetic on each solution and the span of the basis
+(`_kernel_solutions`, which the surface cross-validation also runs on the
+kernel of a row walk's columns).
 
 The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
 sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
 kernels and images with the triple.  The spectrum and the permutation
-test walk one point per orbit of it, with weights 3, 7 and 21.  The
-surface counts (in `geometry`) walk one per orbit of D alone, weight 7,
-as the rotation moves the lines and the curve they exclude.  The
-exhaustive witness search, the surface points and cross-validation walk
-every point; the witness search takes the rotations of the points with
-leading coordinate 1, in code order, as no multiple of one has a smaller
-code.
+test walk one point per orbit of it, with weights 3, 7 and 21; the
+spectrum eliminates only where the witness surface cannot give the kernel
+dimension.  The surface counts (in `geometry`) walk one per orbit of D
+alone, weight 7, as the rotation moves the lines and the curve they
+exclude.  The exhaustive witness search, the surface points and
+cross-validation walk every point; the witness search takes the rotations
+of the points with leading coordinate 1, in code order, as no multiple of
+one has a smaller code.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
 bits, then y, then z; column j of the map is the image of bit j.
@@ -46,7 +48,10 @@ from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field, mu7_representativ
 
 Triple = tuple[int, int, int]
 
-SPECTRUM_MAX_M = 9
+# m = 12 takes about 7 s (2-core Xeon, Python 3.11): 791 of 799,113 orbits
+# are eliminated for u = 0x3.  The permutation test eliminates every orbit.
+SPECTRUM_MAX_M = 12
+PERMUTATION_MAX_M = 9
 # The exhaustive witness search builds `_beta_shares`, q lists of 3m ints:
 # 0.6 MiB at m = 9, 6.2 MiB at m = 12 and 63.9 MiB at m = 15 (tracemalloc).
 WITNESS_MAX_M = 15
@@ -207,8 +212,9 @@ def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
 # -- the scan over projective points -----------------------------------------------
 
 
-# One entry, whose size is given at WITNESS_MAX_M: every caller reads one u
-# at a time.
+# One entry, whose size is given at WITNESS_MAX_M.  Its callers, through
+# `_representatives` (the permutation test, the exhaustive witness search and
+# the cross-validation), read one u at a time; the spectrum does not build it.
 @lru_cache(maxsize=1)
 def _beta_shares(m: int, modulus: int, u: int) -> list[list[int]]:
     """Beta's share for every value in F_q.
@@ -325,25 +331,43 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
     Returns the ``verdicts`` (``is_apn``, ``differential_uniformity``,
     ``max_kernel_dim``) and the ``histogram``, keyed by the dimension as a
     string.  One triple per orbit of the order-21 group, the rows of
-    `_orbit_rows(ctx, 21)`, is eliminated and counts for its weight (3, 7
-    or 21) times q - 1 triples.  progress gets the share of the q^2 + q + 1
-    points decided, at most 64 times and last at 1.0.
+    `_orbit_rows(ctx, 21)`, counts for its weight (3, 7 or 21) times q - 1
+    triples.  At (alpha, beta, 1) with u, alpha, beta and H(alpha, beta, 1)
+    nonzero, off the curve alpha = u^2*beta^3, the kernel is 0, a and one
+    vector per root y outside {0, beta} (`geometry.SurfaceEvaluator.roots`),
+    so 2^k = 2 + #roots, and an impossible count raises AssertionError; any
+    other triple is eliminated.  Building the evaluator verifies the
+    identity chain (IdentityError).  progress gets the share of the
+    q^2 + q + 1 points decided, at most 64 times and last at 1.0.
     """
+    from .geometry import SurfaceEvaluator, _curve_alphas  # geometry imports this module
+
     _guard_family(ctx)
     q = ctx.q
     if ctx.m > SPECTRUM_MAX_M:
-        raise ValueError(f"exhaustive spectrum is limited to m <= {SPECTRUM_MAX_M}; "
-                         "use sampled witness search instead")
-    n = 3 * ctx.m
+        raise ValueError(f"the spectrum is limited to m <= {SPECTRUM_MAX_M} (the order-21 "
+                         "fold has 51,132,125 orbits at m = 15); use the sampled witness "
+                         "search instead")
+    ev = SurfaceEvaluator(u, ctx)
+    curve = _curve_alphas(u, ctx)
     points = q * q + q + 1
     done = 0
     hist: dict[int, int] = {}
-    for _, cols, weight in _representatives(ctx, u, fold=21):
-        k = len(_kernel(cols, n))
-        hist[k] = hist.get(k, 0) + (q - 1) * weight
-        done += weight
-        if progress is not None and done * 64 // points > (done - weight) * 64 // points:
-            progress(done / points)
+    for (al, _, ga), betas, weight in _orbit_rows(ctx, 21):
+        for be in betas:
+            if u and al and be and ga and al != curve[be] and ev.obstruction_value(al, be):
+                ys = ev.roots(al, be)
+                count = 2 + len(ys) - (0 in ys) - (be in ys)
+                if count & (count - 1):
+                    raise AssertionError(f"{count - 2} surface roots at {(al, be, ga)}: "
+                                         "2 + #roots is not a power of two")
+                k = count.bit_length() - 1
+            else:
+                k = len(_kernel(derivative_columns((al, be, ga), u, ctx), 3 * ctx.m))
+            hist[k] = hist.get(k, 0) + (q - 1) * weight
+            done += weight
+            if progress is not None and done * 64 // points > (done - weight) * 64 // points:
+                progress(done / points)
     total = sum(hist.values())
     if total != q ** 3 - 1:
         raise AssertionError(f"histogram covers {total} triples, expected {q ** 3 - 1}")
@@ -378,8 +402,8 @@ def is_permutation(u: int, ctx: FieldCtx) -> bool:
     costs only the rows before it.
     """
     _guard_family(ctx)
-    if ctx.m > SPECTRUM_MAX_M:
-        raise ValueError(f"permutation check is limited to m <= {SPECTRUM_MAX_M}")
+    if ctx.m > PERMUTATION_MAX_M:
+        raise ValueError(f"permutation check is limited to m <= {PERMUTATION_MAX_M}")
     return not any(_in_image(list(cols), pack_vec(eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
                    for a, cols, _ in _representatives(ctx, u, fold=21))
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from triapn import cli, derivative, formulas, gf2m, identities
+from triapn import cli, derivative, formulas, geometry, gf2m, identities
 from triapn.mpoly import ExactDivisionError, divide_exact, parse
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -185,7 +185,8 @@ def test_verify_identities_matches_frozen_json(capsys):
 def test_failing_surface_identity_is_a_verification_failure(capsys, monkeypatch, fresh_chain):
     monkeypatch.setattr(formulas, "SURFACE_COEFF_6_FACTORS",
                         formulas.SURFACE_COEFF_6_FACTORS + (("u", 1),))
-    for argv in (("surface", "--m", "3", "--u", "0x2"), ("bound",)):
+    for argv in (("surface", "--m", "3", "--u", "0x2"), ("spectrum", "--m", "3", "--u", "0x2"),
+                 ("apn-check", "--m", "3", "--u", "0x2"), ("bound",)):
         code, doc, err = run(capsys, *argv)
         assert code == 3 and doc is None
         assert "internal verification failure" in err
@@ -211,6 +212,22 @@ def test_surface_needs_the_w_cubic_check_alone(capsys, monkeypatch, fresh_chain)
     code, doc, err = run(capsys, "surface", "--m", "3")
     assert code == 3 and doc is None
     assert "internal verification failure" in err
+
+
+def test_impossible_root_count_is_a_verification_failure(capsys, monkeypatch):
+    # one root lost wherever there are two or more: some generic orbit then
+    # has 2 + #roots outside {0, beta} that is not a power of two
+    roots = geometry.SurfaceEvaluator.roots
+
+    def one_lost(ev, alpha, beta):
+        ys = roots(ev, alpha, beta)
+        return ys[:-1] if len(ys) >= 2 else ys
+
+    monkeypatch.setattr(geometry.SurfaceEvaluator, "roots", one_lost)
+    for command in ("spectrum", "apn-check"):
+        code, doc, err = run(capsys, command, "--m", "6", "--u", "0x2")
+        assert code == 3 and doc is None
+        assert "internal verification failure" in err and "not a power of two" in err
 
 
 # a wrong transcription, and the checks it must fail
@@ -249,7 +266,7 @@ def test_planted_transcription_fault_fails_its_checks(capsys, monkeypatch, fresh
     assert {c["name"] for c in doc["checks"] if c["status"] == "fail"} == failing
 
 
-@pytest.mark.parametrize("command", ["surface", "cross-validate"])
+@pytest.mark.parametrize("command", ["surface", "cross-validate", "spectrum", "apn-check"])
 @pytest.mark.parametrize("attr, value, failing", PLANTED_FAULTS, ids=FAULT_IDS)
 def test_planted_transcription_fault_stops_the_surface(capsys, monkeypatch, fresh_chain,
                                                        attr, value, failing, command):

@@ -244,7 +244,7 @@ def test_spectrum_guards():
     with pytest.raises(ValueError, match="3 \\| m"):
         dv.differential_spectrum(2, make_field(4))
     with pytest.raises(ValueError, match="limited"):
-        dv.differential_spectrum(2, make_field(12))
+        dv.differential_spectrum(2, make_field(15))
 
 
 def test_spectrum_m3_matches_per_triple_kernels():
@@ -255,6 +255,22 @@ def test_spectrum_m3_matches_per_triple_kernels():
             dim = str(len(dv.kernel_basis(dv.decode_triple(code, 3), u, F3)))
             hist[dim] = hist.get(dim, 0) + 1
         assert dv.differential_spectrum(u, F3)["histogram"] == hist
+
+
+def test_spectrum_eliminates_only_the_exceptional_orbits(monkeypatch):
+    # at m = 6, u = 0x2, 188 of the 201 orbits are generic: their kernel
+    # dimensions come from the surface's root counts
+    calls = []
+    kernel = dv._kernel
+
+    def counted(tagged, n):
+        calls.append(n)
+        return kernel(tagged, n)
+
+    monkeypatch.setattr(dv, "_kernel", counted)
+    golden = json.loads((GOLDEN / "spectrum_m6_u0x02.json").read_text())
+    assert dv.differential_spectrum(2, F6)["histogram"] == golden["histogram"]
+    assert len(calls) == 13
 
 
 def test_kernels_scale_with_the_triple():

@@ -533,6 +533,18 @@ def test_cross_validation_column_faults_match_the_certificate_path(monkeypatch):
         assert _outcome(2, F6) == expected, faults
 
 
+def test_cross_validation_reports_a_root_missing_from_a_smaller_kernel(monkeypatch):
+    # the fault takes the kernel at (1, 0x1A, 1) from dimension 3 to 2: its
+    # span still verifies, and 4 of the 6 rebuilt vectors fall outside it
+    walk = geo._representatives
+    monkeypatch.setattr(geo, "_representatives", _with_column_faults(walk, [((1, 26), 1, 0)]))
+    rep = geo.cross_validate(2, F6)
+    assert [(mm["direction"], mm["point"]["y"]) for mm in rep["mismatches"]] == \
+        [("surface_to_kernel", y) for y in ("0x4", "0x9", "0x13", "0x1E")]
+    assert all(mm["detail"].endswith("missing from the kernel solutions")
+               for mm in rep["mismatches"])
+
+
 def test_cross_validation_does_not_reverify_vectors_in_the_span(monkeypatch):
     # every rebuilt vector lies in the span that derivative's own
     # verify_solution checked, so geometry's is never asked again: with it
