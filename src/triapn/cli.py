@@ -160,7 +160,7 @@ def cmd_verify_cert(args) -> tuple[dict, int]:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: bad JSON or UTF-8
         raise ValueError(f"cannot read certificate: {err}") from None
     if isinstance(raw, dict) and "certificate" in raw:
         raw = raw["certificate"]  # accept a whole witness-search document

@@ -48,7 +48,7 @@ from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field, mu7_representativ
 
 Triple = tuple[int, int, int]
 
-# m = 12 takes about 7 s (2-core Xeon, Python 3.11): 791 of 799,113 orbits
+# m = 12 takes about 5 s (2-core Xeon, Python 3.11): 791 of 799,113 orbits
 # are eliminated for u = 0x3.  The permutation test eliminates every orbit.
 SPECTRUM_MAX_M = 12
 PERMUTATION_MAX_M = 9
@@ -334,11 +334,12 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
     `_orbit_rows(ctx, 21)`, counts for its weight (3, 7 or 21) times q - 1
     triples.  At (alpha, beta, 1) with u, alpha, beta and H(alpha, beta, 1)
     nonzero, off the curve alpha = u^2*beta^3, the kernel is 0, a and one
-    vector per root y outside {0, beta} (`geometry.SurfaceEvaluator.roots`),
-    so 2^k = 2 + #roots, and an impossible count raises AssertionError; any
-    other triple is eliminated.  Building the evaluator verifies the
-    identity chain (IdentityError).  progress gets the share of the
-    q^2 + q + 1 points decided, at most 64 times and last at 1.0.
+    vector per root y outside {0, beta} (`geometry.SurfaceEvaluator.solve_pair`,
+    which folds alpha in once per row), so 2^k = 2 + #roots, and an
+    impossible count raises AssertionError; any other triple is
+    eliminated.  Building the evaluator verifies the identity chain
+    (IdentityError).  progress gets the share of the q^2 + q + 1 points
+    decided, at most 64 times and last at 1.0.
     """
     from .geometry import SurfaceEvaluator, _curve_alphas  # geometry imports this module
 
@@ -354,9 +355,10 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
     done = 0
     hist: dict[int, int] = {}
     for (al, _, ga), betas, weight in _orbit_rows(ctx, 21):
+        row = u and al and ga
         for be in betas:
-            if u and al and be and ga and al != curve[be] and ev.obstruction_value(al, be):
-                ys = ev.roots(al, be)
+            h, ys = ev.solve_pair(al, be) if row and be and al != curve[be] else (0, None)
+            if h:
                 count = 2 + len(ys) - (0 in ys) - (be in ys)
                 if count & (count - 1):
                     raise AssertionError(f"{count - 2} surface roots at {(al, be, ga)}: "

@@ -5,15 +5,16 @@ gamma = 1 chart, a surface whose F_q-rational points (alpha, beta, y) with
 P_{alpha,beta,1}(y) = 0 reconstruct difference triples with at least four
 solutions.  The identity layer vouches that P = c6*w^3 + c2*w + c0 with
 w = y^2 + beta*y, so this module finds those roots in one place
-(``SurfaceEvaluator.roots``) in closed form: a depressed cubic in w, then
+(``SurfaceEvaluator.solve_pair``) in closed form: a depressed cubic in w, then
 an Artin-Schreier quadratic in y, both read from tables built once per
 field and process (`_field_tables`).  Every per-pair step (coefficients,
 roots, the degree-44 curve, rebuilt witness vectors) is log/exp-table
-arithmetic with no field-method call; `surface_coeffs` and `count_vs_band`
-stay on `FieldCtx.mul` as oracles.  The identity layer verifies P once per
-process, so an evaluator for a new u only compiles the coefficients at that
-u.  It counts the points over one (alpha, beta) per orbit of the order-7
-scaling, lists them and rebuilds witness certificates from them,
+arithmetic with no field-method call, and alpha is folded into the
+coefficients once per row of a walk; `surface_coeffs` and `count_vs_band`
+stay oracles.  The identity layer verifies P once per process, so an
+evaluator for a new u compiles only c_0, c_2, c_6 and H at that u.  It
+counts the points over one (alpha, beta) per orbit of the order-7 scaling,
+lists them and rebuilds witness certificates from them,
 cross-validates the surface pipeline against the kernel pipeline in one
 sweep of the chart, and evaluates the point-count lower bound that closes
 the argument for large fields - in exact integer arithmetic, with every
@@ -28,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from . import identities
 from .derivative import (Triple, WitnessCertificate, _kernel, _kernel_solutions, _orbit_rows,
                          _representatives, build_certificate, pack_vec, verify_solution)
 from .gf2m import FieldCtx, elem_to_hex
-from .mpoly import MPoly
+from .mpoly import MPoly, divide_exact
 
 SURFACE_MAX_M = 12
 # points listed one by one, by --list-points and cross-validate
@@ -99,9 +100,9 @@ def _compile(poly: MPoly, u: int, ctx: FieldCtx) -> list[tuple[int, int, int]]:
     return [(ea, eb, ctx._log[c]) for (ea, eb), c in sorted(folded.items()) if c]
 
 
-# At most 8 fields, the bound of `gf2m._field`.  One entry takes 0.34 MiB at
-# m = 9 and 3.5 MiB at m = 12, the largest field the surface runs on
-# (tracemalloc), so the cache holds at most about 28 MiB.
+# At most 8 fields, the bound of `gf2m._field`.  One entry takes 0.23 MiB at
+# m = 9 and 2.0 MiB at m = 12, the largest field the surface runs on
+# (tracemalloc), so the cache holds at most about 16 MiB.
 @lru_cache(maxsize=8)
 def _field_tables(ctx: FieldCtx, max_e: int) -> tuple[list, ...]:
     """The tables of `SurfaceEvaluator` that depend on the field alone.
@@ -110,9 +111,8 @@ def _field_tables(ctx: FieldCtx, max_e: int) -> tuple[list, ...]:
     evaluator compiles.  Returns (exp, logs, sqrt, artin_schreier,
     depressed, cbrt): three periods of the field's exp table and then
     zeros, the row of exponent logs of every element, and the root
-    solver's tables from one pass over the field: v^2 -> v, the smallest s
-    with s^2 + s = c, v^3 + v -> [v] and v^3 -> [v] (lists in increasing
-    order).
+    solver's tables from one pass over v != 0: v^2 -> v, c = v^2 + v != 0
+    -> (log v, log(v + 1)), v^3 + v -> [log v] and v^3 -> [log v].
     """
     q, n, log = ctx.q, ctx.q - 1, ctx._log
     # a term's index is below 3n without a sentinel, at least 3n with one
@@ -120,52 +120,93 @@ def _field_tables(ctx: FieldCtx, max_e: int) -> tuple[list, ...]:
     sentinel = 3 * n
     exp = ctx._exp2[:n] * 3 + [0] * (4 * n)
     logs = [[0] + [sentinel] * max_e]
-    logs += [[e * log[v] % n for e in range(max_e + 1)] for v in range(1, q)]
+    # the rows share one int object per value, so the table stays compact
+    shared = list(range(n))
+    logs += [[shared[e * log[v] % n] for e in range(max_e + 1)] for v in range(1, q)]
     sqrt, artin_schreier = [0] * q, [None] * q
     depressed, cbrt = [[] for _ in range(q)], [[] for _ in range(q)]
-    for v in range(q):
+    for v in range(1, q):
         v2 = ctx.square(v)
         v3 = ctx.mul(v2, v)
         sqrt[v2] = v
-        if artin_schreier[v2 ^ v] is None:
-            artin_schreier[v2 ^ v] = v
-        depressed[v3 ^ v].append(v)
-        cbrt[v3].append(v)
+        if v2 ^ v and artin_schreier[v2 ^ v] is None:
+            artin_schreier[v2 ^ v] = (log[v], log[v ^ 1])
+        depressed[v3 ^ v].append(log[v])
+        cbrt[v3].append(log[v])
     return exp, logs, sqrt, artin_schreier, depressed, cbrt
+
+
+@lru_cache(maxsize=1)
+def _surface_polynomials() -> tuple:
+    """(c_0 .. c_6, rhs [c_4, c_2, c_1], H, c_0/H, max_e) of the verified chain, once per process.
+
+    The chain verifies that H divides c_0.  max_e is the largest exponent
+    of a or b among them.  A failed verification raises IdentityError,
+    which is not remembered.
+    """
+    coeffs = identities.verified_surface_coefficients()
+    rhs = identities.linearized_rhs_polynomial()
+    rhs = tuple(rhs.coeff_of("y", k) for k in (4, 2, 1))
+    h = identities.obstruction_polynomial()
+    max_e = max(max(p.degree("a"), p.degree("b")) for p in (*coeffs, *rhs, h))
+    return coeffs, rhs, h, divide_exact(coeffs[0], h), max_e
 
 
 class SurfaceEvaluator:
     """Specialized evaluation in the gamma = 1 chart for a fixed u.
 
-    Construction compiles the coefficient polynomials at u into terms
-    (a-exponent, b-exponent, log of the constant); that is all it does per
-    u.  The row of exponent logs of each field element, v -> [e*log v mod
-    (q-1)], and the root solver's tables depend on the field alone and
-    come from `_field_tables`, built once per field.  The row of 0 holds 0
-    for the exponent 0 (so 0^0 = 1) and a sentinel for every other
-    exponent; the exp table reads 0 at any index that contains a sentinel.
-    A term alpha^ea*beta^eb*c is then one lookup,
-    exp[row(alpha)[ea] + row(beta)[eb] + log c].  The root solver works on
-    the logs of the coefficients in the same way, so `roots` makes no
-    `FieldCtx` call; `surface_coeffs` evaluates every coefficient for the
-    oracles that check it.
+    Construction compiles H, K = c_0/H, c_2 and c_6 at u into terms
+    (a-exponent, b-exponent, log of the constant), the polynomials the
+    walkers read at every pair; the others compile on first read.  The
+    row of exponent logs of each field element, v -> [e*log v mod (q-1)],
+    and the root solver's tables depend on the field alone and come from
+    `_field_tables`.  The row of 0 holds 0 for the exponent 0 (so 0^0 = 1)
+    and a sentinel for every other exponent; the exp table reads 0 at any
+    index that contains a sentinel.  A term alpha^ea*beta^eb*c is then one
+    lookup, exp[row(alpha)[ea] + row(beta)[eb] + log c].  `solve_pair`
+    folds alpha in once per row (`_fold`), so a pair costs one add and one
+    lookup per power of beta, and the root solver works on logs too: it
+    makes no `FieldCtx` call.  `surface_coeffs` and `rhs_coeffs` evaluate
+    the unfolded terms, for the oracles.
     """
 
     def __init__(self, u: int, ctx: FieldCtx):
         self.u = u
         self.ctx = ctx
-        coeffs = identities.verified_surface_coefficients()
-        rhs = identities.linearized_rhs_polynomial()
-        polys = [*coeffs, *(rhs.coeff_of("y", k) for k in (4, 2, 1)),
-                 identities.obstruction_polynomial()]
-        max_e = max(max(p.degree("a"), p.degree("b")) for p in polys)
+        self._polys = coeffs, _, h, k, max_e = _surface_polynomials()
         (self._exp, self._logs, self._sqrt, self._artin_schreier, self._depressed,
          self._cbrt) = _field_tables(ctx, max_e)
         self._log = ctx._log
-        compiled = [_compile(p, u, ctx) for p in polys]
-        self._surface = compiled[:7]
-        self._rhs = dict(zip((4, 2, 1), compiled[7:10]))
-        self._obstruction = compiled[10]
+        self._terms = [_compile(p, u, ctx) for p in (h, k, coeffs[2], coeffs[6])]
+        self._alpha = None
+
+    @cached_property
+    def _surface(self) -> list:
+        _, _, c2, c6 = self._terms
+        c0, c1, c3, c4, c5 = (_compile(self._polys[0][k], self.u, self.ctx)
+                              for k in (0, 1, 3, 4, 5))
+        return [c0, c1, c2, c3, c4, c5, c6]
+
+    @cached_property
+    def _rhs(self) -> list:
+        return [_compile(p, self.u, self.ctx) for p in self._polys[1]]
+
+    def _fold(self, alpha: int) -> None:
+        """Fold alpha into H, K, c_2 and c_6: one (log C, eb) per nonzero C*beta^eb.
+
+        C sums alpha^ea*c over the terms with that eb, so an index
+        log C + row(beta)[eb] is below 2n, or below 4n with a sentinel; c_0
+        adds log H, below n.
+        """
+        alogs, exp, log = self._logs[alpha], self._exp, self._log
+        folded = []
+        for t in self._terms:
+            by_eb: dict[int, int] = {}
+            for ea, eb, lc in t:
+                by_eb[eb] = by_eb.get(eb, 0) ^ exp[alogs[ea] + lc]
+            folded.append([(log[c], eb) for eb, c in by_eb.items() if c])
+        self._fh, self._fk, self._f2, self._f6 = folded
+        self._alpha = alpha
 
     def _value(self, terms, alogs, blogs) -> int:
         exp = self._exp
@@ -179,69 +220,78 @@ class SurfaceEvaluator:
         alogs, blogs = self._logs[alpha], self._logs[beta]
         return [self._value(t, alogs, blogs) for t in self._surface]
 
-    def _cubic_coeffs(self, alpha: int, beta: int) -> tuple[int, int, int]:
-        """(c_0, c_2, c_6): the coefficients of P as a cubic in w = y^2 + beta*y."""
-        exp, alogs, blogs = self._exp, self._logs[alpha], self._logs[beta]
-        t0, _, t2, _, _, _, t6 = self._surface
-        c0 = c2 = c6 = 0
-        for ea, eb, lc in t0:
-            c0 ^= exp[alogs[ea] + blogs[eb] + lc]
-        for ea, eb, lc in t2:
-            c2 ^= exp[alogs[ea] + blogs[eb] + lc]
-        for ea, eb, lc in t6:
-            c6 ^= exp[alogs[ea] + blogs[eb] + lc]
-        return c0, c2, c6
-
     def _solve(self, c0: int, c2: int, c6: int, beta: int) -> list[int]:
         """The y in F_q with c6*w^3 + c2*w + c0 = 0 for w = y^2 + beta*y, sorted.
 
-        Sums of logs, offset by multiples of n = q-1 to index exp in [0, 3n);
+        The roots w != 0 are kept as logs, and w = 0 apart (zero).  Sums of
+        logs are offset by multiples of n = q-1 to index exp in [0, 3n);
         log[0] reads 0, the log of 1, so each operand that can be 0 is tested.
         """
         log, exp, n = self._log, self._exp, self.ctx.q - 1
+        lws, zero = [], not c0
         if c6:
             if c2:
                 # w = s*v turns w^3 + p*w + r into v^3 + v = r/(p*s) for p = c2/c6,
                 # r = c0/c6 and s = sqrt(p); halving a log mod n is times q/2
                 ls = (log[c2] - log[c6]) * ((n + 1) // 2) % n
                 t = exp[log[c0] - log[c2] - ls + 2 * n] if c0 else 0
-                ws = [exp[ls + log[v]] if v else 0 for v in self._depressed[t]]
-            else:
-                ws = self._cbrt[exp[log[c0] - log[c6] + n] if c0 else 0]
+                lws = [ls + lv for lv in self._depressed[t]]
+            elif c0:
+                lws = self._cbrt[exp[log[c0] - log[c6] + n]]
         elif c2:
-            ws = [exp[log[c0] - log[c2] + n] if c0 else 0]
+            if c0:
+                lws = [log[c0] - log[c2] + n]
         elif c0:
             return []
         else:
             return list(range(n + 1))
         if not beta:
-            return sorted([self._sqrt[w] for w in ws])
+            return sorted([self._sqrt[exp[lw]] for lw in lws] + [0] * zero)
         # y = beta*t with t^2 + t = w/beta^2; distinct w give disjoint pairs of y
-        out = []
+        out = [0, beta] if zero else []
         lb = log[beta]
-        for w in ws:
-            t = self._artin_schreier[exp[log[w] - 2 * lb + 2 * n] if w else 0]
-            if t is not None:
-                out += (exp[lb + log[t]] if t else 0, exp[lb + log[t ^ 1]] if t ^ 1 else 0)
+        over_b2 = n - 2 * lb % n
+        for lw in lws:
+            ts = self._artin_schreier[exp[lw + over_b2]]
+            if ts:
+                out += (exp[lb + ts[0]], exp[lb + ts[1]])
         return sorted(out)
 
-    def roots(self, alpha: int, beta: int) -> list[int]:
-        """The y in F_q with P_{alpha,beta,1}(y) = 0, in increasing order.
+    def solve_pair(self, alpha: int, beta: int) -> tuple[int, list[int]]:
+        """H(alpha, beta, 1) and the y in F_q with P_{alpha,beta,1}(y) = 0, in increasing order.
 
-        This is the only place P is evaluated in y.  It reads c_0, c_2 and
-        c_6 alone, since P = c_6*w^3 + c_2*w + c_0 with w = y^2 + beta*y,
-        solves the cubic for w and then y^2 + beta*y = w for y, from the
-        tables, with no scan over the field.
+        This is the only place P is evaluated in y.  It reads c_0 = K*H,
+        c_2 and c_6 alone, since P = c_6*w^3 + c_2*w + c_0 with
+        w = y^2 + beta*y, solves the cubic for w and then y^2 + beta*y = w
+        for y, from the tables, with no scan over the field.
         """
-        return self._solve(*self._cubic_coeffs(alpha, beta), beta)
+        if alpha != self._alpha:
+            self._fold(alpha)
+        exp, blogs = self._exp, self._logs[beta]
+        h = c0 = c2 = c6 = 0
+        for la, eb in self._fh:
+            h ^= exp[la + blogs[eb]]
+        if h:
+            lh = self._log[h]
+            for la, eb in self._fk:
+                c0 ^= exp[lh + la + blogs[eb]]
+        for la, eb in self._f2:
+            c2 ^= exp[la + blogs[eb]]
+        for la, eb in self._f6:
+            c6 ^= exp[la + blogs[eb]]
+        return h, self._solve(c0, c2, c6, beta)
+
+    def roots(self, alpha: int, beta: int) -> list[int]:
+        """The y in F_q with P_{alpha,beta,1}(y) = 0, in increasing order."""
+        return self.solve_pair(alpha, beta)[1]
+
+    def obstruction_value(self, alpha: int, beta: int) -> int:
+        return self.solve_pair(alpha, beta)[0]
 
     def rhs_coeffs(self, alpha: int, beta: int) -> list[int]:
         """[c_4, c_2, c_1]: the linearized right-hand side is c_4*y^4 + c_2*y^2 + c_1*y."""
         alogs, blogs = self._logs[alpha], self._logs[beta]
-        return [self._value(self._rhs[k], alogs, blogs) for k in (4, 2, 1)]
-
-    def obstruction_value(self, alpha: int, beta: int) -> int:
-        return self._value(self._obstruction, self._logs[alpha], self._logs[beta])
+        return [self._value(t, alogs, blogs) for t in self._rhs]
 
 
 def _guard_surface(ctx: FieldCtx, points_listed: str | None = None) -> None:
@@ -314,7 +364,7 @@ def surface_report(
     has_witness = False
     for i, (alpha, betas, weight) in enumerate(rows, 1):
         for beta in betas:
-            roots = ev.roots(alpha, beta)
+            h, roots = ev.solve_pair(alpha, beta)
             if not roots:
                 continue
             k = len(roots)
@@ -325,8 +375,7 @@ def surface_report(
                 curve += weight * k
             elif k > on_lines:
                 kept += weight * (k - on_lines)
-                if emit_witness and not has_witness:
-                    has_witness = ev.obstruction_value(alpha, beta) != 0
+                has_witness = has_witness or h != 0
         if progress is not None:
             progress(i / len(rows))
     doc = {"counts": {"total": total, "on_excluded_lines": lines,
@@ -457,12 +506,14 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
         alpha, beta, gamma = a
         if progress is not None and gamma and not beta:
             progress(alpha / ctx.q)
-        if not (alpha and beta and gamma) or alpha == curve_alphas[beta] \
-                or not (h := ev.obstruction_value(alpha, beta)):
+        if not (alpha and beta and gamma) or alpha == curve_alphas[beta]:
+            continue
+        h, roots = ev.solve_pair(alpha, beta)
+        if not h:
             continue
         triples += 1
         basis = _kernel(cols, 3 * m)
-        roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
+        roots = [y for y in roots if y not in (0, beta)]
         solutions = None
         if len(basis) >= 2:
             witnesses += 1
@@ -612,7 +663,7 @@ def count_vs_band(u: int, ctx: FieldCtx) -> dict:
 
     The count is the number of points ``iter_surface_points`` yields; it is
     re-summed beta-major with explicit power sums, an evaluation of P
-    independent of ``SurfaceEvaluator.roots``, and only that exactness is
+    independent of ``SurfaceEvaluator.solve_pair``, and only that exactness is
     asserted.  The
     band is informational: it formally applies to an absolutely irreducible
     component of possibly smaller degree, and at small m it is vacuous

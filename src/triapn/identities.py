@@ -467,6 +467,7 @@ def verified_surface_coefficients() -> tuple[MPoly, ...]:
     return tuple(surface_coefficient(k) for k in range(7))
 
 
+@lru_cache(maxsize=1)
 def obstruction_polynomial() -> MPoly:
-    """The transcribed degree-7 obstruction form in a, b, g."""
+    """The transcribed degree-7 obstruction form in a, b, g, parsed once per process."""
     return _p(formulas.OBSTRUCTION_FORM)

@@ -131,6 +131,19 @@ def test_verify_cert_usage_errors(capsys, tmp_path):
         assert code == 2 and "malformed certificate" in err
 
 
+def test_unreadable_certificate_is_a_usage_error(capsys, tmp_path):
+    # json.load overflows the recursion limit on deep nesting, and a bad
+    # byte fails to decode: both are files that cannot be read
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"schema": "witness/1", "m": "\xe9"}')
+    for path in (deep, latin):
+        code, doc, err = run(capsys, "verify-cert", str(path))
+        assert code == 2 and doc is None
+        assert err.startswith("error: cannot read certificate: "), err
+
+
 def test_exhaustive_witness_starts_no_pool(capsys):
     # 262,657 points at m=9, but the search ends at its first witness in-process
     one = run(capsys, "witness", "--m", "9", "--u", "0x7", "--threads", "1")
@@ -217,13 +230,13 @@ def test_surface_needs_the_w_cubic_check_alone(capsys, monkeypatch, fresh_chain)
 def test_impossible_root_count_is_a_verification_failure(capsys, monkeypatch):
     # one root lost wherever there are two or more: some generic orbit then
     # has 2 + #roots outside {0, beta} that is not a power of two
-    roots = geometry.SurfaceEvaluator.roots
+    solve_pair = geometry.SurfaceEvaluator.solve_pair
 
     def one_lost(ev, alpha, beta):
-        ys = roots(ev, alpha, beta)
-        return ys[:-1] if len(ys) >= 2 else ys
+        h, ys = solve_pair(ev, alpha, beta)
+        return h, ys[:-1] if len(ys) >= 2 else ys
 
-    monkeypatch.setattr(geometry.SurfaceEvaluator, "roots", one_lost)
+    monkeypatch.setattr(geometry.SurfaceEvaluator, "solve_pair", one_lost)
     for command in ("spectrum", "apn-check"):
         code, doc, err = run(capsys, command, "--m", "6", "--u", "0x2")
         assert code == 3 and doc is None
@@ -246,7 +259,8 @@ def fresh_chain():
     """Empty the cached chain objects around a test that plants a fault."""
     cached = (identities.linearized_rhs_polynomial, identities.linearized_equation,
               identities.eliminant, identities.surface_polynomial,
-              identities.verified_surface_coefficients)
+              identities.verified_surface_coefficients, identities.obstruction_polynomial,
+              geometry._surface_polynomials)
     for fn in cached:
         fn.cache_clear()
     yield

@@ -10,7 +10,7 @@ import pytest
 from triapn import geometry as geo
 from triapn import identities
 from triapn.derivative import (CertificateError, _kernel, build_certificate, derivative_columns,
-                               pack_vec)
+                               differential_spectrum, pack_vec)
 from triapn.gf2m import FieldCtx, make_field
 from triapn.mpoly import parse
 
@@ -206,13 +206,62 @@ def test_surface_setup_runs_once_per_process(monkeypatch):
     monkeypatch.setattr(FieldCtx, "square", boom)
     ev = geo.SurfaceEvaluator(0x3, F6)
     monkeypatch.undo()
-    for cached in (identities.verified_surface_coefficients,
-                   identities.linearized_rhs_polynomial, geo._field_tables):
+    for cached in (identities.verified_surface_coefficients, identities.linearized_rhs_polynomial,
+                   identities.obstruction_polynomial, geo._surface_polynomials, geo._field_tables):
         cached.cache_clear()
     fresh = geo.SurfaceEvaluator(0x3, F6)
     for alpha in range(64):
         for beta in range(64):
             assert ev.roots(alpha, beta) == fresh.roots(alpha, beta), (alpha, beta)
+
+
+def test_a_new_u_compiles_only_what_the_walkers_read(monkeypatch):
+    # H, c_0/H, c_2 and c_6 per u; the other c_k and the rhs on first read, once
+    compiled, compile_ = [], geo._compile
+
+    def spy(poly, u, ctx):
+        compiled.append(poly)
+        return compile_(poly, u, ctx)
+
+    geo.SurfaceEvaluator(0x5, F6)  # the per-process set-up, outside the count
+    monkeypatch.setattr(geo, "_compile", spy)
+    differential_spectrum(0x2, F6)
+    assert len(compiled) == 4
+    ev = geo.SurfaceEvaluator(0x3, F6)
+    assert len(compiled) == 8
+    for _ in range(2):
+        ev.rhs_coeffs(5, 9)
+    assert len(compiled) == 11
+    for _ in range(2):
+        ev.surface_coeffs(5, 9)
+    coeffs, rhs, h, k, _ = geo._surface_polynomials()
+    assert len(compiled) == 16
+    assert sorted(map(id, compiled[4:])) == sorted(map(id, (*coeffs, *rhs, h, k)))
+
+
+def _folded_against_unfolded(monkeypatch, ev, pairs):
+    """The c_0, c_2, c_6 that solve_pair hands its solver, and H, against the unfolded terms."""
+    seen = []
+    monkeypatch.setattr(ev, "_solve", lambda c0, c2, c6, beta: seen.append((c0, c2, c6)))
+    h_terms = ev._terms[0]
+    for alpha, beta in pairs:
+        h, _ = ev.solve_pair(alpha, beta)
+        c = ev.surface_coeffs(alpha, beta)
+        assert seen.pop() == (c[0], c[2], c[6]), (ev.u, alpha, beta)
+        assert h == ev._value(h_terms, ev._logs[alpha], ev._logs[beta]), (ev.u, alpha, beta)
+
+
+def test_row_fold_matches_the_unfolded_terms(monkeypatch):
+    # alpha-major pairs reuse each row's fold; beta-major ones refold at every pair.
+    # H vanishes only for a 7th power u, and c_0 = K*H with K = 0 at u = 0x1
+    every = [(alpha, beta) for alpha in range(64) for beta in range(64)]
+    for u in (0x1, 0x2, 0x3, 0x6):
+        ev = geo.SurfaceEvaluator(u, F6)
+        _folded_against_unfolded(monkeypatch, ev, every)
+        _folded_against_unfolded(monkeypatch, ev, [(a, b) for b, a in every])
+    rng = random.Random(2000)
+    pairs = [(rng.randrange(512), rng.randrange(512)) for _ in range(2000)]
+    _folded_against_unfolded(monkeypatch, geo.SurfaceEvaluator(0x7, F9), pairs)
 
 
 def test_surface_counts_m6_frozen():
@@ -558,13 +607,12 @@ def test_cross_validation_does_not_reverify_vectors_in_the_span(monkeypatch):
 def test_cross_validation_planted_fault_is_detected(monkeypatch):
     # a wrong constant term of P moves its roots: both directions must fire,
     # every kernel-to-surface mismatch listed before any surface-to-kernel one
-    coeffs = geo.SurfaceEvaluator._cubic_coeffs
+    solve = geo.SurfaceEvaluator._solve
 
-    def flipped(ev, alpha, beta):
-        c0, c2, c6 = coeffs(ev, alpha, beta)
-        return c0 ^ 1, c2, c6
+    def flipped(ev, c0, c2, c6, beta):
+        return solve(ev, c0 ^ 1, c2, c6, beta)
 
-    monkeypatch.setattr(geo.SurfaceEvaluator, "_cubic_coeffs", flipped)
+    monkeypatch.setattr(geo.SurfaceEvaluator, "_solve", flipped)
     rep = geo.cross_validate(2, F6)
     directions = [mm["direction"] for mm in rep["mismatches"]]
     assert directions == ["kernel_to_surface"] * 1680 + ["surface_to_kernel"] * 3704
