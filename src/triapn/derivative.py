@@ -10,14 +10,14 @@ columns is F_2-linear in its value, so `derivative_columns` XORs the tags
 with the shares of the coordinates' set bits: monomials t^n and u*t^n
 reduced mod the modulus, laid out once per (field, u).  Every elimination
 runs on those columns, in one process: the scans walk the rows of
-`_orbit_rows`, each row (alpha, 0, gamma) adding its betas' shares from
-one table or, in the spectrum, building a triple's columns; and the
-per-triple kernel basis behind sampled search and certificates.  A witness
-is a triple whose kernel has dimension >= 2 (at least 4 solutions),
-packaged as a certificate whose re-verification uses no elimination:
-direct arithmetic on each solution and the span of the basis
-(`_kernel_solutions`, which the surface cross-validation also runs on the
-kernel of a row walk's columns).
+`_orbit_rows`, the unfolded walk stepping from each beta to the next by
+linearity (`_representatives`) and the folded ones building a triple's
+columns; and the per-triple kernel basis behind sampled search and
+certificates.  A witness is a triple whose kernel has dimension >= 2 (at
+least 4 solutions), packaged as a certificate whose re-verification uses
+no elimination: direct arithmetic on each solution and the span of the
+basis (`_kernel_solutions`, which the surface cross-validation also runs
+on the kernel of a row walk's columns).
 
 The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
 sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from operator import xor
 from typing import Iterable, Iterator
 
@@ -52,8 +53,8 @@ Triple = tuple[int, int, int]
 # are eliminated for u = 0x3.  The permutation test eliminates every orbit.
 SPECTRUM_MAX_M = 12
 PERMUTATION_MAX_M = 9
-# The exhaustive witness search builds `_beta_shares`, q lists of 3m ints:
-# 0.6 MiB at m = 9, 6.2 MiB at m = 12 and 63.9 MiB at m = 15 (tracemalloc).
+# The exhaustive witness search can show that no witness exists only by
+# walking all q^2 + q + 1 points, about 1.1e9 at m = 15.
 WITNESS_MAX_M = 15
 # Largest m a loaded certificate may name.  The field's irreducibility test
 # grows about cubically in m, so an unbounded m lets a certificate file keep
@@ -194,40 +195,18 @@ def _kernel(tagged: Iterable[int], n: int) -> list[int]:
     return kernel
 
 
-def _echelon_basis(cols: list[int]) -> list[int]:
-    """The kernel of 3m tagged columns as packed 3m-bit ints, in reduced echelon form.
+def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
+    """Basis of the solutions at a as packed 3m-bit ints, in reduced echelon form.
 
-    The columns must reach `_kernel` in decreasing tag order: then each
-    vector's lowest set bit is set in no other vector, which makes the
-    basis unique, and reversing returns it in increasing pivot order.
+    The columns reach `_kernel` in decreasing tag order: then each vector's
+    lowest set bit is set in no other vector, which makes the basis unique,
+    and reversing returns it in increasing pivot order.
     """
+    cols = derivative_columns(a, u, ctx)
     return _kernel(reversed(cols), len(cols))[::-1]
 
 
-def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
-    """Basis of the solutions at a as packed 3m-bit ints, in reduced echelon form."""
-    return _echelon_basis(derivative_columns(a, u, ctx))
-
-
 # -- the scan over projective points -----------------------------------------------
-
-
-# One entry, whose size is given at WITNESS_MAX_M.  Its callers, through
-# `_representatives` (the permutation test, the exhaustive witness search and
-# the cross-validation), read one u at a time; the spectrum does not build it.
-@lru_cache(maxsize=1)
-def _beta_shares(m: int, modulus: int, u: int) -> list[list[int]]:
-    """Beta's share for every value in F_q.
-
-    Expanded from `_unit_shares` by linearity: the share of c is the share
-    of c without its lowest bit, XOR the unit share of that bit.
-    """
-    units = _unit_shares(m, modulus, u)[1]
-    table = [[0] * (3 * m)]
-    for c in range(1, 1 << m):
-        low = c & -c
-        table.append(list(map(xor, table[c ^ low], units[low.bit_length() - 1])))
-    return table
 
 
 def _orbit_rows(ctx: FieldCtx, fold: int = 1) -> Iterator:
@@ -304,17 +283,22 @@ def _rotation_rows(ctx: FieldCtx) -> Iterator:
         yield from (((exp[a], 0, 1), betas, w) for w, betas in rows.items() if betas)
 
 
-def _representatives(ctx: FieldCtx, u: int, fold: int = 1):
-    """(triple, columns, weight) along the rows of `_orbit_rows(ctx, fold)`, lazily.
+def _representatives(ctx: FieldCtx, u: int) -> Iterator:
+    """(triple, columns) at every point, along the rows of the unfolded `_orbit_rows`.
 
-    Each row takes its columns from `derivative_columns`, and each beta
-    adds its share.
+    A row's betas run up by one, and beta - 1 differs from beta in the bits
+    below and at t, the lowest set bit of beta; by linearity the columns XOR
+    the sum of beta's unit shares 0..t.  The columns yielded are the walk's
+    running state: a caller that edits them must copy them first.
     """
-    shares = _beta_shares(ctx.m, ctx.modulus, u)
-    for (al, _, ga), betas, weight in _orbit_rows(ctx, fold):
-        base = derivative_columns((al, 0, ga), u, ctx)
-        for be in betas:
-            yield (al, be, ga), map(xor, base, shares[be]), weight
+    carry = list(accumulate(_unit_shares(ctx.m, ctx.modulus, u)[1],
+                            lambda acc, unit: list(map(xor, acc, unit))))
+    for (al, _, ga), betas, _ in _orbit_rows(ctx):
+        cols = derivative_columns((al, betas[0], ga), u, ctx)
+        yield (al, betas[0], ga), cols
+        for be in betas[1:]:
+            cols = list(map(xor, cols, carry[(be & -be).bit_length() - 1]))
+            yield (al, be, ga), cols
 
 
 # -- spectra and the permutation test ----------------------------------------------
@@ -406,8 +390,10 @@ def is_permutation(u: int, ctx: FieldCtx) -> bool:
     _guard_family(ctx)
     if ctx.m > PERMUTATION_MAX_M:
         raise ValueError(f"permutation check is limited to m <= {PERMUTATION_MAX_M}")
-    return not any(_in_image(list(cols), pack_vec(eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
-                   for a, cols, _ in _representatives(ctx, u, fold=21))
+    m = ctx.m
+    return not any(_in_image(derivative_columns((al, be, ga), u, ctx),
+                             pack_vec(eval_cu(al, be, ga, u, ctx), m), 3 * m)
+                   for (al, _, ga), betas, _ in _orbit_rows(ctx, 21) for be in betas)
 
 
 # -- witness certificates -----------------------------------------------------------
@@ -507,7 +493,7 @@ def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | 
     """
     if a == (0, 0, 0):
         raise ValueError("the difference triple must be nonzero")
-    basis = _echelon_basis(derivative_columns(a, u, ctx))
+    basis = kernel_basis(a, u, ctx)
     if len(basis) < 2:
         return None
     m = ctx.m
@@ -603,7 +589,7 @@ def _first_witness(u: int, ctx: FieldCtx) -> WitnessCertificate | None:
 
     Walks the q^2 + q + 1 projective points of the unfolded `_orbit_rows`.
     """
-    for (al, be, ga), cols, _ in _representatives(ctx, u):
+    for (al, be, ga), cols in _representatives(ctx, u):
         if len(_kernel(cols, 3 * ctx.m)) >= 2:
             cert = build_certificate((ga, al, be), u, ctx)
             if cert is None:

@@ -33,8 +33,9 @@ from functools import cached_property, lru_cache
 from typing import Iterator
 
 from . import identities
-from .derivative import (Triple, WitnessCertificate, _kernel, _kernel_solutions, _orbit_rows,
-                         _representatives, build_certificate, pack_vec, verify_solution)
+from .derivative import (Triple, WitnessCertificate, _guard_family, _kernel, _kernel_solutions,
+                         _orbit_rows, _representatives, build_certificate, pack_vec,
+                         verify_solution)
 from .gf2m import FieldCtx, elem_to_hex
 from .mpoly import MPoly, divide_exact
 
@@ -295,8 +296,7 @@ class SurfaceEvaluator:
 
 
 def _guard_surface(ctx: FieldCtx, points_listed: str | None = None) -> None:
-    if ctx.m % 3 != 0:
-        raise ValueError(f"the family needs 3 | m; got m={ctx.m}")
+    _guard_family(ctx)
     if ctx.m > SURFACE_MAX_M:
         raise ValueError(f"surface point counts are limited to m <= {SURFACE_MAX_M}")
     if points_listed and ctx.m > POINTS_MAX_M:
@@ -478,10 +478,10 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     One sweep over the pairs (alpha, beta) with alpha*beta != 0 off the
     degree-44 curve checks every triple (alpha, beta, 1), with no fold: a
     fault at one pair need not repeat along its orbit.  The columns come
-    from the row walk `_representatives(ctx, u)`: the base columns of
-    (alpha, 0, 1) XOR beta's share.  Both directions hold only where the
-    obstruction form h = H(alpha, beta, 1) is nonzero, so pairs with h = 0
-    are skipped (there are none for a u that is not a 7th power).
+    from the row walk `_representatives(ctx, u)`.  Both directions hold
+    only where the obstruction form h = H(alpha, beta, 1) is nonzero, so
+    pairs with h = 0 are skipped (there are none for a u that is not a 7th
+    power).
 
     Each pair runs one elimination.  Where its kernel has dimension >= 2,
     `_kernel_solutions` checks the span as `build_certificate` would,
@@ -502,7 +502,7 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     m, mask = ctx.m, ctx.q - 1
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
-    for a, cols, _ in _representatives(ctx, u):
+    for a, cols in _representatives(ctx, u):
         alpha, beta, gamma = a
         if progress is not None and gamma and not beta:
             progress(alpha / ctx.q)

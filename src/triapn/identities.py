@@ -279,6 +279,13 @@ def surface_coefficient(k: int) -> MPoly:
     return surface_polynomial().coeff_of("y", k)
 
 
+def _surface_top_terms() -> MPoly:
+    """The transcribed y^6..y^3 terms of the surface polynomial."""
+    return _expand(
+        (formulas.SURFACE_COEFF_6_FACTORS, "y^6"), (formulas.SURFACE_COEFF_5_FACTORS, "y^5"),
+        (formulas.SURFACE_COEFF_4_FACTORS, "y^4"), (formulas.SURFACE_COEFF_3_FACTORS, "y^3"))
+
+
 def verify_eliminant_factorization() -> CheckResult:
     """The eliminant factors through y*(y+b) and the transcribed coefficients.
 
@@ -292,10 +299,8 @@ def verify_eliminant_factorization() -> CheckResult:
     ok = R.degree("y") == 8
     notes.append(f"eliminant y-degree {R.degree('y')} (expected 8)")
     c2 = P.coeff_of("y", 2)
-    rebuilt = c2 * _p("y^2 + b*y") + _expand(
-        (formulas.SURFACE_COEFF_6_FACTORS, "y^6"), (formulas.SURFACE_COEFF_5_FACTORS, "y^5"),
-        (formulas.SURFACE_COEFF_4_FACTORS, "y^4"), (formulas.SURFACE_COEFF_3_FACTORS, "y^3"),
-        (formulas.SURFACE_COEFF_0_FACTORS, "1"))
+    rebuilt = (c2 * _p("y^2 + b*y") + _surface_top_terms()
+               + _product(formulas.SURFACE_COEFF_0_FACTORS))
     divisible = _divides(_p(formulas.OBSTRUCTION_FORM), P.coeff_of("y", 0))
     notes.append("constant coefficient divisible by the obstruction form" if divisible
                  else "constant coefficient NOT divisible by the obstruction form")
@@ -312,11 +317,8 @@ def verify_surface_w_cubic() -> CheckResult:
     cubic in w = y^2 + b*y: P = c6*w^3 + c2*w + c0, the form the geometry
     layer solves in closed form.
     """
-    lhs = _expand(
-        (formulas.SURFACE_COEFF_6_FACTORS, "y^6"), (formulas.SURFACE_COEFF_5_FACTORS, "y^5"),
-        (formulas.SURFACE_COEFF_4_FACTORS, "y^4"), (formulas.SURFACE_COEFF_3_FACTORS, "y^3"))
     rhs = _product(formulas.SURFACE_COEFF_6_FACTORS) * _p("y^2 + b*y") ** 3
-    return _compare("surface_w_cubic", lhs, rhs)
+    return _compare("surface_w_cubic", _surface_top_terms(), rhs)
 
 
 def verify_gamma0_curve() -> CheckResult:

@@ -153,7 +153,7 @@ def test_exhaustive_witness_starts_no_pool(capsys):
 
 
 def test_exhaustive_witness_is_capped_before_any_table(capsys, monkeypatch):
-    monkeypatch.setattr(derivative, "_beta_shares", pytest.fail)
+    monkeypatch.setattr(derivative, "_representatives", pytest.fail)
     code, doc, err = run(capsys, "witness", "--m", "18")
     assert code == 2 and doc is None and "--sampled" in err
     code, doc, _ = run(capsys, "witness", "--m", "18", "--sampled", "--seed", "1")

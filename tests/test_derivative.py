@@ -5,6 +5,7 @@ import pathlib
 import random
 import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -333,13 +334,13 @@ def test_rotation_symmetry_of_kernel_dims():
 
 def test_rotated_representatives_are_the_leading_one_triples_in_code_order():
     # the order contract the exhaustive witness search relies on
-    for ctx in (F3, F6):
+    # at m=9, the first 3*512 + 3 points step beta through every carry length
+    for ctx, count in ((F3, None), (F6, None), (make_field(9), 3 * 512 + 3)):
         q = ctx.q
-        points = [(a, list(cols), w) for a, cols, w in dv._representatives(ctx, 2)]
-        assert len(points) == q * q + q + 1
-        assert all(w == 1 for _, _, w in points)
+        points = [(a, list(cols)) for a, cols in islice(dv._representatives(ctx, 2), count)]
+        assert len(points) == (count or q * q + q + 1)
         codes = []
-        for (al, be, ga), cols, _ in points:
+        for (al, be, ga), cols in points:
             rotated = (ga, al, be)
             assert next(c for c in rotated if c) == 1
             codes.append(dv.encode_triple(rotated, ctx.m))
@@ -354,16 +355,25 @@ def test_spectrum_m9_matches_golden():
     assert dv.differential_spectrum(7, f9)["histogram"] == golden["histogram"]
 
 
-def _walked_spectrum(u, ctx, fold=1):
+def _orbit_walk(ctx, u, fold):
+    """(triple, columns, weight) along the rows of `_orbit_rows(ctx, fold)`."""
+    for (al, _, ga), betas, weight in dv._orbit_rows(ctx, fold):
+        for be in betas:
+            yield (al, be, ga), dv.derivative_columns((al, be, ga), u, ctx), weight
+
+
+def _walked_spectrum(u, ctx, fold=None):
+    walk = (_orbit_walk(ctx, u, fold) if fold
+            else ((a, cols, 1) for a, cols in dv._representatives(ctx, u)))
     hist = Counter()
-    for _, cols, weight in dv._representatives(ctx, u, fold):
+    for _, cols, weight in walk:
         hist[str(len(dv._kernel(cols, 3 * ctx.m)))] += (ctx.q - 1) * weight
     return dict(hist)
 
 
 def _every_point_is_permutation(u, ctx):
-    return not any(dv._in_image(list(cols), dv.pack_vec(dv.eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
-                   for a, cols, _ in dv._representatives(ctx, u))
+    return not any(dv._in_image(cols, dv.pack_vec(dv.eval_cu(*a, u, ctx), ctx.m), 3 * ctx.m)
+                   for a, cols in dv._representatives(ctx, u))
 
 
 def _burnside(ctx):
@@ -380,10 +390,10 @@ def test_orbit_walk_matches_the_every_point_walk(ctx, us):
     # 0x1 and 0x6 at m=6 are 7th powers, the others are not
     q = ctx.q
     for u in us:
-        orbits = list(dv._representatives(ctx, u, 7))
+        orbits = list(_orbit_walk(ctx, u, 7))
         assert len(orbits) == 3 + (q - 1) * (q + 2) // 7
         assert len({a for a, _, _ in orbits}) == len(orbits)
-        assert len(list(dv._representatives(ctx, u, 21))) == _burnside(ctx)
+        assert len(list(_orbit_walk(ctx, u, 21))) == _burnside(ctx)
         every_point = _walked_spectrum(u, ctx)
         assert _walked_spectrum(u, ctx, 7) == every_point
         assert dv.differential_spectrum(u, ctx)["histogram"] == every_point

@@ -520,13 +520,13 @@ def _with_column_faults(walk, faults):
     """walk, a row walk, with image bit b of column j flipped at each ((alpha, beta), j, b)."""
     table = {(alpha, beta, 1): (j, b) for (alpha, beta), j, b in faults}
 
-    def faulty(ctx, u, fold=1):
-        for a, cols, weight in walk(ctx, u, fold):
+    def faulty(ctx, u):
+        for a, cols in walk(ctx, u):
             if a in table:
                 j, b = table[a]
                 cols = list(cols)
                 cols[j] ^= 1 << (3 * ctx.m + b)
-            yield a, cols, weight
+            yield a, cols
 
     return faulty
 
