@@ -24,12 +24,12 @@ sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
 kernels and images with the triple.  The spectrum and the permutation
 test walk one point per orbit of it, with weights 3, 7 and 21; the
 spectrum eliminates only where the witness surface cannot give the kernel
-dimension.  The surface counts (in `geometry`) walk one per orbit of D
-alone, weight 7, as the rotation moves the lines and the curve they
-exclude.  The exhaustive witness search, the surface points and
-cross-validation walk every point; the witness search takes the rotations
-of the points with leading coordinate 1, in code order, as no multiple of
-one has a smaller code.
+dimension.  The surface counts (in `geometry`) walk its rows with
+alpha*beta != 0 as well: a generic orbit counts from its representative,
+any other image by image.  The exhaustive witness search, the surface
+points and cross-validation walk every point; the witness search takes
+the rotations of the points with leading coordinate 1, in code order, as
+no multiple of one has a smaller code.
 
 Vectors in F_q^3 are packed as ints with the x coordinate in the low m
 bits, then y, then z; column j of the map is the image of bit j.
@@ -212,23 +212,15 @@ def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
 def _orbit_rows(ctx: FieldCtx, fold: int = 1) -> Iterator:
     """Rows ((alpha, 0, gamma), betas, weight): one triple per point, or per orbit.
 
-    fold is 1, 7 or 21, the order of the group whose orbits the rows
-    pick.  Unfolded, the rows are (0, 1, 0), the line gamma = 0 as
-    (1, beta, 0), and then (alpha, beta, 1) for alpha = 0, 1, ...  Rotated
-    to (gamma, alpha, beta), the points, taken in order, are the triples
-    with leading coordinate 1 in increasing code; the gamma = 1 rows walk
-    the chart in code order, and every weight is 1.
+    fold is 1 or 21, the order of the group whose orbits the rows pick.
+    Unfolded, the rows are (0, 1, 0), the line gamma = 0 as (1, beta, 0),
+    and then (alpha, beta, 1) for alpha = 0, 1, ...  Rotated to
+    (gamma, alpha, beta), the points, taken in order, are the triples with
+    leading coordinate 1 in increasing code, and every weight is 1.
 
-    Folded by 7, the order-7 symmetry picks one point per orbit: for
-    s^7 = 1 and D = diag(1, s, s^-2), C_u o D = diag(1, s^3, s) o C_u
-    (7 | q - 1 as 3 | m), so kernels, images and surface points move with
-    the triple.  D fixes (0, 1, 0), (1, 0, 0) and (0, 0, 1) and moves every
-    other point in an orbit of 7; alpha != 0 and, on the lines alpha = 0
-    and gamma = 0, beta != 0 run over the coset representatives of mu_7,
-    with weight 7.  The surface counts walk this fold: the rotation below
-    moves the lines and the curve they filter by.
-
-    Folded by 21, the rotation sigma(x, y, z) = (z, x, y) joins it:
+    Folded by 21, the rows pick one point per orbit of the group generated
+    by D = diag(1, s, s^-2), s^7 = 1, and the rotation sigma(x, y, z) =
+    (z, x, y).  C_u o D = diag(1, s^3, s) o C_u (7 | q - 1 as 3 | m),
     C_u o sigma = sigma o C_u and sigma D_s sigma^-1 = D_{s^2}, so the
     group has order 21 and kernels and images move with the triple.  The
     three coordinate points are one row of weight 3, the lines alpha = 0,
@@ -241,13 +233,10 @@ def _orbit_rows(ctx: FieldCtx, fold: int = 1) -> Iterator:
         yield (0, 0, 1), mu7_representatives(ctx), 21
         yield from _rotation_rows(ctx)
         return
-    reps, weight = (mu7_representatives(ctx), 7) if fold == 7 else (range(1, ctx.q), 1)
     yield (0, 0, 0), (1,), 1
-    for base in ((1, 0, 0), (0, 0, 1)):
-        yield base, (0,), 1
-        yield base, reps, weight
-    for al in reps:
-        yield (al, 0, 1), range(ctx.q), weight
+    yield (1, 0, 0), range(ctx.q), 1
+    for al in range(ctx.q):
+        yield (al, 0, 1), range(ctx.q), 1
 
 
 def _rotation_rows(ctx: FieldCtx) -> Iterator:

@@ -13,8 +13,8 @@ arithmetic with no field-method call, and alpha is folded into the
 coefficients once per row of a walk; `surface_coeffs` and `count_vs_band`
 stay oracles.  The identity layer verifies P once per process, so an
 evaluator for a new u compiles only c_0, c_2, c_6 and H at that u.  It
-counts the points over one (alpha, beta) per orbit of the order-7 scaling,
-lists them and rebuilds witness certificates from them,
+counts the points along the order-21 fold, a generic orbit from one
+representative, lists them and rebuilds witness certificates from them,
 cross-validates the surface pipeline against the kernel pipeline in one
 sweep of the chart, and evaluates the point-count lower bound that closes
 the argument for large fields - in exact integer arithmetic, with every
@@ -34,9 +34,9 @@ from typing import Iterator
 
 from . import identities
 from .derivative import (Triple, WitnessCertificate, _guard_family, _kernel, _kernel_solutions,
-                         _orbit_rows, _representatives, build_certificate, pack_vec,
+                         _representatives, _rotation_rows, build_certificate, pack_vec,
                          verify_solution)
-from .gf2m import FieldCtx, elem_to_hex
+from .gf2m import FieldCtx, elem_to_hex, is_seventh_power, mu7_representatives
 from .mpoly import MPoly, divide_exact
 
 SURFACE_MAX_M = 12
@@ -167,8 +167,8 @@ class SurfaceEvaluator:
     lookup, exp[row(alpha)[ea] + row(beta)[eb] + log c].  `solve_pair`
     folds alpha in once per row (`_fold`), so a pair costs one add and one
     lookup per power of beta, and the root solver works on logs too: it
-    makes no `FieldCtx` call.  `surface_coeffs` and `rhs_coeffs` evaluate
-    the unfolded terms, for the oracles.
+    makes no `FieldCtx` call.  `surface_coeffs`, `rhs_coeffs` and
+    `obstruction_value` evaluate the unfolded terms.
     """
 
     def __init__(self, u: int, ctx: FieldCtx):
@@ -287,7 +287,8 @@ class SurfaceEvaluator:
         return self.solve_pair(alpha, beta)[1]
 
     def obstruction_value(self, alpha: int, beta: int) -> int:
-        return self.solve_pair(alpha, beta)[0]
+        """H(alpha, beta, 1) from the unfolded terms; the row fold is left as it is."""
+        return self._value(self._terms[0], self._logs[alpha], self._logs[beta])
 
     def rhs_coeffs(self, alpha: int, beta: int) -> list[int]:
         """[c_4, c_2, c_1]: the linearized right-hand side is c_4*y^4 + c_2*y^2 + c_1*y."""
@@ -311,27 +312,37 @@ def _curve_alphas(u: int, ctx: FieldCtx) -> list[int]:
     return [0] + [exp[(2 * log[u] + 3 * log[beta]) % n] for beta in range(1, ctx.q)]
 
 
-def _chart_rows(ctx: FieldCtx, fold: int) -> list:
-    """The gamma = 1 rows of `_orbit_rows(ctx, fold)`, as (alpha, betas, weight)."""
-    return [(al, betas, w) for (al, _, ga), betas, w in _orbit_rows(ctx, fold) if ga]
-
-
 def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
-    """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0 at ev's u, in encoding order.
-
-    The pairs are the gamma = 1 rows of the unfolded `_orbit_rows`.
-    """
+    """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0 at ev's u, in encoding order."""
     ctx = ev.ctx
     _guard_surface(ctx)
     curve = _curve_alphas(ev.u, ctx)
-    for alpha, betas, _ in _chart_rows(ctx, 1):
-        for beta in betas:
+    for alpha in range(ctx.q):
+        for beta in range(ctx.q):
             for y in ev.roots(alpha, beta):
                 yield SurfacePoint(
                     alpha, beta, y,
                     on_excluded_lines=alpha == 0 or beta == 0 or y == 0 or y == beta,
                     on_degree44_curve=alpha == curve[beta],
                 )
+
+
+def _first_witness_point(ev: SurfaceEvaluator, curve: list[int]) -> SurfacePoint | None:
+    """The first point of `iter_surface_points` that passes the filters with H nonzero, or None.
+
+    The pairs with alpha, beta >= 1 are scanned in encoding order; the first
+    off the curve with H nonzero and a root y outside {0, beta} gives its
+    smallest such root.  No point before it is built.
+    """
+    for alpha in range(1, ev.ctx.q):
+        for beta in range(1, ev.ctx.q):
+            if alpha == curve[beta]:
+                continue
+            h, roots = ev.solve_pair(alpha, beta)
+            for y in roots if h else ():
+                if y not in (0, beta):
+                    return SurfacePoint(alpha, beta, y, False, False)
+    return None
 
 
 def surface_report(
@@ -344,51 +355,78 @@ def surface_report(
 ) -> dict:
     """Exact point counts (and optionally the points and one witness).
 
-    The counts walk the gamma = 1 rows of the 7-fold `_orbit_rows`, each
-    (alpha, beta) counting for its weight: the order-7 symmetry maps
-    (alpha, beta, y) to (s^2 alpha, s^3 beta, s^3 y) and keeps both
-    filters.  The rotation of the order-21 fold would not: it moves the
-    excluded lines and the degree-44 curve.  The points are listed by the
-    walk of `iter_surface_points`, in encoding order.
+    The order-7 symmetry maps (alpha, beta, y) to (s^2 alpha, s^3 beta,
+    s^3 y) and keeps both filters, so the lines alpha = 0 and beta = 0
+    count over the mu_7 representatives, weight 7, and (0, 0) once.  The
+    torus alpha*beta != 0 walks the order-21 fold (`_rotation_rows`).  The
+    rotation moves the lines and the curve, so an orbit counts 21 times
+    from its representative p only when u != 0 and p, sigma p =
+    (1/beta, alpha/beta) and sigma^2 p = (beta/alpha, 1/alpha) are generic:
+    off the curve, with H nonzero.  Then each has 2^dim - 2 roots outside
+    {0, beta}, dim being invariant under sigma, and 0 and beta are roots
+    iff u^3 = 1 (c_0 = K*H).  Any other orbit counts image by image, weight
+    7.  H is evaluated at the images only for a 7th power u; for any other
+    it vanishes nowhere (see `cross_validate`).  progress gets the share of
+    the fold's rows done, once per row and last at 1.0.  The points are
+    listed by `iter_surface_points`, in encoding order.
 
-    The witness comes from that walk's first filtered point where the
-    obstruction form is nonzero; it is None when there is no such point,
-    as for a u that is a 7th power.  H(alpha, beta, 1) is invariant under
-    the scaling, so the walk runs only when the fold has seen such a point.
+    The witness comes from that walk's first filtered point where H is
+    nonzero (`_first_witness_point`); it is None when there is no such
+    point, as for u = 1.  The counts tell whether there is one, so the scan
+    runs only then.
     """
     _guard_surface(ctx, "listing surface points" if collect_points else None)
     ev = SurfaceEvaluator(u, ctx)
     curve_alphas = _curve_alphas(u, ctx)
-    rows = _chart_rows(ctx, 7)
+    log, exp, n = ctx._log, ctx._exp2, ctx.q - 1
+    check_h = u and is_seventh_power(u, ctx)
     total = lines = curve = kept = 0
     has_witness = False
-    for i, (alpha, betas, weight) in enumerate(rows, 1):
+
+    def count(alpha: int, beta: int, weight: int, h: int, roots: list[int]) -> None:
+        nonlocal total, lines, curve, kept, has_witness
+        k = len(roots)
+        on_lines = k if alpha == 0 or beta == 0 else (0 in roots) + (beta in roots)
+        total += weight * k
+        lines += weight * on_lines
+        if alpha == curve_alphas[beta]:
+            curve += weight * k
+        elif k > on_lines:
+            kept += weight * (k - on_lines)
+            has_witness = has_witness or h != 0
+
+    reps = mu7_representatives(ctx)
+    for alpha, beta, weight in ((0, 0, 1), *((0, b, 7) for b in reps), *((a, 0, 7) for a in reps)):
+        count(alpha, beta, weight, *ev.solve_pair(alpha, beta))
+    for (alpha, _, _), betas, weight in _rotation_rows(ctx):
+        la = log[alpha]
+        b2 = exp[n - la]
         for beta in betas:
             h, roots = ev.solve_pair(alpha, beta)
-            if not roots:
-                continue
-            k = len(roots)
-            on_lines = k if alpha == 0 or beta == 0 else (0 in roots) + (beta in roots)
-            total += weight * k
-            lines += weight * on_lines
-            if alpha == curve_alphas[beta]:
-                curve += weight * k
-            elif k > on_lines:
-                kept += weight * (k - on_lines)
-                has_witness = has_witness or h != 0
+            # sigma p = (a1, b1) and sigma^2 p = (a2, b2); a weight-7 pair is its own only image
+            lb = log[beta]
+            a1, b1, a2 = exp[n - lb], exp[la - lb + n], exp[lb - la + n]
+            if weight == 7 or (u and h and alpha != curve_alphas[beta] and a1 != curve_alphas[b1]
+                               and a2 != curve_alphas[b2]
+                               and (not check_h or ev.obstruction_value(a1, b1)
+                                    and ev.obstruction_value(a2, b2))):
+                count(alpha, beta, weight, h, roots)
+            else:
+                count(alpha, beta, 7, h, roots)
+                count(a1, b1, 7, *ev.solve_pair(a1, b1))
+                count(a2, b2, 7, *ev.solve_pair(a2, b2))
         if progress is not None:
-            progress(i / len(rows))
+            progress(la * 7 / n)
+    if progress is not None:
+        progress(1.0)
     doc = {"counts": {"total": total, "on_excluded_lines": lines,
                       "on_degree44_curve": curve, "filtered": kept}}
     if collect_points:
         doc["points"] = [p.to_json() for p in iter_surface_points(ev)
                          if not filtered or p.passes_filters]
     if emit_witness:
-        doc["witness"] = None
-        if has_witness:
-            pt = next(p for p in iter_surface_points(ev)
-                      if p.passes_filters and ev.obstruction_value(p.alpha, p.beta))
-            doc["witness"] = point_to_witness(pt, ev).to_json()
+        pt = _first_witness_point(ev, curve_alphas) if has_witness else None
+        doc["witness"] = point_to_witness(pt, ev).to_json() if pt else None
     return doc
 
 
@@ -480,8 +518,11 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     fault at one pair need not repeat along its orbit.  The columns come
     from the row walk `_representatives(ctx, u)`.  Both directions hold
     only where the obstruction form h = H(alpha, beta, 1) is nonzero, so
-    pairs with h = 0 are skipped (there are none for a u that is not a 7th
-    power).
+    pairs with h = 0 are skipped.  There are none for a u that is not a 7th
+    power: the `obstruction_factorization` identity writes H as the product
+    of xi^5*beta + eta^i*xi*alpha + eta^j with xi^7 = u, and x^7 - u is then
+    irreducible over F_q (mu_7 lies in F_q), so no factor, of degree <= 5
+    in xi with a nonzero constant term, vanishes at xi.
 
     Each pair runs one elimination.  Where its kernel has dimension >= 2,
     `_kernel_solutions` checks the span as `build_certificate` would,

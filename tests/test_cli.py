@@ -340,7 +340,7 @@ def test_surface_progress_reaches_100_once_per_alpha(capsys, monkeypatch):
     assert code == 0
     marks = [line for line in err.splitlines() if line.endswith("%")]
     assert marks == ["surface: 25%", "surface: 50%", "surface: 75%", "surface: 100%"]
-    # one call per alpha row of the fold (11 here), not one per point (4390), ending at 1.0
+    # one call per row of the fold and one at 1.0 (11 here), not one per point (4390)
     assert len(fracs) <= 64 + 1 and fracs[-1] == 1.0
 
 

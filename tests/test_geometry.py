@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -11,12 +12,13 @@ from triapn import geometry as geo
 from triapn import identities
 from triapn.derivative import (CertificateError, _kernel, build_certificate, derivative_columns,
                                differential_spectrum, pack_vec)
-from triapn.gf2m import FieldCtx, make_field
+from triapn.gf2m import FieldCtx, is_seventh_power, make_field
 from triapn.mpoly import parse
 
 F3 = make_field(3)
 F6 = make_field(6)
 F9 = make_field(9)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 BOUND_ROWS_DELTA16_SHA256 = "18df11328c805b6b2c3c0bd131e4b212a99c75e52d920f8125394ac48c7c5bc5"
 
 
@@ -281,45 +283,76 @@ def test_surface_exclusions_fit_their_budget():
             assert counts["on_degree44_curve"] <= 44 * ctx.q + 1, (ctx.m, u)
 
 
-def _full_walk_counts(ev):
-    counts = dict.fromkeys(("total", "on_excluded_lines", "on_degree44_curve", "filtered"), 0)
+def _every_point_report(ev):
+    """Counts and witness from every point of `iter_surface_points`, as `surface_report` gives them."""
+    total = lines = curve = kept = 0
+    first = None
     for p in geo.iter_surface_points(ev):
-        counts["total"] += 1
-        counts["on_excluded_lines"] += p.on_excluded_lines
-        counts["on_degree44_curve"] += p.on_degree44_curve
-        counts["filtered"] += p.passes_filters
-    return counts
+        total += 1
+        lines += p.on_excluded_lines
+        curve += p.on_degree44_curve
+        if p.passes_filters:
+            kept += 1
+            if first is None and ev.obstruction_value(p.alpha, p.beta):
+                first = p
+    counts = {"total": total, "on_excluded_lines": lines, "on_degree44_curve": curve,
+              "filtered": kept}
+    return {"counts": counts, "witness": geo.point_to_witness(first, ev).to_json() if first else None}
 
 
-@pytest.mark.parametrize("ctx,us", [(F3, range(8)),
-                                    (F6, (0x0, 0x1, 0x2, 0x3, 0x6, 0x7, 0xF, 0x2A))],
-                         ids=["m3", "m6"])
-def test_folded_counts_match_the_full_walk(ctx, us):
-    # 0x1 is a 7th power in both fields, 0x6 at m=6; 0 lies outside the family
-    for u in us:
+@pytest.mark.parametrize("ctx", [F3, F6], ids=["m3", "m6"])
+def test_folded_counts_match_the_full_walk(ctx):
+    # every u, the 7th powers among them (1 in both fields, 0x6 at m=6) and
+    # 0, which lies outside the family
+    for u in range(ctx.q):
         ev = geo.SurfaceEvaluator(u, ctx)
-        assert geo.surface_report(u, ctx)["counts"] == _full_walk_counts(ev), (ctx.m, u)
+        assert geo.surface_report(u, ctx, emit_witness=True) == _every_point_report(ev), (ctx.m, u)
 
 
 def test_folded_counts_m9_frozen():
-    f9 = make_field(9)
-    expected = {"total": 260212, "on_excluded_lines": 1534,
-                "on_degree44_curve": 673, "filtered": 258006}
-    assert geo.surface_report(0x7, f9)["counts"] == expected
-    assert _full_walk_counts(geo.SurfaceEvaluator(0x7, f9)) == expected
+    # 0x2 is a 7th power: H vanishes on some orbits, which count image by image
+    expected = {0x7: {"total": 260212, "on_excluded_lines": 1534,
+                      "on_degree44_curve": 673, "filtered": 258006},
+                0x2: {"total": 295275, "on_excluded_lines": 19363,
+                      "on_degree44_curve": 841, "filtered": 275086}}
+    for u, counts in expected.items():
+        assert geo.surface_report(u, F9)["counts"] == counts, u
+    assert _every_point_report(geo.SurfaceEvaluator(0x7, F9))["counts"] == expected[0x7]
 
 
-def test_emitted_witness_is_the_full_walks_first(monkeypatch):
-    for u in (0x2, 0x3, 0x6, 0x7):
+def test_obstruction_vanishes_only_for_seventh_powers():
+    # the premise that lets a generic orbit count from its representative
+    # without evaluating H at its rotation images
+    pairs = [(alpha, beta) for alpha in range(64) for beta in range(64)]
+    for u in range(1, 64):
         ev = geo.SurfaceEvaluator(u, F6)
-        pt = next(p for p in geo.iter_surface_points(ev)
-                  if p.passes_filters and ev.obstruction_value(p.alpha, p.beta))
-        doc = geo.surface_report(u, F6, emit_witness=True)
-        assert doc["witness"] == geo.point_to_witness(pt, ev).to_json(), u
-    # u = 1 is a 7th power with no filtered point where H is nonzero: the
-    # fold says so and the walk is skipped
-    monkeypatch.setattr(geo, "iter_surface_points",
-                        lambda ev: pytest.fail("the walk ran without a witness to find"))
+        vanishes = any(not ev.solve_pair(alpha, beta)[0] for alpha, beta in pairs)
+        assert vanishes == is_seventh_power(u, F6), u
+
+
+def test_surface_counts_solve_one_pair_per_generic_orbit(monkeypatch):
+    # m = 6: 19 pairs on the lines, one per torus orbit (191), and two more
+    # for each orbit that meets the curve or, for the 7th power 0x6, a zero of H
+    calls = []
+    solve_pair = geo.SurfaceEvaluator.solve_pair
+
+    def counted(ev, alpha, beta):
+        calls.append((alpha, beta))
+        return solve_pair(ev, alpha, beta)
+
+    monkeypatch.setattr(geo.SurfaceEvaluator, "solve_pair", counted)
+    golden = json.loads((GOLDEN / "surface_m6_u0x02.json").read_text())
+    assert geo.surface_report(0x2, F6)["counts"] == golden["counts"]
+    assert len(calls) == 228
+    calls.clear()
+    geo.surface_report(0x6, F6)
+    assert len(calls) == 332
+
+
+def test_witness_scan_runs_only_when_the_counts_show_one(monkeypatch):
+    # u = 1 is a 7th power with no filtered point where H is nonzero
+    monkeypatch.setattr(geo, "_first_witness_point",
+                        lambda ev, curve: pytest.fail("the scan ran without a witness to find"))
     assert geo.surface_report(0x1, F6, emit_witness=True)["witness"] is None
 
 
