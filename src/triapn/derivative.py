@@ -9,15 +9,15 @@ kernel with a single GF(2) elimination.  What a coordinate of a adds to the
 columns is F_2-linear in its value, so `derivative_columns` XORs the tags
 with the shares of the coordinates' set bits: monomials t^n and u*t^n
 reduced mod the modulus, laid out once per (field, u).  Every elimination
-runs on those columns, in one process: the scans walk the rows of
-`_orbit_rows`, the unfolded walk stepping from each beta to the next by
-linearity (`_representatives`) and the folded ones building a triple's
-columns; and the per-triple kernel basis behind sampled search and
-certificates.  A witness is a triple whose kernel has dimension >= 2 (at
-least 4 solutions), packaged as a certificate whose re-verification uses
-no elimination: direct arithmetic on each solution and the span of the
-basis (`_kernel_solutions`, which the surface cross-validation also runs
-on the kernel of a row walk's columns).
+runs on those columns, in one process: the walk over every point steps
+from each beta to the next by linearity (`_representatives`); the orbit
+walk (`_orbit_rows`) and the per-triple kernel basis behind sampled
+search and certificates build a triple's columns.  A witness is a triple
+whose kernel has dimension >= 2 (at least 4 solutions), packaged as a
+certificate whose re-verification uses no elimination: direct arithmetic
+on each solution and the span of the basis (`_kernel_solutions`, which
+the surface cross-validation also runs on the kernel of a row walk's
+columns).
 
 The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
 sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
@@ -209,34 +209,22 @@ def kernel_basis(a: Triple, u: int, ctx: FieldCtx) -> list[int]:
 # -- the scan over projective points -----------------------------------------------
 
 
-def _orbit_rows(ctx: FieldCtx, fold: int = 1) -> Iterator:
-    """Rows ((alpha, 0, gamma), betas, weight): one triple per point, or per orbit.
+def _orbit_rows(ctx: FieldCtx) -> Iterator:
+    """Rows ((alpha, 0, gamma), betas, weight): one point per orbit of a group of order 21.
 
-    fold is 1 or 21, the order of the group whose orbits the rows pick.
-    Unfolded, the rows are (0, 1, 0), the line gamma = 0 as (1, beta, 0),
-    and then (alpha, beta, 1) for alpha = 0, 1, ...  Rotated to
-    (gamma, alpha, beta), the points, taken in order, are the triples with
-    leading coordinate 1 in increasing code, and every weight is 1.
-
-    Folded by 21, the rows pick one point per orbit of the group generated
-    by D = diag(1, s, s^-2), s^7 = 1, and the rotation sigma(x, y, z) =
-    (z, x, y).  C_u o D = diag(1, s^3, s) o C_u (7 | q - 1 as 3 | m),
-    C_u o sigma = sigma o C_u and sigma D_s sigma^-1 = D_{s^2}, so the
-    group has order 21 and kernels and images move with the triple.  The
-    three coordinate points are one row of weight 3, the lines alpha = 0,
-    beta = 0 and gamma = 0 are the row (0, beta, 1) over the mu_7
-    representatives, of weight 21, and `_rotation_rows` gives the rest
-    from the field's log tables.  Rows are made as the walk reaches them.
+    The group is generated by D = diag(1, s, s^-2), s^7 = 1, and the
+    rotation sigma(x, y, z) = (z, x, y).  C_u o D = diag(1, s^3, s) o C_u
+    (7 | q - 1 as 3 | m), C_u o sigma = sigma o C_u and sigma D_s sigma^-1
+    = D_{s^2}, so the group has order 21 and kernels and images move with
+    the triple.  The three coordinate points are one row of weight 3, the
+    lines alpha = 0, beta = 0 and gamma = 0 are the row (0, beta, 1) over
+    the mu_7 representatives, of weight 21, and `_rotation_rows` gives the
+    rest from the field's log tables.  Rows are made as the walk reaches
+    them.
     """
-    if fold == 21:
-        yield (0, 0, 0), (1,), 3
-        yield (0, 0, 1), mu7_representatives(ctx), 21
-        yield from _rotation_rows(ctx)
-        return
-    yield (0, 0, 0), (1,), 1
-    yield (1, 0, 0), range(ctx.q), 1
-    for al in range(ctx.q):
-        yield (al, 0, 1), range(ctx.q), 1
+    yield (0, 0, 0), (1,), 3
+    yield (0, 0, 1), mu7_representatives(ctx), 21
+    yield from _rotation_rows(ctx)
 
 
 def _rotation_rows(ctx: FieldCtx) -> Iterator:
@@ -273,19 +261,22 @@ def _rotation_rows(ctx: FieldCtx) -> Iterator:
 
 
 def _representatives(ctx: FieldCtx, u: int) -> Iterator:
-    """(triple, columns) at every point, along the rows of the unfolded `_orbit_rows`.
+    """(triple, columns) at every point: (0, 1, 0), (1, beta, 0), then (alpha, beta, 1).
 
-    A row's betas run up by one, and beta - 1 differs from beta in the bits
-    below and at t, the lowest set bit of beta; by linearity the columns XOR
-    the sum of beta's unit shares 0..t.  The columns yielded are the walk's
-    running state: a caller that edits them must copy them first.
+    Rotated to (gamma, alpha, beta), the points, taken in order, are the
+    triples with leading coordinate 1 in increasing code.  In a row beta
+    runs up by one, and beta - 1 differs from beta in the bits below and at
+    t, the lowest set bit of beta; by linearity the columns XOR the sum of
+    beta's unit shares 0..t.  The columns yielded are the walk's running
+    state: a caller that edits them must copy them first.
     """
     carry = list(accumulate(_unit_shares(ctx.m, ctx.modulus, u)[1],
                             lambda acc, unit: list(map(xor, acc, unit))))
-    for (al, _, ga), betas, _ in _orbit_rows(ctx):
-        cols = derivative_columns((al, betas[0], ga), u, ctx)
-        yield (al, betas[0], ga), cols
-        for be in betas[1:]:
+    yield (0, 1, 0), derivative_columns((0, 1, 0), u, ctx)
+    for al, ga in [(1, 0)] + [(al, 1) for al in range(ctx.q)]:
+        cols = derivative_columns((al, 0, ga), u, ctx)
+        yield (al, 0, ga), cols
+        for be in range(1, ctx.q):
             cols = list(map(xor, cols, carry[(be & -be).bit_length() - 1]))
             yield (al, be, ga), cols
 
@@ -304,17 +295,15 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
     Returns the ``verdicts`` (``is_apn``, ``differential_uniformity``,
     ``max_kernel_dim``) and the ``histogram``, keyed by the dimension as a
     string.  One triple per orbit of the order-21 group, the rows of
-    `_orbit_rows(ctx, 21)`, counts for its weight (3, 7 or 21) times q - 1
-    triples.  At (alpha, beta, 1) with u, alpha, beta and H(alpha, beta, 1)
-    nonzero, off the curve alpha = u^2*beta^3, the kernel is 0, a and one
-    vector per root y outside {0, beta} (`geometry.SurfaceEvaluator.solve_pair`,
-    which folds alpha in once per row), so 2^k = 2 + #roots, and an
-    impossible count raises AssertionError; any other triple is
-    eliminated.  Building the evaluator verifies the identity chain
-    (IdentityError).  progress gets the share of the q^2 + q + 1 points
-    decided, at most 64 times and last at 1.0.
+    `_orbit_rows`, counts for its weight (3, 7 or 21) times q - 1 triples.
+    At a generic (alpha, beta, 1), 2^k = 2 + #roots
+    (`geometry.SurfaceEvaluator.kernel_roots`), and an impossible count
+    raises AssertionError; any other triple is eliminated.  Building the
+    evaluator verifies the identity chain (IdentityError).  progress gets
+    the share of the q^2 + q + 1 points decided, once per row and last at
+    1.0.
     """
-    from .geometry import SurfaceEvaluator, _curve_alphas  # geometry imports this module
+    from .geometry import SurfaceEvaluator  # geometry imports this module
 
     _guard_family(ctx)
     q = ctx.q
@@ -323,33 +312,29 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
                          "fold has 51,132,125 orbits at m = 15); use the sampled witness "
                          "search instead")
     ev = SurfaceEvaluator(u, ctx)
-    curve = _curve_alphas(u, ctx)
     points = q * q + q + 1
-    done = 0
-    hist: dict[int, int] = {}
-    for (al, _, ga), betas, weight in _orbit_rows(ctx, 21):
-        row = u and al and ga
+    hist = [0] * (3 * ctx.m + 1)  # points by kernel dimension
+    for (al, _, ga), betas, weight in _orbit_rows(ctx):
         for be in betas:
-            h, ys = ev.solve_pair(al, be) if row and be and al != curve[be] else (0, None)
+            h, ys = ev.kernel_roots(al, be) if ga else (0, None)
             if h:
-                count = 2 + len(ys) - (0 in ys) - (be in ys)
+                count = 2 + len(ys)
                 if count & (count - 1):
                     raise AssertionError(f"{count - 2} surface roots at {(al, be, ga)}: "
                                          "2 + #roots is not a power of two")
                 k = count.bit_length() - 1
             else:
                 k = len(_kernel(derivative_columns((al, be, ga), u, ctx), 3 * ctx.m))
-            hist[k] = hist.get(k, 0) + (q - 1) * weight
-            done += weight
-            if progress is not None and done * 64 // points > (done - weight) * 64 // points:
-                progress(done / points)
-    total = sum(hist.values())
+            hist[k] += weight
+        if progress is not None:
+            progress(sum(hist) / points)
+    total = (q - 1) * sum(hist)
     if total != q ** 3 - 1:
         raise AssertionError(f"histogram covers {total} triples, expected {q ** 3 - 1}")
-    top = max(hist)
+    top = max(k for k, n in enumerate(hist) if n)
     return {"verdicts": {"is_apn": top == 1, "differential_uniformity": 1 << top,
                          "max_kernel_dim": top},
-            "histogram": {str(k): v for k, v in sorted(hist.items())}}
+            "histogram": {str(k): (q - 1) * n for k, n in enumerate(hist) if n}}
 
 
 def _in_image(cols: list[int], w: int, n: int) -> bool:
@@ -382,7 +367,7 @@ def is_permutation(u: int, ctx: FieldCtx) -> bool:
     m = ctx.m
     return not any(_in_image(derivative_columns((al, be, ga), u, ctx),
                              pack_vec(eval_cu(al, be, ga, u, ctx), m), 3 * m)
-                   for (al, _, ga), betas, _ in _orbit_rows(ctx, 21) for be in betas)
+                   for (al, _, ga), betas, _ in _orbit_rows(ctx) for be in betas)
 
 
 # -- witness certificates -----------------------------------------------------------
@@ -576,7 +561,7 @@ def draw_code(seed: int, index: int, bits: int) -> int:
 def _first_witness(u: int, ctx: FieldCtx) -> WitnessCertificate | None:
     """The certificate of the witness with the smallest code, or None if there is none.
 
-    Walks the q^2 + q + 1 projective points of the unfolded `_orbit_rows`.
+    Walks the q^2 + q + 1 projective points of `_representatives`.
     """
     for (al, be, ga), cols in _representatives(ctx, u):
         if len(_kernel(cols, 3 * ctx.m)) >= 2:

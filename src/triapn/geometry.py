@@ -11,18 +11,16 @@ field and process (`_field_tables`).  Every per-pair step (coefficients,
 roots, the degree-44 curve, rebuilt witness vectors) is log/exp-table
 arithmetic with no field-method call, and alpha is folded into the
 coefficients once per row of a walk; `surface_coeffs` and `count_vs_band`
-stay oracles.  The identity layer verifies P once per process, so an
-evaluator for a new u compiles only c_0, c_2, c_6 and H at that u.  It
-counts the points along the order-21 fold, a generic orbit from one
-representative, lists them and rebuilds witness certificates from them,
-cross-validates the surface pipeline against the kernel pipeline in one
-sweep of the chart, and evaluates the point-count lower bound that closes
-the argument for large fields - in exact integer arithmetic, with every
-rounding taken in the direction that weakens the bound.  The
-cross-validation runs one elimination per pair; where the kernel has
-dimension >= 2, its span is checked as a certificate's would be
-(`_kernel_solutions`), with no certificate built, and every root must
-rebuild a vector of that span.
+stay oracles.  The evaluator owns the exceptional locus (alpha*beta = 0,
+the curve and the zeros of H): `kernel_roots` is the one rule off it.
+The identity layer verifies P once per process, so an evaluator for a
+new u compiles only c_0, c_2, c_6 and H at that u.  It counts the
+points along the order-21 fold, a generic orbit from one representative,
+lists them and rebuilds witness certificates from them, cross-validates
+the surface pipeline against the kernel pipeline in one sweep of the
+chart, and evaluates the point-count lower bound that closes the argument
+for large fields - in exact integer arithmetic, with every rounding taken
+in the direction that weakens the bound.
 """
 
 from __future__ import annotations
@@ -180,6 +178,9 @@ class SurfaceEvaluator:
         self._log = ctx._log
         self._terms = [_compile(p, u, ctx) for p in (h, k, coeffs[2], coeffs[6])]
         self._alpha = None
+        # u^2*beta^3 for every beta: (alpha, beta) is on the degree-44 curve iff alpha is that
+        exp, lu2, n = ctx._exp2, 2 * ctx._log[u], ctx.q - 1
+        self.curve = [0] + [exp[(lu2 + 3 * lb) % n] for lb in self._log[1:]] if u else [0] * ctx.q
 
     @cached_property
     def _surface(self) -> list:
@@ -282,9 +283,22 @@ class SurfaceEvaluator:
             c6 ^= exp[la + blogs[eb]]
         return h, self._solve(c0, c2, c6, beta)
 
-    def roots(self, alpha: int, beta: int) -> list[int]:
-        """The y in F_q with P_{alpha,beta,1}(y) = 0, in increasing order."""
-        return self.solve_pair(alpha, beta)[1]
+    def kernel_roots(self, alpha: int, beta: int) -> tuple[int, list[int]]:
+        """H and the sorted roots y outside {0, beta} at a generic pair, else (0, []).
+
+        Generic: u, alpha and beta nonzero, off the curve, H nonzero.  There
+        the kernel at (alpha, beta, 1) is 0, a and one vector per root.  0 and
+        beta are roots together (P(0) = P(beta) = c_0), 0 first.
+        """
+        if not (self.u and alpha and beta) or alpha == self.curve[beta]:
+            return 0, []
+        h, ys = self.solve_pair(alpha, beta)
+        if not h:
+            return 0, []
+        if ys and not ys[0]:
+            del ys[0]
+            ys.remove(beta)
+        return h, ys
 
     def obstruction_value(self, alpha: int, beta: int) -> int:
         """H(alpha, beta, 1) from the unfolded terms; the row fold is left as it is."""
@@ -304,22 +318,14 @@ def _guard_surface(ctx: FieldCtx, points_listed: str | None = None) -> None:
         raise ValueError(f"{points_listed} is limited to m <= {POINTS_MAX_M}")
 
 
-def _curve_alphas(u: int, ctx: FieldCtx) -> list[int]:
-    """u^2*beta^3 for every beta: (alpha, beta) is on the degree-44 curve iff alpha is that."""
-    if not u:
-        return [0] * ctx.q
-    log, exp, n = ctx._log, ctx._exp2, ctx.q - 1
-    return [0] + [exp[(2 * log[u] + 3 * log[beta]) % n] for beta in range(1, ctx.q)]
-
-
 def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
     """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0 at ev's u, in encoding order."""
     ctx = ev.ctx
     _guard_surface(ctx)
-    curve = _curve_alphas(ev.u, ctx)
+    curve = ev.curve
     for alpha in range(ctx.q):
         for beta in range(ctx.q):
-            for y in ev.roots(alpha, beta):
+            for y in ev.solve_pair(alpha, beta)[1]:
                 yield SurfacePoint(
                     alpha, beta, y,
                     on_excluded_lines=alpha == 0 or beta == 0 or y == 0 or y == beta,
@@ -327,21 +333,17 @@ def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
                 )
 
 
-def _first_witness_point(ev: SurfaceEvaluator, curve: list[int]) -> SurfacePoint | None:
+def _first_witness_point(ev: SurfaceEvaluator) -> SurfacePoint | None:
     """The first point of `iter_surface_points` that passes the filters with H nonzero, or None.
 
-    The pairs with alpha, beta >= 1 are scanned in encoding order; the first
-    off the curve with H nonzero and a root y outside {0, beta} gives its
-    smallest such root.  No point before it is built.
+    The first generic pair in encoding order with a root (`kernel_roots`)
+    gives its smallest root.  No point before it is built.
     """
     for alpha in range(1, ev.ctx.q):
         for beta in range(1, ev.ctx.q):
-            if alpha == curve[beta]:
-                continue
-            h, roots = ev.solve_pair(alpha, beta)
-            for y in roots if h else ():
-                if y not in (0, beta):
-                    return SurfacePoint(alpha, beta, y, False, False)
+            ys = ev.kernel_roots(alpha, beta)[1]
+            if ys:
+                return SurfacePoint(alpha, beta, ys[0], False, False)
     return None
 
 
@@ -377,7 +379,7 @@ def surface_report(
     """
     _guard_surface(ctx, "listing surface points" if collect_points else None)
     ev = SurfaceEvaluator(u, ctx)
-    curve_alphas = _curve_alphas(u, ctx)
+    curve_alphas = ev.curve
     log, exp, n = ctx._log, ctx._exp2, ctx.q - 1
     check_h = u and is_seventh_power(u, ctx)
     total = lines = curve = kept = 0
@@ -425,7 +427,7 @@ def surface_report(
         doc["points"] = [p.to_json() for p in iter_surface_points(ev)
                          if not filtered or p.passes_filters]
     if emit_witness:
-        pt = _first_witness_point(ev, curve_alphas) if has_witness else None
+        pt = _first_witness_point(ev) if has_witness else None
         doc["witness"] = point_to_witness(pt, ev).to_json() if pt else None
     return doc
 
@@ -513,16 +515,16 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     ``kernel_witness_triples`` and ``surface_points_checked``, the
     ``mismatches`` and ``consistent``.
 
-    One sweep over the pairs (alpha, beta) with alpha*beta != 0 off the
-    degree-44 curve checks every triple (alpha, beta, 1), with no fold: a
-    fault at one pair need not repeat along its orbit.  The columns come
-    from the row walk `_representatives(ctx, u)`.  Both directions hold
-    only where the obstruction form h = H(alpha, beta, 1) is nonzero, so
-    pairs with h = 0 are skipped.  There are none for a u that is not a 7th
-    power: the `obstruction_factorization` identity writes H as the product
-    of xi^5*beta + eta^i*xi*alpha + eta^j with xi^7 = u, and x^7 - u is then
-    irreducible over F_q (mu_7 lies in F_q), so no factor, of degree <= 5
-    in xi with a nonzero constant term, vanishes at xi.
+    One sweep checks the triple (alpha, beta, 1) at every generic pair
+    (`SurfaceEvaluator.kernel_roots`), with no fold: a fault at one pair
+    need not repeat along its orbit.  The columns come from the row walk
+    `_representatives(ctx, u)`.  Both directions hold only there, so the
+    zeros of the obstruction form H are skipped.  There are none for a u
+    that is not a 7th power: the `obstruction_factorization` identity
+    writes H as the product of xi^5*beta + eta^i*xi*alpha + eta^j with
+    xi^7 = u, and x^7 - u is then irreducible over F_q (mu_7 lies in F_q),
+    so no factor, of degree <= 5 in xi with a nonzero constant term,
+    vanishes at xi.
 
     Each pair runs one elimination.  Where its kernel has dimension >= 2,
     `_kernel_solutions` checks the span as `build_certificate` would,
@@ -539,7 +541,6 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     if u == 0:
         raise ValueError("u = 0 lies outside the family (u must be nonzero)")
     ev = SurfaceEvaluator(u, ctx)
-    curve_alphas = _curve_alphas(u, ctx)
     m, mask = ctx.m, ctx.q - 1
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
@@ -547,14 +548,11 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
         alpha, beta, gamma = a
         if progress is not None and gamma and not beta:
             progress(alpha / ctx.q)
-        if not (alpha and beta and gamma) or alpha == curve_alphas[beta]:
-            continue
-        h, roots = ev.solve_pair(alpha, beta)
+        h, roots = ev.kernel_roots(alpha, beta) if gamma else (0, None)
         if not h:
             continue
         triples += 1
         basis = _kernel(cols, 3 * m)
-        roots = [y for y in roots if y not in (0, beta)]
         solutions = None
         if len(basis) >= 2:
             witnesses += 1

@@ -276,7 +276,7 @@ def smallest_non_seventh_power(ctx: FieldCtx) -> int:
     if ctx.m % 3 != 0:
         raise ValueError(f"3 must divide m, got m={ctx.m}")
     for u in range(2, ctx.q):
-        if ctx.pow(u, (ctx.q - 1) // 7) != 1:
+        if not is_seventh_power(u, ctx):
             return u
     raise ValueError("all elements are 7th powers")  # unreachable for 3 | m
 

@@ -379,7 +379,7 @@ def _burnside(ctx):
                          ids=["m3", "m6"])
 def test_orbit_walk_matches_the_every_point_walk(ctx, us):
     # 0x1 and 0x6 at m=6 are 7th powers, the others are not
-    assert sum(len(betas) for _, betas, _ in dv._orbit_rows(ctx, 21)) == _burnside(ctx)
+    assert sum(len(betas) for _, betas, _ in dv._orbit_rows(ctx)) == _burnside(ctx)
     for u in us:
         every_point = _walked_spectrum(u, ctx)
         assert dv.differential_spectrum(u, ctx)["histogram"] == every_point
@@ -410,7 +410,7 @@ def test_rotation_rows_are_the_order21_orbits(ctx):
         return out
 
     seen, weights = set(), Counter()
-    for (al, _, ga), betas, weight in dv._orbit_rows(ctx, 21):
+    for (al, _, ga), betas, weight in dv._orbit_rows(ctx):
         for be in betas:
             points = orbit((al, be, ga))
             assert len(points) == weight
@@ -426,7 +426,7 @@ def test_rotation_rows_are_the_order21_orbits(ctx):
 
 def test_rotation_rows_count_the_orbits_at_m9():
     f9 = make_field(9)
-    rows = list(dv._orbit_rows(f9, 21))
+    rows = list(dv._orbit_rows(f9))
     assert sum(len(betas) for _, betas, _ in rows) == _burnside(f9) == 12509
     assert sum(len(betas) * w for _, betas, w in rows) == f9.q ** 2 + f9.q + 1
 

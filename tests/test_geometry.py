@@ -126,7 +126,7 @@ def test_roots_match_trivariate_evaluation_exhaustively_m3():
             for beta in range(8):
                 point = {"a": alpha, "b": beta, "g": 1, "u": u}
                 expected = [y for y in range(8) if P.eval({**point, "y": y}, F3) == 0]
-                assert ev.roots(alpha, beta) == expected
+                assert ev.solve_pair(alpha, beta)[1] == expected
 
 
 def _brute_roots(ev, alpha, beta):
@@ -184,7 +184,8 @@ def test_roots_match_brute_force_m6_every_pair():
         ev = geo.SurfaceEvaluator(u, F6)
         for alpha in range(64):
             for beta in range(64):
-                assert ev.roots(alpha, beta) == _brute_roots(ev, alpha, beta), (u, alpha, beta)
+                roots = ev.solve_pair(alpha, beta)[1]
+                assert roots == _brute_roots(ev, alpha, beta), (u, alpha, beta)
 
 
 def test_roots_match_brute_force_m9_sampled():
@@ -194,7 +195,7 @@ def test_roots_match_brute_force_m9_sampled():
     pairs = [(rng.randrange(512), rng.randrange(512)) for _ in range(2000)]
     pairs += [(0, beta) for beta in range(512)] + [(alpha, 0) for alpha in range(512)]
     for alpha, beta in pairs:
-        assert ev.roots(alpha, beta) == _brute_roots(ev, alpha, beta), (alpha, beta)
+        assert ev.solve_pair(alpha, beta)[1] == _brute_roots(ev, alpha, beta), (alpha, beta)
 
 
 def test_surface_setup_runs_once_per_process(monkeypatch):
@@ -214,7 +215,7 @@ def test_surface_setup_runs_once_per_process(monkeypatch):
     fresh = geo.SurfaceEvaluator(0x3, F6)
     for alpha in range(64):
         for beta in range(64):
-            assert ev.roots(alpha, beta) == fresh.roots(alpha, beta), (alpha, beta)
+            assert ev.solve_pair(alpha, beta) == fresh.solve_pair(alpha, beta), (alpha, beta)
 
 
 def test_a_new_u_compiles_only_what_the_walkers_read(monkeypatch):
@@ -352,7 +353,7 @@ def test_surface_counts_solve_one_pair_per_generic_orbit(monkeypatch):
 def test_witness_scan_runs_only_when_the_counts_show_one(monkeypatch):
     # u = 1 is a 7th power with no filtered point where H is nonzero
     monkeypatch.setattr(geo, "_first_witness_point",
-                        lambda ev, curve: pytest.fail("the scan ran without a witness to find"))
+                        lambda ev: pytest.fail("the scan ran without a witness to find"))
     assert geo.surface_report(0x1, F6, emit_witness=True)["witness"] is None
 
 
@@ -431,7 +432,7 @@ def test_point_to_witness_vanishing_obstruction_is_a_geometry_error():
 def test_curve_table_matches_field_arithmetic():
     for u in range(64):
         expected = [F6.mul(F6.square(u), F6.pow(beta, 3)) for beta in range(64)]
-        assert geo._curve_alphas(u, F6) == expected, u
+        assert geo.SurfaceEvaluator(u, F6).curve == expected, u
 
 
 def _rebuilt_by_mul(ctx, u, a, y, h, rhs):
@@ -453,7 +454,7 @@ def test_check_root_rebuilds_the_mul_formulas():
         for alpha in range(1, 64):
             for beta in range(1, 64):
                 h = ev.obstruction_value(alpha, beta)
-                roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
+                roots = [y for y in ev.solve_pair(alpha, beta)[1] if y not in (0, beta)]
                 if not (h and roots) or alpha == F6.mul(F6.square(u), F6.pow(beta, 3)):
                     continue
                 a = (alpha, beta, 1)
@@ -504,21 +505,31 @@ def test_cross_validation_consistent_m3():
 def _count_relation_dims(u, ctx, pairs):
     """The kernel dimension k at each generic pair, asserting 2^k = 2 + #roots outside {0, beta}.
 
-    A pair is generic when alpha*beta != 0, it is off the degree-44 curve
+    A pair is generic when u*alpha*beta != 0, it is off the degree-44 curve
     and the obstruction form is nonzero.  k is taken from the per-triple
-    columns rather than the row walk.
+    columns rather than the row walk.  `kernel_roots` must give (h, roots)
+    at a generic pair and (0, []) at any other.
     """
     ev = geo.SurfaceEvaluator(u, ctx)
     dims = []
     for alpha, beta in pairs:
-        if not (alpha and beta) or alpha == ctx.mul(ctx.square(u), ctx.pow(beta, 3)) \
-                or not ev.obstruction_value(alpha, beta):
+        h = ev.obstruction_value(alpha, beta)
+        roots = [y for y in ev.solve_pair(alpha, beta)[1] if y not in (0, beta)]
+        generic = u and alpha and beta and h and alpha != ctx.mul(ctx.square(u), ctx.pow(beta, 3))
+        assert ev.kernel_roots(alpha, beta) == ((h, roots) if generic else (0, [])), \
+            (u, alpha, beta)
+        if not generic:
             continue
         k = len(_kernel(derivative_columns((alpha, beta, 1), u, ctx), 3 * ctx.m))
-        roots = [y for y in ev.roots(alpha, beta) if y not in (0, beta)]
         assert 1 << k == 2 + len(roots), (u, alpha, beta)
         dims.append(k)
     return dims
+
+
+def test_kernel_roots_are_empty_for_u_zero():
+    # u = 0 lies outside the family: no pair is generic
+    ev = geo.SurfaceEvaluator(0, F6)
+    assert all(ev.kernel_roots(a, b) == (0, []) for a in range(64) for b in range(64))
 
 
 def test_cross_validation_consistent_m6(monkeypatch):
