@@ -197,15 +197,8 @@ def cmd_surface(args) -> tuple[dict, int]:
         u, ctx, filtered=args.filtered,
         collect_points=args.list_points, emit_witness=args.emit_witness,
         progress=_progress("surface") if ctx.m >= 6 else None)
-    doc = {
-        "schema": geometry.SURFACE_SCHEMA,
-        "params": _params(ctx, u, warnings, filtered=args.filtered),
-        "counts": rep["counts"],
-    }
-    if "points" in rep:
-        doc["points"] = rep["points"]
-    if "witness" in rep:
-        doc["certificate"] = rep["witness"]
+    doc = {"schema": geometry.SURFACE_SCHEMA,
+           "params": _params(ctx, u, warnings, filtered=args.filtered), **rep}
     print(f"surface points: {rep['counts']}", file=sys.stderr)
     return doc, EXIT_OK
 

@@ -10,23 +10,24 @@ an Artin-Schreier quadratic in y, both read from tables built once per
 field and process (`_field_tables`).  Every per-pair step (coefficients,
 roots, the degree-44 curve, rebuilt witness vectors) is log/exp-table
 arithmetic with no field-method call, and alpha is folded into the
-coefficients once per row of a walk; `surface_coeffs` and `count_vs_band`
-stay oracles.  The evaluator owns the exceptional locus (alpha*beta = 0,
-the curve and the zeros of H): `kernel_roots` is the one rule off it.
-The identity layer verifies P once per process, so an evaluator for a
-new u compiles only c_0, c_2, c_6 and H at that u.  It counts the
-points along the order-21 fold, a generic orbit from one representative,
-lists them and rebuilds witness certificates from them, cross-validates
-the surface pipeline against the kernel pipeline in one sweep of the
-chart, and evaluates the point-count lower bound that closes the argument
-for large fields - in exact integer arithmetic, with every rounding taken
-in the direction that weakens the bound.
+coefficients once per row of a walk; `surface_coeffs` and
+`count_vs_band` stay oracles.  A surface point is the triple (alpha,
+beta, y).  The evaluator owns the exceptional locus (alpha*beta = 0, the
+roots 0 and beta, the curve and the zeros of H): `kernel_roots` is the
+one rule off it, and `point_json` flags a point.  The identity layer
+verifies P once per process, so an evaluator for a new u compiles only
+c_0, c_2, c_6 and H at that u.  It counts the points along the order-21
+fold, a generic orbit from one representative, lists them and rebuilds
+witness certificates from them, cross-validates the surface pipeline
+against the kernel pipeline in one sweep of the chart, and evaluates the
+point-count lower bound that closes the argument for large fields - in
+exact integer arithmetic, with every rounding taken in the direction
+that weakens the bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -56,28 +57,6 @@ REFERENCE_STATEMENT = ("the family has a non-APN witness for every m >= 20 "
 
 class GeometryError(RuntimeError):
     """A surface point failed its guaranteed witness reconstruction."""
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    alpha: int
-    beta: int
-    y: int
-    on_excluded_lines: bool
-    on_degree44_curve: bool
-
-    @property
-    def passes_filters(self) -> bool:
-        return not (self.on_excluded_lines or self.on_degree44_curve)
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": elem_to_hex(self.alpha),
-            "beta": elem_to_hex(self.beta),
-            "y": elem_to_hex(self.y),
-            "on_excluded_lines": self.on_excluded_lines,
-            "on_degree44_curve": self.on_degree44_curve,
-        }
 
 
 def _compile(poly: MPoly, u: int, ctx: FieldCtx) -> list[tuple[int, int, int]]:
@@ -300,6 +279,19 @@ class SurfaceEvaluator:
             ys.remove(beta)
         return h, ys
 
+    def point_json(self, alpha: int, beta: int, y: int) -> dict:
+        """The point's hex coordinates and its two flags.
+
+        Every root that `kernel_roots` gives has both flags false.
+        """
+        return {
+            "alpha": elem_to_hex(alpha),
+            "beta": elem_to_hex(beta),
+            "y": elem_to_hex(y),
+            "on_excluded_lines": not (alpha and beta) or y in (0, beta),
+            "on_degree44_curve": alpha == self.curve[beta],
+        }
+
     def obstruction_value(self, alpha: int, beta: int) -> int:
         """H(alpha, beta, 1) from the unfolded terms; the row fold is left as it is."""
         return self._value(self._terms[0], self._logs[alpha], self._logs[beta])
@@ -318,32 +310,27 @@ def _guard_surface(ctx: FieldCtx, points_listed: str | None = None) -> None:
         raise ValueError(f"{points_listed} is limited to m <= {POINTS_MAX_M}")
 
 
-def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[SurfacePoint]:
+def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[tuple[int, int, int]]:
     """All (alpha, beta, y) with P_{alpha,beta,1}(y) = 0 at ev's u, in encoding order."""
     ctx = ev.ctx
     _guard_surface(ctx)
-    curve = ev.curve
     for alpha in range(ctx.q):
         for beta in range(ctx.q):
             for y in ev.solve_pair(alpha, beta)[1]:
-                yield SurfacePoint(
-                    alpha, beta, y,
-                    on_excluded_lines=alpha == 0 or beta == 0 or y == 0 or y == beta,
-                    on_degree44_curve=alpha == curve[beta],
-                )
+                yield alpha, beta, y
 
 
-def _first_witness_point(ev: SurfaceEvaluator) -> SurfacePoint | None:
-    """The first point of `iter_surface_points` that passes the filters with H nonzero, or None.
+def _first_witness_point(ev: SurfaceEvaluator) -> tuple[int, int, int] | None:
+    """The first point of `iter_surface_points` that `kernel_roots` lists, or None.
 
-    The first generic pair in encoding order with a root (`kernel_roots`)
-    gives its smallest root.  No point before it is built.
+    The first generic pair in encoding order with a root gives its smallest
+    root.  No point before it is built.
     """
     for alpha in range(1, ev.ctx.q):
         for beta in range(1, ev.ctx.q):
             ys = ev.kernel_roots(alpha, beta)[1]
             if ys:
-                return SurfacePoint(alpha, beta, ys[0], False, False)
+                return alpha, beta, ys[0]
     return None
 
 
@@ -355,7 +342,10 @@ def surface_report(
     emit_witness: bool = False,
     progress=None,
 ) -> dict:
-    """Exact point counts (and optionally the points and one witness).
+    """Exact point counts, optionally the flagged points and one witness certificate.
+
+    Returns {"counts": ...}, plus "points" with collect_points and
+    "certificate" with emit_witness.
 
     The order-7 symmetry maps (alpha, beta, y) to (s^2 alpha, s^3 beta,
     s^3 y) and keeps both filters, so the lines alpha = 0 and beta = 0
@@ -370,12 +360,13 @@ def surface_report(
     7.  H is evaluated at the images only for a 7th power u; for any other
     it vanishes nowhere (see `cross_validate`).  progress gets the share of
     the fold's rows done, once per row and last at 1.0.  The points are
-    listed by `iter_surface_points`, in encoding order.
+    listed by `iter_surface_points`, in encoding order, as `point_json`
+    gives them.
 
-    The witness comes from that walk's first filtered point where H is
-    nonzero (`_first_witness_point`); it is None when there is no such
-    point, as for u = 1.  The counts tell whether there is one, so the scan
-    runs only then.
+    The certificate comes from the first point that `kernel_roots` lists
+    (`_first_witness_point`); it is None when there is no such point, as
+    for u = 1.  The counts tell whether there is one, so the scan runs
+    only then.
     """
     _guard_surface(ctx, "listing surface points" if collect_points else None)
     ev = SurfaceEvaluator(u, ctx)
@@ -424,31 +415,31 @@ def surface_report(
     doc = {"counts": {"total": total, "on_excluded_lines": lines,
                       "on_degree44_curve": curve, "filtered": kept}}
     if collect_points:
-        doc["points"] = [p.to_json() for p in iter_surface_points(ev)
-                         if not filtered or p.passes_filters]
+        points = (ev.point_json(*p) for p in iter_surface_points(ev))
+        doc["points"] = [p for p in points if not filtered
+                         or not (p["on_excluded_lines"] or p["on_degree44_curve"])]
     if emit_witness:
         pt = _first_witness_point(ev) if has_witness else None
-        doc["witness"] = point_to_witness(pt, ev).to_json() if pt else None
+        doc["certificate"] = point_to_witness(pt, ev).to_json() if pt else None
     return doc
 
 
-def point_to_witness(p: SurfacePoint, ev: SurfaceEvaluator) -> WitnessCertificate:
-    """Reconstruct the full solution data behind a filtered surface point.
+def point_to_witness(p: tuple[int, int, int], ev: SurfaceEvaluator) -> WitnessCertificate:
+    """Reconstruct the full solution data behind the surface point p = (alpha, beta, y).
 
-    The algebra guarantees success for points off the excluded lines and
-    the degree-44 curve with H nonzero, so any verification failure here is
-    raised as a hard error rather than reported as a miss.
+    p must be a root that `kernel_roots` lists, else ValueError.  The
+    algebra guarantees success there, so any verification failure is
+    raised as a GeometryError rather than reported as a miss.
     """
-    if not p.passes_filters:
-        raise ValueError("point lies on an excluded line or the degree-44 curve")
-    h = ev.obstruction_value(p.alpha, p.beta)
-    if h == 0:
-        raise GeometryError("the obstruction form vanishes here; "
-                            "witness reconstruction is undefined")
-    a: Triple = (p.alpha, p.beta, 1)
+    alpha, beta, y = p
+    h, ys = ev.kernel_roots(alpha, beta)
+    if y not in ys:
+        raise ValueError("not a witness point: it lies on an excluded line or the degree-44 "
+                         "curve, H = 0 there, or y is not a root")
+    a: Triple = (alpha, beta, 1)
     cert = build_certificate(a, ev.u, ev.ctx)
     solutions = {pack_vec(v, ev.ctx.m) for v in cert.solutions} if cert else None
-    _check_root(ev, a, p.y, h, ev.rhs_coeffs(p.alpha, p.beta), solutions)
+    _check_root(ev, a, y, h, ev.rhs_coeffs(alpha, beta), solutions)
     return cert
 
 
@@ -571,7 +562,7 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
             except GeometryError as err:
                 to_kernel.append({
                     "direction": "surface_to_kernel",
-                    "point": SurfacePoint(alpha, beta, y, False, False).to_json(),
+                    "point": ev.point_json(alpha, beta, y),
                     "detail": str(err),
                 })
     if progress is not None:

@@ -284,21 +284,29 @@ def test_surface_exclusions_fit_their_budget():
             assert counts["on_degree44_curve"] <= 44 * ctx.q + 1, (ctx.m, u)
 
 
+def _point_flags(ctx, u, alpha, beta, y):
+    """(on_excluded_lines, on_degree44_curve) by field arithmetic, not by the evaluator's locus."""
+    return (alpha == 0 or beta == 0 or y in (0, beta),
+            alpha == ctx.mul(ctx.square(u), ctx.pow(beta, 3)))
+
+
 def _every_point_report(ev):
-    """Counts and witness from every point of `iter_surface_points`, as `surface_report` gives them."""
+    """`surface_report`'s counts and certificate from every point of `iter_surface_points`."""
     total = lines = curve = kept = 0
     first = None
-    for p in geo.iter_surface_points(ev):
+    for alpha, beta, y in geo.iter_surface_points(ev):
+        on_lines, on_curve = _point_flags(ev.ctx, ev.u, alpha, beta, y)
         total += 1
-        lines += p.on_excluded_lines
-        curve += p.on_degree44_curve
-        if p.passes_filters:
+        lines += on_lines
+        curve += on_curve
+        if not (on_lines or on_curve):
             kept += 1
-            if first is None and ev.obstruction_value(p.alpha, p.beta):
-                first = p
+            if first is None and ev.obstruction_value(alpha, beta):
+                first = alpha, beta, y
     counts = {"total": total, "on_excluded_lines": lines, "on_degree44_curve": curve,
               "filtered": kept}
-    return {"counts": counts, "witness": geo.point_to_witness(first, ev).to_json() if first else None}
+    return {"counts": counts,
+            "certificate": geo.point_to_witness(first, ev).to_json() if first else None}
 
 
 @pytest.mark.parametrize("ctx", [F3, F6], ids=["m3", "m6"])
@@ -354,7 +362,7 @@ def test_witness_scan_runs_only_when_the_counts_show_one(monkeypatch):
     # u = 1 is a 7th power with no filtered point where H is nonzero
     monkeypatch.setattr(geo, "_first_witness_point",
                         lambda ev: pytest.fail("the scan ran without a witness to find"))
-    assert geo.surface_report(0x1, F6, emit_witness=True)["witness"] is None
+    assert geo.surface_report(0x1, F6, emit_witness=True)["certificate"] is None
 
 
 def test_log_domain_terms_match_polynomial_evaluation():
@@ -392,13 +400,31 @@ def test_surface_guards():
 
 
 def test_filtered_iteration_respects_flags():
-    pts = [p for p in geo.iter_surface_points(geo.SurfaceEvaluator(2, F6))
-           if p.passes_filters]
-    assert pts
-    for p in pts[:50]:
-        assert p.passes_filters
-        assert p.y not in (0, p.beta)
-        assert p.alpha != 0 and p.beta != 0
+    # every point at m=6, for u = 0 (outside the family), 0x2 and the 7th power 0x6
+    for u in (0x0, 0x2, 0x6):
+        ev = geo.SurfaceEvaluator(u, F6)
+        kept = 0
+        for alpha, beta, y in geo.iter_surface_points(ev):
+            doc = ev.point_json(alpha, beta, y)
+            flags = _point_flags(F6, u, alpha, beta, y)
+            assert (doc["on_excluded_lines"], doc["on_degree44_curve"]) == flags, \
+                (u, alpha, beta, y)
+            if not any(flags):
+                kept += 1
+                assert y not in (0, beta) and alpha and beta
+        assert kept or u == 0, u
+
+
+def test_point_listing_m6_digests():
+    # the listings of `surface_report`, byte for byte: every point at u = 0x2,
+    # and the filtered points at the 7th power u = 0x6
+    for u, filtered, n, digest in (
+            (0x2, False, 4390, "7011f0dc9b325ea5bb7f6e0dbabe024cdfe48f1e4de9ebd967c36d7e26cbc5ce"),
+            (0x6, True, 5712, "abb1a5ea2ab03b8f75b76d96cf0ac6a46d7456473f6c0e4811dfec5a7c9c004f")):
+        points = geo.surface_report(u, F6, filtered=filtered, collect_points=True)["points"]
+        assert len(points) == n, u
+        text = json.dumps(points, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == digest, u
 
 
 # -- witness reconstruction -----------------------------------------------------------
@@ -406,26 +432,26 @@ def test_filtered_iteration_respects_flags():
 
 def test_point_to_witness_m6():
     ev = geo.SurfaceEvaluator(2, F6)
-    pt = next(p for p in geo.iter_surface_points(ev) if p.passes_filters)
-    cert = geo.point_to_witness(pt, ev)
+    alpha, beta, y = geo._first_witness_point(ev)
+    cert = geo.point_to_witness((alpha, beta, y), ev)
     assert cert.kernel_dim >= 2
-    assert cert.triple == (pt.alpha, pt.beta, 1)
+    assert cert.triple == (alpha, beta, 1)
     # the reconstructed solution keeps the point's y coordinate
-    assert any(v[1] == pt.y for v in cert.solutions)
+    assert any(v[1] == y for v in cert.solutions)
 
 
 def test_point_to_witness_rejects_flagged_points():
-    pt = geo.SurfacePoint(1, 1, 0, on_excluded_lines=True, on_degree44_curve=False)
     with pytest.raises(ValueError, match="excluded line"):
-        geo.point_to_witness(pt, geo.SurfaceEvaluator(2, F6))
+        geo.point_to_witness((1, 1, 0), geo.SurfaceEvaluator(2, F6))
 
 
-def test_point_to_witness_vanishing_obstruction_is_a_geometry_error():
+def test_point_to_witness_rejects_a_vanishing_obstruction():
     # for u = 0x6, a 7th power, the obstruction form vanishes at filtered points
     ev = geo.SurfaceEvaluator(6, F6)
-    pt = next(p for p in geo.iter_surface_points(ev)
-              if p.passes_filters and not ev.obstruction_value(p.alpha, p.beta))
-    with pytest.raises(geo.GeometryError, match="obstruction form vanishes"):
+    pt = next((alpha, beta, y) for alpha, beta, y in geo.iter_surface_points(ev)
+              if not any(_point_flags(F6, 6, alpha, beta, y))
+              and not ev.obstruction_value(alpha, beta))
+    with pytest.raises(ValueError, match="H = 0"):
         geo.point_to_witness(pt, ev)
 
 
