@@ -219,16 +219,17 @@ def _orbit_rows(ctx: FieldCtx) -> Iterator:
     the triple.  The three coordinate points are one row of weight 3, the
     lines alpha = 0, beta = 0 and gamma = 0 are the row (0, beta, 1) over
     the mu_7 representatives, of weight 21, and `_rotation_rows` gives the
-    rest from the field's log tables.  Rows are made as the walk reaches
-    them.
+    rest from the field's log tables, built at the field's first walk.
     """
     yield (0, 0, 0), (1,), 3
     yield (0, 0, 1), mu7_representatives(ctx), 21
     yield from _rotation_rows(ctx)
 
 
-def _rotation_rows(ctx: FieldCtx) -> Iterator:
-    """The rows of the order-21 fold with alpha * beta != 0, one alpha at a time.
+# bounded like `geometry._field_tables`, whose comment gives the sizes
+@lru_cache(maxsize=8)
+def _rotation_rows(ctx: FieldCtx) -> tuple:
+    """The rows of the order-21 fold with alpha * beta != 0, built once per field.
 
     In logs (a, b) of (alpha, beta), with n = q - 1 and M = n / 7, mu_7
     moves (a, b) by multiples of (2M, 3M), and normalising a to a mod M
@@ -239,12 +240,13 @@ def _rotation_rows(ctx: FieldCtx) -> Iterator:
     (b - a) mod M, depend on b mod M alone, so the seven b of a residue are
     kept or dropped together unless one of them ties with a.  The pairs
     that the rotation fixes are the points an element of order 3 fixes, in
-    orbits of 7: three for even m, one for odd m.  Every other pair stands
-    for 21 points.
+    orbits of 7: three for even m, one for odd m, each the one pair of its
+    row of weight 7.  Every other pair stands for 21 points.
     """
     n = ctx.q - 1
     M = n // 7
     exp = ctx._exp2
+    out = []
     for a in range(M):
         rows: dict[int, list[int]] = {21: [], 7: []}
         for r in range(M):
@@ -257,7 +259,8 @@ def _rotation_rows(ctx: FieldCtx) -> Iterator:
                     p2 = (a2, (2 * ((b - a) % n - a2) - a) % n)
                     if (a, b) <= min(p1, p2):
                         rows[7 if p1 == (a, b) else 21].append(exp[b])
-        yield from (((exp[a], 0, 1), betas, w) for w, betas in rows.items() if betas)
+        out += (((exp[a], 0, 1), tuple(betas), w) for w, betas in rows.items() if betas)
+    return tuple(out)
 
 
 def _representatives(ctx: FieldCtx, u: int) -> Iterator:
@@ -315,8 +318,10 @@ def differential_spectrum(u: int, ctx: FieldCtx, progress=None) -> dict:
     points = q * q + q + 1
     hist = [0] * (3 * ctx.m + 1)  # points by kernel dimension
     for (al, _, ga), betas, weight in _orbit_rows(ctx):
+        # a row of weight 7 is one pair; alpha = 0 has no generic pair
+        row = ev.row(al) if al and weight == 21 else None
         for be in betas:
-            h, ys = ev.kernel_roots(al, be) if ga else (0, None)
+            h, ys = ev.kernel_roots(al, be, row) if ga else (0, None)
             if h:
                 count = 2 + len(ys)
                 if count & (count - 1):
@@ -357,9 +362,8 @@ def is_permutation(u: int, ctx: FieldCtx) -> bool:
     image and C_u(a) by lambda^3, the D of `_orbit_rows` moves both by
     diag(1, s^3, s), and the map at sigma(a) is sigma o (map at a) o
     sigma^-1 with C_u(sigma(a)) = sigma(C_u(a)).  So one triple per orbit of
-    the order-21 group decides, whatever its weight.  The rows are built
-    one alpha at a time as the walk reaches them, so an early collision
-    costs only the rows before it.
+    the order-21 group decides, whatever its weight.  The walk stops at the
+    first collision; the rows it walks are built once per field.
     """
     _guard_family(ctx)
     if ctx.m > PERMUTATION_MAX_M:

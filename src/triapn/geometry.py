@@ -5,14 +5,15 @@ gamma = 1 chart, a surface whose F_q-rational points (alpha, beta, y) with
 P_{alpha,beta,1}(y) = 0 reconstruct difference triples with at least four
 solutions.  The identity layer vouches that P = c6*w^3 + c2*w + c0 with
 w = y^2 + beta*y, so this module finds those roots in one place
-(``SurfaceEvaluator.solve_pair``) in closed form: a depressed cubic in w, then
+(``SurfaceEvaluator._solve``) in closed form: a depressed cubic in w, then
 an Artin-Schreier quadratic in y, both read from tables built once per
 field and process (`_field_tables`).  Every per-pair step (coefficients,
 roots, the degree-44 curve, rebuilt witness vectors) is log/exp-table
-arithmetic with no field-method call, and alpha is folded into the
-coefficients once per row of a walk; `surface_coeffs` and
-`count_vs_band` stay oracles.  A surface point is the triple (alpha,
-beta, y).  The evaluator owns the exceptional locus (alpha*beta = 0, the
+arithmetic with no field-method call.  A walk folds alpha into the
+coefficients once per row it reads, and a lone pair reads the unfolded
+terms; `surface_coeffs` and `count_vs_band` stay oracles.  A surface
+point is the triple (alpha, beta, y).  The evaluator owns the exceptional
+locus (alpha*beta = 0, the
 roots 0 and beta, the curve and the zeros of H): `kernel_roots` is the
 one rule off it, and `point_json` flags a point.  The identity layer
 verifies P once per process, so an evaluator for a new u compiles only
@@ -28,8 +29,8 @@ that weakens the bound.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterator
 
 from . import identities
 from .derivative import (Triple, WitnessCertificate, _guard_family, _kernel, _kernel_solutions,
@@ -80,7 +81,8 @@ def _compile(poly: MPoly, u: int, ctx: FieldCtx) -> list[tuple[int, int, int]]:
 
 # At most 8 fields, the bound of `gf2m._field`.  One entry takes 0.23 MiB at
 # m = 9 and 2.0 MiB at m = 12, the largest field the surface runs on
-# (tracemalloc), so the cache holds at most about 16 MiB.
+# (tracemalloc), so the cache holds at most about 16 MiB.  The order-21 rows
+# of `derivative._rotation_rows`, cached alike, take 6.2 MiB at m = 12.
 @lru_cache(maxsize=8)
 def _field_tables(ctx: FieldCtx, max_e: int) -> tuple[list, ...]:
     """The tables of `SurfaceEvaluator` that depend on the field alone.
@@ -141,11 +143,11 @@ class SurfaceEvaluator:
     `_field_tables`.  The row of 0 holds 0 for the exponent 0 (so 0^0 = 1)
     and a sentinel for every other exponent; the exp table reads 0 at any
     index that contains a sentinel.  A term alpha^ea*beta^eb*c is then one
-    lookup, exp[row(alpha)[ea] + row(beta)[eb] + log c].  `solve_pair`
-    folds alpha in once per row (`_fold`), so a pair costs one add and one
-    lookup per power of beta, and the root solver works on logs too: it
-    makes no `FieldCtx` call.  `surface_coeffs`, `rhs_coeffs` and
-    `obstruction_value` evaluate the unfolded terms.
+    lookup, exp[row(alpha)[ea] + row(beta)[eb] + log c].  `row` and
+    `rhs_row` fold alpha in once for a walk's row (`_fold`), so a pair of
+    it costs one add and one lookup per power of beta; the other methods
+    read a lone pair from the unfolded terms.  The root solver works on
+    logs too: it makes no `FieldCtx` call.
     """
 
     def __init__(self, u: int, ctx: FieldCtx):
@@ -156,7 +158,6 @@ class SurfaceEvaluator:
          self._cbrt) = _field_tables(ctx, max_e)
         self._log = ctx._log
         self._terms = [_compile(p, u, ctx) for p in (h, k, coeffs[2], coeffs[6])]
-        self._alpha = None
         # u^2*beta^3 for every beta: (alpha, beta) is on the degree-44 curve iff alpha is that
         exp, lu2, n = ctx._exp2, 2 * ctx._log[u], ctx.q - 1
         self.curve = [0] + [exp[(lu2 + 3 * lb) % n] for lb in self._log[1:]] if u else [0] * ctx.q
@@ -172,8 +173,8 @@ class SurfaceEvaluator:
     def _rhs(self) -> list:
         return [_compile(p, self.u, self.ctx) for p in self._polys[1]]
 
-    def _fold(self, alpha: int) -> None:
-        """Fold alpha into H, K, c_2 and c_6: one (log C, eb) per nonzero C*beta^eb.
+    def _fold(self, alpha: int, polys: list) -> list[list[tuple[int, int]]]:
+        """Fold alpha into compiled terms: one (eb, log C) per nonzero C*beta^eb of each.
 
         C sums alpha^ea*c over the terms with that eb, so an index
         log C + row(beta)[eb] is below 2n, or below 4n with a sentinel; c_0
@@ -181,13 +182,12 @@ class SurfaceEvaluator:
         """
         alogs, exp, log = self._logs[alpha], self._exp, self._log
         folded = []
-        for t in self._terms:
+        for t in polys:
             by_eb: dict[int, int] = {}
             for ea, eb, lc in t:
                 by_eb[eb] = by_eb.get(eb, 0) ^ exp[alogs[ea] + lc]
-            folded.append([(log[c], eb) for eb, c in by_eb.items() if c])
-        self._fh, self._fk, self._f2, self._f6 = folded
-        self._alpha = alpha
+            folded.append([(eb, log[c]) for eb, c in by_eb.items() if c])
+        return folded
 
     def _value(self, terms, alogs, blogs) -> int:
         exp = self._exp
@@ -239,39 +239,44 @@ class SurfaceEvaluator:
         return sorted(out)
 
     def solve_pair(self, alpha: int, beta: int) -> tuple[int, list[int]]:
-        """H(alpha, beta, 1) and the y in F_q with P_{alpha,beta,1}(y) = 0, in increasing order.
-
-        This is the only place P is evaluated in y.  It reads c_0 = K*H,
-        c_2 and c_6 alone, since P = c_6*w^3 + c_2*w + c_0 with
-        w = y^2 + beta*y, solves the cubic for w and then y^2 + beta*y = w
-        for y, from the tables, with no scan over the field.
-        """
-        if alpha != self._alpha:
-            self._fold(alpha)
-        exp, blogs = self._exp, self._logs[beta]
-        h = c0 = c2 = c6 = 0
-        for la, eb in self._fh:
-            h ^= exp[la + blogs[eb]]
-        if h:
-            lh = self._log[h]
-            for la, eb in self._fk:
-                c0 ^= exp[lh + la + blogs[eb]]
-        for la, eb in self._f2:
-            c2 ^= exp[la + blogs[eb]]
-        for la, eb in self._f6:
-            c6 ^= exp[la + blogs[eb]]
+        """H(alpha, beta, 1) and the sorted y with P_{alpha,beta,1}(y) = 0; c_0 = K*H."""
+        alogs, blogs = self._logs[alpha], self._logs[beta]
+        h, k, c2, c6 = (self._value(t, alogs, blogs) for t in self._terms)
+        c0 = self._exp[self._log[h] + self._log[k]] if h and k else 0
         return h, self._solve(c0, c2, c6, beta)
 
-    def kernel_roots(self, alpha: int, beta: int) -> tuple[int, list[int]]:
+    def row(self, alpha: int) -> Callable[[int], tuple[int, list[int]]]:
+        """beta -> `solve_pair(alpha, beta)`, alpha folded in once: one add and lookup per term."""
+        fh, fk, f2, f6 = self._fold(alpha, self._terms)
+        exp, logs, log, solve = self._exp, self._logs, self._log, self._solve
+
+        def pair(beta: int) -> tuple[int, list[int]]:
+            blogs = logs[beta]
+            h = c0 = c2 = c6 = 0
+            for eb, lc in fh:
+                h ^= exp[lc + blogs[eb]]
+            if h:
+                lh = log[h]
+                for eb, lc in fk:
+                    c0 ^= exp[lh + lc + blogs[eb]]
+            for eb, lc in f2:
+                c2 ^= exp[lc + blogs[eb]]
+            for eb, lc in f6:
+                c6 ^= exp[lc + blogs[eb]]
+            return h, solve(c0, c2, c6, beta)
+
+        return pair
+
+    def kernel_roots(self, alpha: int, beta: int, row=None) -> tuple[int, list[int]]:
         """H and the sorted roots y outside {0, beta} at a generic pair, else (0, []).
 
         Generic: u, alpha and beta nonzero, off the curve, H nonzero.  There
         the kernel at (alpha, beta, 1) is 0, a and one vector per root.  0 and
-        beta are roots together (P(0) = P(beta) = c_0), 0 first.
+        beta are roots together (P(0) = P(beta) = c_0), 0 first.  A walk passes its `row(alpha)`.
         """
         if not (self.u and alpha and beta) or alpha == self.curve[beta]:
             return 0, []
-        h, ys = self.solve_pair(alpha, beta)
+        h, ys = row(beta) if row else self.solve_pair(alpha, beta)
         if not h:
             return 0, []
         if ys and not ys[0]:
@@ -293,13 +298,28 @@ class SurfaceEvaluator:
         }
 
     def obstruction_value(self, alpha: int, beta: int) -> int:
-        """H(alpha, beta, 1) from the unfolded terms; the row fold is left as it is."""
+        """H(alpha, beta, 1) of a lone pair, from the unfolded terms."""
         return self._value(self._terms[0], self._logs[alpha], self._logs[beta])
 
     def rhs_coeffs(self, alpha: int, beta: int) -> list[int]:
         """[c_4, c_2, c_1]: the linearized right-hand side is c_4*y^4 + c_2*y^2 + c_1*y."""
         alogs, blogs = self._logs[alpha], self._logs[beta]
         return [self._value(t, alogs, blogs) for t in self._rhs]
+
+    def rhs_row(self, alpha: int) -> Callable[[int], list[int]]:
+        """beta -> `rhs_coeffs(alpha, beta)`, with alpha folded into the three terms once."""
+        folded, exp, logs = self._fold(alpha, self._rhs), self._exp, self._logs
+
+        def rhs(beta: int) -> list[int]:
+            blogs, out = logs[beta], []
+            for t in folded:
+                acc = 0
+                for eb, lc in t:
+                    acc ^= exp[lc + blogs[eb]]
+                out.append(acc)
+            return out
+
+        return rhs
 
 
 def _guard_surface(ctx: FieldCtx, points_listed: str | None = None) -> None:
@@ -315,8 +335,9 @@ def iter_surface_points(ev: SurfaceEvaluator) -> Iterator[tuple[int, int, int]]:
     ctx = ev.ctx
     _guard_surface(ctx)
     for alpha in range(ctx.q):
+        row = ev.row(alpha)
         for beta in range(ctx.q):
-            for y in ev.solve_pair(alpha, beta)[1]:
+            for y in row(beta)[1]:
                 yield alpha, beta, y
 
 
@@ -327,8 +348,9 @@ def _first_witness_point(ev: SurfaceEvaluator) -> tuple[int, int, int] | None:
     root.  No point before it is built.
     """
     for alpha in range(1, ev.ctx.q):
+        row = ev.row(alpha)
         for beta in range(1, ev.ctx.q):
-            ys = ev.kernel_roots(alpha, beta)[1]
+            ys = ev.kernel_roots(alpha, beta, row)[1]
             if ys:
                 return alpha, beta, ys[0]
     return None
@@ -358,10 +380,10 @@ def surface_report(
     {0, beta}, dim being invariant under sigma, and 0 and beta are roots
     iff u^3 = 1 (c_0 = K*H).  Any other orbit counts image by image, weight
     7.  H is evaluated at the images only for a 7th power u; for any other
-    it vanishes nowhere (see `cross_validate`).  progress gets the share of
-    the fold's rows done, once per row and last at 1.0.  The points are
-    listed by `iter_surface_points`, in encoding order, as `point_json`
-    gives them.
+    it vanishes nowhere (see `cross_validate`).  Only the rows of weight 21
+    are folded.  progress gets the share of the fold's rows done, once per
+    row and last at 1.0.  The points are listed by `iter_surface_points`,
+    in encoding order, as `point_json` gives them.
 
     The certificate comes from the first point that `kernel_roots` lists
     (`_first_witness_point`); it is None when there is no such point, as
@@ -394,8 +416,10 @@ def surface_report(
     for (alpha, _, _), betas, weight in _rotation_rows(ctx):
         la = log[alpha]
         b2 = exp[n - la]
+        # a row of weight 7 is the one pair of its alpha that the rotation fixes
+        solve = ev.row(alpha) if weight == 21 else partial(ev.solve_pair, alpha)
         for beta in betas:
-            h, roots = ev.solve_pair(alpha, beta)
+            h, roots = solve(beta)
             # sigma p = (a1, b1) and sigma^2 p = (a2, b2); a weight-7 pair is its own only image
             lb = log[beta]
             a1, b1, a2 = exp[n - lb], exp[la - lb + n], exp[lb - la + n]
@@ -522,11 +546,11 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     raising its CertificateError, but builds no certificate.  Kernel to
     surface: such a kernel must have a solution whose y is a surface root
     outside {0, beta}.  Surface to kernel: every such root must rebuild a
-    nontrivial solution in that span (`_check_root`).  Mismatches list
-    every kernel-to-surface entry first, then every surface-to-kernel
-    entry, each in encoding order.  progress gets the share of the chart's
-    rows done, once per row and last at 1.0.  Raises ValueError for u = 0,
-    which lies outside the family.
+    nontrivial solution in that span (`_check_root`); one that does settles
+    the first direction.  Mismatches list every kernel-to-surface entry
+    first, then every surface-to-kernel entry, each in encoding order.
+    progress gets the share of the chart's rows done, once per row and last
+    at 1.0.  Raises ValueError for u = 0, which lies outside the family.
     """
     _guard_surface(ctx, "cross-validation")
     if u == 0:
@@ -537,9 +561,11 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     to_surface, to_kernel = [], []
     for a, cols in _representatives(ctx, u):
         alpha, beta, gamma = a
-        if progress is not None and gamma and not beta:
-            progress(alpha / ctx.q)
-        h, roots = ev.kernel_roots(alpha, beta) if gamma else (0, None)
+        if gamma and not beta:
+            if progress is not None:
+                progress(alpha / ctx.q)
+            row, rhs_row = (ev.row(alpha), ev.rhs_row(alpha)) if alpha else (None, None)
+        h, roots = ev.kernel_roots(alpha, beta, row) if gamma else (0, None)
         if not h:
             continue
         triples += 1
@@ -548,23 +574,27 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
         if len(basis) >= 2:
             witnesses += 1
             solutions = _kernel_solutions(a, basis, u, ctx)
-            if not any((w >> m) & mask in roots for w in solutions):
-                to_surface.append({
-                    "direction": "kernel_to_surface",
-                    "triple": [elem_to_hex(c) for c in a],
-                    "detail": "no kernel solution has a surface root y outside {0, beta}",
-                })
-        rhs = ev.rhs_coeffs(alpha, beta) if roots else None
+        rhs = rhs_row(beta) if roots else None
+        rebuilt = False
         for y in roots:
             points += 1
             try:
                 _check_root(ev, a, y, h, rhs, solutions)
+                rebuilt = True
             except GeometryError as err:
                 to_kernel.append({
                     "direction": "surface_to_kernel",
                     "point": ev.point_json(alpha, beta, y),
                     "detail": str(err),
                 })
+        # a root rebuilt into the span is a kernel solution whose y is that root
+        if solutions is not None and not rebuilt and not any((w >> m) & mask in roots
+                                                             for w in solutions):
+            to_surface.append({
+                "direction": "kernel_to_surface",
+                "triple": [elem_to_hex(c) for c in a],
+                "detail": "no kernel solution has a surface root y outside {0, beta}",
+            })
     if progress is not None:
         progress(1.0)
     mismatches = to_surface + to_kernel

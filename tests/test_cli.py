@@ -228,15 +228,20 @@ def test_surface_needs_the_w_cubic_check_alone(capsys, monkeypatch, fresh_chain)
 
 
 def test_impossible_root_count_is_a_verification_failure(capsys, monkeypatch):
-    # one root lost wherever there are two or more: some generic orbit then
-    # has 2 + #roots outside {0, beta} that is not a power of two
-    solve_pair = geometry.SurfaceEvaluator.solve_pair
+    # one root lost wherever there are two or more, along a row or alone: some
+    # generic orbit then has 2 + #roots outside {0, beta} that is not a power of two
+    row, solve_pair = geometry.SurfaceEvaluator.row, geometry.SurfaceEvaluator.solve_pair
 
-    def one_lost(ev, alpha, beta):
-        h, ys = solve_pair(ev, alpha, beta)
+    def lose_one(h, ys):
         return h, ys[:-1] if len(ys) >= 2 else ys
 
-    monkeypatch.setattr(geometry.SurfaceEvaluator, "solve_pair", one_lost)
+    def row_losing_one(ev, alpha):
+        pair = row(ev, alpha)
+        return lambda beta: lose_one(*pair(beta))
+
+    monkeypatch.setattr(geometry.SurfaceEvaluator, "row", row_losing_one)
+    monkeypatch.setattr(geometry.SurfaceEvaluator, "solve_pair",
+                        lambda ev, alpha, beta: lose_one(*solve_pair(ev, alpha, beta)))
     for command in ("spectrum", "apn-check"):
         code, doc, err = run(capsys, command, "--m", "6", "--u", "0x2")
         assert code == 3 and doc is None
@@ -375,6 +380,7 @@ def test_cross_validate_command(capsys):
     (("bound",), "bound.json"),
     (("cross-validate", "--m", "6", "--u", "0x2"), "cross_validate_m6_u0x02.json"),
     (("surface", "--m", "6", "--u", "0x2", "--emit-witness"), "surface_m6_u0x02.json"),
+    (("cross-validate", "--m", "6", "--u", "0x6"), "cross_validate_m6_u0x06.json"),
 ])
 def test_report_matches_golden(capsys, argv, golden):
     code, doc, _ = run(capsys, *argv)

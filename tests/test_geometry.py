@@ -1,6 +1,7 @@
 """Surface pipeline, cross-validation, and the exact bound arithmetic."""
 
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -8,6 +9,7 @@ import random
 
 import pytest
 
+from triapn import derivative as dv
 from triapn import geometry as geo
 from triapn import identities
 from triapn.derivative import (CertificateError, _kernel, build_certificate, derivative_columns,
@@ -242,29 +244,42 @@ def test_a_new_u_compiles_only_what_the_walkers_read(monkeypatch):
     assert sorted(map(id, compiled[4:])) == sorted(map(id, (*coeffs, *rhs, h, k)))
 
 
-def _folded_against_unfolded(monkeypatch, ev, pairs):
-    """The c_0, c_2, c_6 that solve_pair hands its solver, and H, against the unfolded terms."""
-    seen = []
-    monkeypatch.setattr(ev, "_solve", lambda c0, c2, c6, beta: seen.append((c0, c2, c6)))
-    h_terms = ev._terms[0]
-    for alpha, beta in pairs:
-        h, _ = ev.solve_pair(alpha, beta)
-        c = ev.surface_coeffs(alpha, beta)
-        assert seen.pop() == (c[0], c[2], c[6]), (ev.u, alpha, beta)
-        assert h == ev._value(h_terms, ev._logs[alpha], ev._logs[beta]), (ev.u, alpha, beta)
+def _rows_against_unfolded(monkeypatch, ev, pairs):
+    """A row's H, c_0, c_2, c_6 and rhs against a lone pair, the unfolded terms and MPoly.eval.
+
+    pairs come alpha-major, and each alpha's row is folded once; c_0, c_2
+    and c_6 are the values handed to the solver.
+    """
+    ctx = ev.ctx
+    coeffs = identities.verified_surface_coefficients()
+    H = identities.obstruction_polynomial()
+    rhs = [identities.linearized_rhs_polynomial().coeff_of("y", k) for k in (4, 2, 1)]
+    handed = []
+    monkeypatch.setattr(ev, "_solve", lambda c0, c2, c6, beta: handed.append((c0, c2, c6)))
+    for alpha, betas in itertools.groupby(pairs, key=lambda p: p[0]):
+        row, rhs_row = ev.row(alpha), ev.rhs_row(alpha)
+        for _, beta in betas:
+            point = {"a": alpha, "b": beta, "g": 1, "u": ev.u}
+            expected = (H.eval(point, ctx), *(coeffs[k].eval(point, ctx) for k in (0, 2, 6)),
+                        [c.eval(point, ctx) for c in rhs])
+            c = ev.surface_coeffs(alpha, beta)
+            unfolded = (ev.obstruction_value(alpha, beta), c[0], c[2], c[6],
+                        ev.rhs_coeffs(alpha, beta))
+            lone = (ev.solve_pair(alpha, beta)[0], *handed.pop(), unfolded[4])
+            folded = (row(beta)[0], *handed.pop(), rhs_row(beta))
+            assert folded == lone == unfolded == expected, (ev.u, alpha, beta)
 
 
 def test_row_fold_matches_the_unfolded_terms(monkeypatch):
-    # alpha-major pairs reuse each row's fold; beta-major ones refold at every pair.
-    # H vanishes only for a 7th power u, and c_0 = K*H with K = 0 at u = 0x1
+    # every pair at m=6 for u = 0 (outside the family), 0x2 and the 7th
+    # powers 0x1 (K = 0) and 0x6, where H vanishes off the lines; seeded
+    # pairs at m=9
     every = [(alpha, beta) for alpha in range(64) for beta in range(64)]
-    for u in (0x1, 0x2, 0x3, 0x6):
-        ev = geo.SurfaceEvaluator(u, F6)
-        _folded_against_unfolded(monkeypatch, ev, every)
-        _folded_against_unfolded(monkeypatch, ev, [(a, b) for b, a in every])
+    for u in (0x0, 0x1, 0x2, 0x6):
+        _rows_against_unfolded(monkeypatch, geo.SurfaceEvaluator(u, F6), every)
     rng = random.Random(2000)
-    pairs = [(rng.randrange(512), rng.randrange(512)) for _ in range(2000)]
-    _folded_against_unfolded(monkeypatch, geo.SurfaceEvaluator(0x7, F9), pairs)
+    pairs = sorted((rng.randrange(512), rng.randrange(512)) for _ in range(2000))
+    _rows_against_unfolded(monkeypatch, geo.SurfaceEvaluator(0x7, F9), pairs)
 
 
 def test_surface_counts_m6_frozen():
@@ -341,14 +356,20 @@ def test_obstruction_vanishes_only_for_seventh_powers():
 
 def test_surface_counts_solve_one_pair_per_generic_orbit(monkeypatch):
     # m = 6: 19 pairs on the lines, one per torus orbit (191), and two more
-    # for each orbit that meets the curve or, for the 7th power 0x6, a zero of H
+    # for each orbit that meets the curve or, for the 7th power 0x6, a zero of H;
+    # a pair is solved along a row or alone
     calls = []
-    solve_pair = geo.SurfaceEvaluator.solve_pair
+    row, solve_pair = geo.SurfaceEvaluator.row, geo.SurfaceEvaluator.solve_pair
+
+    def counted_row(ev, alpha):
+        pair = row(ev, alpha)
+        return lambda beta: calls.append((alpha, beta)) or pair(beta)
 
     def counted(ev, alpha, beta):
         calls.append((alpha, beta))
         return solve_pair(ev, alpha, beta)
 
+    monkeypatch.setattr(geo.SurfaceEvaluator, "row", counted_row)
     monkeypatch.setattr(geo.SurfaceEvaluator, "solve_pair", counted)
     golden = json.loads((GOLDEN / "surface_m6_u0x02.json").read_text())
     assert geo.surface_report(0x2, F6)["counts"] == golden["counts"]
@@ -356,6 +377,47 @@ def test_surface_counts_solve_one_pair_per_generic_orbit(monkeypatch):
     calls.clear()
     geo.surface_report(0x6, F6)
     assert len(calls) == 332
+
+
+def test_rotation_rows_are_built_once_per_field():
+    # the rows depend on the field alone: a spectrum for another u, the
+    # surface counts and the permutation test reuse them, and they equal a fresh build
+    differential_spectrum(0x3, F6)
+    built = dv._rotation_rows.cache_info().misses
+    golden = {name: json.loads((GOLDEN / f"{name}_m6_u0x02.json").read_text())
+              for name in ("spectrum", "surface")}
+    assert differential_spectrum(0x2, F6)["histogram"] == golden["spectrum"]["histogram"]
+    assert geo.surface_report(0x2, F6)["counts"] == golden["surface"]["counts"]
+    assert not dv.is_permutation(0x2, F6)
+    assert dv._rotation_rows.cache_info().misses == built
+    for ctx in (F6, F9):
+        assert dv._rotation_rows(ctx) == dv._rotation_rows.__wrapped__(ctx), ctx.m
+
+
+def test_walks_fold_each_row_they_read_once(monkeypatch):
+    # the surface counts fold each row of weight 21 (7 at m = 6) once, the
+    # witness scan its first row, alpha = 1; the pairs on the lines, the
+    # pairs of weight 7 and the rotation images are solved alone.
+    # cross_validate folds each row alpha != 0 once for P and once for the
+    # rhs, and evaluates no rhs unfolded
+    folds, unfolded = [], []
+    fold, rhs_coeffs = geo.SurfaceEvaluator._fold, geo.SurfaceEvaluator.rhs_coeffs
+    monkeypatch.setattr(geo.SurfaceEvaluator, "_fold",
+                        lambda ev, alpha, polys: folds.append(alpha) or fold(ev, alpha, polys))
+    monkeypatch.setattr(geo.SurfaceEvaluator, "rhs_coeffs",
+                        lambda ev, a, b: unfolded.append(b) or rhs_coeffs(ev, a, b))
+    rows = [row[0][0] for row in geo._rotation_rows(F6) if row[2] == 21]
+    assert len(rows) == len(set(rows)) == 7
+    for u in (0x2, 0x3, 0x7, 0xF, 0x6):
+        folds.clear()
+        doc = geo.surface_report(u, F6, emit_witness=True)
+        assert doc["certificate"]["triple"][0] == "0x1"
+        assert folds == [*rows, 1], u
+    folds.clear()
+    unfolded.clear()
+    assert geo.cross_validate(0x2, F6)["consistent"]
+    assert folds == [alpha for alpha in range(1, 64) for _ in range(2)]
+    assert unfolded == []
 
 
 def test_witness_scan_runs_only_when_the_counts_show_one(monkeypatch):
