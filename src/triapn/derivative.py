@@ -8,16 +8,17 @@ map on F_q^3.  This module builds the 3m columns of that map and finds their
 kernel with a single GF(2) elimination.  What a coordinate of a adds to the
 columns is F_2-linear in its value, so `derivative_columns` XORs the tags
 with the shares of the coordinates' set bits: monomials t^n and u*t^n
-reduced mod the modulus, laid out once per (field, u).  Every elimination
-runs on those columns, in one process: the walk over every point steps
-from each beta to the next by linearity (`_representatives`); the orbit
-walk (`_orbit_rows`) and the per-triple kernel basis behind sampled
-search and certificates build a triple's columns.  A witness is a triple
-whose kernel has dimension >= 2 (at least 4 solutions), packaged as a
-certificate whose re-verification uses no elimination: direct arithmetic
+reduced mod the modulus, laid out once per (field, u).  `_kernel` is the
+one elimination of a triple: the exhaustive witness search steps from each
+beta to the next by linearity (`_representatives`); the orbit walk
+(`_orbit_rows`) and the per-triple kernel basis behind sampled search and
+certificates build a triple's columns.  Cross-validation eliminates a
+block of the gamma = 1 chart at once (`_chart_kernels`), one bit per pair
+in each word, and gets `_kernel`'s basis at every pair.  A witness is a
+triple whose kernel has dimension >= 2 (at least 4 solutions), packaged as
+a certificate whose re-verification uses no elimination: direct arithmetic
 on each solution and the span of the basis (`_kernel_solutions`, which
-the surface cross-validation also runs on the kernel of a row walk's
-columns).
+cross-validation runs as well).
 
 The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
 sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from operator import xor
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field, mu7_representatives
 
@@ -282,6 +283,117 @@ def _representatives(ctx: FieldCtx, u: int) -> Iterator:
         for be in range(1, ctx.q):
             cols = list(map(xor, cols, carry[(be & -be).bit_length() - 1]))
             yield (al, be, ga), cols
+
+
+# Lanes of one `_chart_kernels` call: the m = 6 chart is one block, m = 9 takes
+# blocks of 8 rows.  At m = 9, u = 0x7, cross_validate took 4.2 s with 2^12
+# lanes and 3.7 s with 2^15, which cost 11 MB more peak RSS (2-core Xeon,
+# Python 3.11).
+CHART_LANES = 1 << 12
+
+
+def _chart_columns(ctx: FieldCtx, u: int, a0: int, rows: int) -> list[list[int]]:
+    """Image bit r of column j at every (alpha, beta, 1) with a0 <= alpha < a0 + rows: [j][r].
+
+    Bit L of a word, its lane, stands for L = (alpha - a0)*q + beta.  The
+    columns are F_2-linear in alpha and in beta, so a word is that bit at
+    (0, 0, 1) in every lane, XOR the lane mask of each unit share of alpha
+    or of beta (`_unit_shares`) that has it.
+    """
+    m, q, n = ctx.m, ctx.q, 3 * ctx.m
+    ones, every_row = (1 << q) - 1, sum(1 << k * q for k in range(rows))
+    shares = _unit_shares(m, ctx.modulus, u)
+    words = [[ones * every_row if c >> n + r & 1 else 0 for r in range(n)] for c in shares[2][0]]
+    for t in range(m):
+        lanes = (ones * sum(1 << k * q for k in range(rows) if a0 + k >> t & 1),
+                 every_row * sum(1 << b for b in range(q) if b >> t & 1))
+        for mask, units in zip(lanes, shares):
+            for col, c in zip(words, units[t]):
+                for r in range(n):
+                    if c >> n + r & 1:
+                        col[r] ^= mask
+    return words
+
+
+def _chart_kernels(ctx: FieldCtx, u: int, a0: int, rows: int) -> Callable[[int, int], list[int]]:
+    """`_kernel` at every (alpha, beta, 1) of a block of rows, read out where it has >= 2 vectors.
+
+    One GF(2) elimination runs on the words of `_chart_columns`, one lane
+    per pair, with `_kernel`'s rule: each column in turn walks its image
+    bits from high to low; lanes that have the bit and a pivot there XOR
+    the pivot in, lanes with no pivot there keep the column as their pivot
+    and drop out.  A lane still in at the end has a kernel vector, its
+    combination of tags.  So each lane's basis is `_kernel`'s list.  The
+    k-th vectors of all lanes share tag words; only the lanes with two or
+    more are kept, lane-major (`_lane_major`).  Returns basis(alpha, beta):
+    that list, or [] where it has fewer than 2 vectors.
+    """
+    q, n = ctx.q, 3 * ctx.m
+    full = (1 << rows * q) - 1
+    piv = [None] * n  # piv[r]: the image words below bit r and the tag words of its pivots
+    has = [0] * n
+    found = []  # found[k]: the lanes with a k-th kernel vector and its tag words
+    for j, image in enumerate(_chart_columns(ctx, u, a0, rows)):
+        tags = [0] * n
+        tags[j] = live = full
+        for r in range(n - 1, -1, -1):
+            hit = image[r] & live
+            if not hit:
+                continue
+            x = hit & has[r]
+            if x:
+                pimg, ptags = piv[r]
+                image[:r] = [c ^ p & x for c, p in zip(image, pimg)]
+                tags = [c ^ p & x for c, p in zip(tags, ptags)]
+            new = hit ^ x
+            if new:
+                pimg, ptags = piv[r] or ([0] * r, [0] * n)
+                piv[r] = ([p | c & new for p, c in zip(pimg, image)],
+                          [p | c & new for p, c in zip(ptags, tags)])
+                has[r] |= new
+                live ^= new
+        for slot in found:
+            if not live:
+                break
+            new = live & ~slot[0]
+            slot[0] |= new
+            slot[1] = [p | c & new for p, c in zip(slot[1], tags)]
+            live ^= new
+        if live:
+            found.append([live, [c & live for c in tags]])
+    two, w = found[1][0] if len(found) > 1 else 0, (n + 7) // 8
+    lanes = _lane_major([c & two for _, vecs in found for c in vecs + [0] * (8 * w - n)],
+                        rows * q + 7 >> 3)
+    width, tag = w * len(found), (1 << n) - 1
+
+    def basis(alpha: int, beta: int) -> list[int]:
+        L = (alpha - a0) * q + beta
+        v, vecs = int.from_bytes(lanes[width * L:width * (L + 1)], "little"), []
+        while v:
+            vecs.append(v & tag)
+            v >>= 8 * w
+        return vecs
+
+    return basis
+
+
+_BITS = [bytes(b >> s & 1 for b in range(256)) for s in range(8)]  # [s]: byte -> its bit s
+
+
+def _lane_major(words: list[int], size: int) -> bytearray:
+    """8k words of size bytes, lane-major: bit i of lane L at byte k*L + i // 8, bit i % 8."""
+    k = len(words) // 8
+    out = bytearray(8 * k * size)
+    for g in range(k):
+        group = [(t, c.to_bytes(size, "little")) for t, c in enumerate(words[8 * g:8 * g + 8]) if c]
+        plane = bytearray(8 * size)
+        for s, bits in enumerate(_BITS):
+            acc = 0
+            for t, c in group:
+                acc ^= int.from_bytes(c.translate(bits), "little") << t
+            plane[s::8] = acc.to_bytes(size, "little")
+        out[g::k] = plane
+    return out
 
 
 # -- spectra and the permutation test ----------------------------------------------

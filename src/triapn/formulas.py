@@ -17,7 +17,9 @@ SYSTEM_EQ2 = "b*y^2 + b^2*y + u*a*z^2 + u*g^2*x"
 SYSTEM_EQ3 = "g*z^2 + g^2*z + u*b*x^2 + u*a^2*y"
 
 # Eliminating z against the first equation leaves two quartics in x:
-# Res(EQ1, EQ2, z) = Z_ELIMINANT_1_SCALE * Z_ELIMINANT_1 and likewise for EQ3.
+# Res(EQ1, EQ2, z) = Z_ELIMINANT_1_SCALE * Z_ELIMINANT_1 and
+# Res(EQ1, EQ3, z) = Z_ELIMINANT_2_SCALE * Z_ELIMINANT_2.  The identity check
+# looks both scales up by name and reports them.
 Z_ELIMINANT_1 = ("a^3*x^4 + a^5*x^2 + u^2*b^4*g^2*x + u^2*a*g^2*y^4"
                  " + u*b^5*y^2 + u*b^6*y")
 Z_ELIMINANT_1_SCALE = "u"

@@ -33,8 +33,8 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterator
 
 from . import identities
-from .derivative import (Triple, WitnessCertificate, _guard_family, _kernel, _kernel_solutions,
-                         _representatives, _rotation_rows, build_certificate, pack_vec,
+from .derivative import (CHART_LANES, Triple, WitnessCertificate, _chart_kernels, _guard_family,
+                         _kernel_solutions, _rotation_rows, build_certificate, pack_vec,
                          verify_solution)
 from .gf2m import FieldCtx, elem_to_hex, is_seventh_power, mu7_representatives
 from .mpoly import MPoly, divide_exact
@@ -532,16 +532,18 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
 
     One sweep checks the triple (alpha, beta, 1) at every generic pair
     (`SurfaceEvaluator.kernel_roots`), with no fold: a fault at one pair
-    need not repeat along its orbit.  The columns come from the row walk
-    `_representatives(ctx, u)`.  Both directions hold only there, so the
-    zeros of the obstruction form H are skipped.  There are none for a u
+    need not repeat along its orbit.  Both directions hold only there, so
+    the zeros of the obstruction form H are skipped.  There are none for a u
     that is not a 7th power: the `obstruction_factorization` identity
     writes H as the product of xi^5*beta + eta^i*xi*alpha + eta^j with
     xi^7 = u, and x^7 - u is then irreducible over F_q (mu_7 lies in F_q),
     so no factor, of degree <= 5 in xi with a nonzero constant term,
     vanishes at xi.
 
-    Each pair runs one elimination.  Where its kernel has dimension >= 2,
+    The kernels come from `derivative._chart_kernels`, one elimination per
+    block of whole rows, as many as fit in `CHART_LANES` lanes: the whole
+    chart at m = 6, 8 rows at m = 9.  It reads out each pair's `_kernel`
+    basis of its columns where that has >= 2 vectors.  There
     `_kernel_solutions` checks the span as `build_certificate` would,
     raising its CertificateError, but builds no certificate.  Kernel to
     surface: such a kernel must have a solution whose y is a surface root
@@ -556,45 +558,49 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     if u == 0:
         raise ValueError("u = 0 lies outside the family (u must be nonzero)")
     ev = SurfaceEvaluator(u, ctx)
-    m, mask = ctx.m, ctx.q - 1
+    m, q, mask = ctx.m, ctx.q, ctx.q - 1
+    block = max(1, CHART_LANES // q)
     triples = witnesses = points = 0
     to_surface, to_kernel = [], []
-    for a, cols in _representatives(ctx, u):
-        alpha, beta, gamma = a
-        if gamma and not beta:
-            if progress is not None:
-                progress(alpha / ctx.q)
-            row, rhs_row = (ev.row(alpha), ev.rhs_row(alpha)) if alpha else (None, None)
-        h, roots = ev.kernel_roots(alpha, beta, row) if gamma else (0, None)
-        if not h:
-            continue
-        triples += 1
-        basis = _kernel(cols, 3 * m)
-        solutions = None
-        if len(basis) >= 2:
-            witnesses += 1
-            solutions = _kernel_solutions(a, basis, u, ctx)
-        rhs = rhs_row(beta) if roots else None
-        rebuilt = False
-        for y in roots:
-            points += 1
-            try:
-                _check_root(ev, a, y, h, rhs, solutions)
-                rebuilt = True
-            except GeometryError as err:
-                to_kernel.append({
-                    "direction": "surface_to_kernel",
-                    "point": ev.point_json(alpha, beta, y),
-                    "detail": str(err),
+    for alpha in range(q):
+        if progress is not None:
+            progress(alpha / q)
+        if alpha % block == 0:
+            kernel_at = None  # free the block before the next one is built
+            kernel_at = _chart_kernels(ctx, u, alpha, min(block, q - alpha))
+        row, rhs_row = (ev.row(alpha), ev.rhs_row(alpha)) if alpha else (None, None)
+        for beta in range(1, q):
+            h, roots = ev.kernel_roots(alpha, beta, row)
+            if not h:
+                continue
+            triples += 1
+            a = (alpha, beta, 1)
+            basis = kernel_at(alpha, beta)
+            solutions = None
+            if basis:
+                witnesses += 1
+                solutions = _kernel_solutions(a, basis, u, ctx)
+            rhs = rhs_row(beta) if roots else None
+            rebuilt = False
+            for y in roots:
+                points += 1
+                try:
+                    _check_root(ev, a, y, h, rhs, solutions)
+                    rebuilt = True
+                except GeometryError as err:
+                    to_kernel.append({
+                        "direction": "surface_to_kernel",
+                        "point": ev.point_json(alpha, beta, y),
+                        "detail": str(err),
+                    })
+            # a root rebuilt into the span is a kernel solution whose y is that root
+            if solutions is not None and not rebuilt and not any((w >> m) & mask in roots
+                                                                 for w in solutions):
+                to_surface.append({
+                    "direction": "kernel_to_surface",
+                    "triple": [elem_to_hex(c) for c in a],
+                    "detail": "no kernel solution has a surface root y outside {0, beta}",
                 })
-        # a root rebuilt into the span is a kernel solution whose y is that root
-        if solutions is not None and not rebuilt and not any((w >> m) & mask in roots
-                                                             for w in solutions):
-            to_surface.append({
-                "direction": "kernel_to_surface",
-                "triple": [elem_to_hex(c) for c in a],
-                "detail": "no kernel solution has a surface root y outside {0, beta}",
-            })
     if progress is not None:
         progress(1.0)
     mismatches = to_surface + to_kernel

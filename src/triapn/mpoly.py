@@ -241,8 +241,9 @@ class MPoly:
         GF(8) coefficients embed via a root of t^3+t+1, which exists iff
         3 | m; GF(2) coefficients need no embedding.
         """
-        missing = [v for j, v in enumerate(self.vars) if any(e[j] for e in self.terms)
-                   and v not in assignment]
+        # only a variable the assignment lacks is looked for in the terms
+        missing = [v for j, v in enumerate(self.vars)
+                   if v not in assignment and any(e[j] for e in self.terms)]
         if missing:
             raise ValueError(f"assignment missing variables {missing}")
         emb = None

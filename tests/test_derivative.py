@@ -269,6 +269,8 @@ def test_spectrum_eliminates_only_the_exceptional_orbits(monkeypatch):
         return kernel(tagged, n)
 
     monkeypatch.setattr(dv, "_kernel", counted)
+    for name in ("_representatives", "_chart_kernels"):
+        monkeypatch.setattr(dv, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
     golden = json.loads((GOLDEN / "spectrum_m6_u0x02.json").read_text())
     assert dv.differential_spectrum(2, F6)["histogram"] == golden["histogram"]
     assert len(calls) == 13
@@ -429,6 +431,50 @@ def test_rotation_rows_count_the_orbits_at_m9():
     rows = list(dv._orbit_rows(f9))
     assert sum(len(betas) for _, betas, _ in rows) == _burnside(f9) == 12509
     assert sum(len(betas) * w for _, betas, w in rows) == f9.q ** 2 + f9.q + 1
+
+
+# -- the chart engine ---------------------------------------------------------------------
+
+
+def _read_out(basis, pairs):
+    """The chart engine's bases at the pairs where it reads one out."""
+    return {p: b for p in pairs if (b := basis(*p))}
+
+
+def _per_pair_kernels(u, ctx, pairs):
+    """`_kernel` at (alpha, beta, 1) for each pair where it has >= 2 vectors."""
+    bases = {}
+    for alpha, beta in pairs:
+        basis = dv._kernel(dv.derivative_columns((alpha, beta, 1), u, ctx), 3 * ctx.m)
+        if len(basis) >= 2:
+            bases[alpha, beta] = basis
+    return bases
+
+
+@pytest.mark.parametrize("ctx,us", [(F3, range(1, 8)), (F6, (0x2, 0x6))], ids=["m3", "m6"])
+def test_chart_kernels_match_the_per_pair_elimination(ctx, us):
+    # the whole chart is one block at m <= 6; 0x6 is a 7th power at m = 6
+    assert ctx.q * ctx.q <= dv.CHART_LANES
+    q = ctx.q
+    for u in us:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+        assert _read_out(dv._chart_kernels(ctx, u, 0, q), pairs) == _per_pair_kernels(u, ctx, pairs)
+
+
+def test_chart_kernels_match_the_per_pair_elimination_m9():
+    # one block as cross_validate cuts it, every lane; then 2,000 seeded pairs
+    # from blocks of other shapes, which must not change a pair's basis
+    f9, u = make_field(9), 0x7
+    rng = random.Random(31)
+    rows = dv.CHART_LANES // f9.q
+    a0 = rows * rng.randrange(1, f9.q // rows)
+    pairs = [(a, b) for a in range(a0, a0 + rows) for b in range(f9.q)]
+    assert _read_out(dv._chart_kernels(f9, u, a0, rows), pairs) == _per_pair_kernels(u, f9, pairs)
+    for _ in range(4):
+        a0, rows = rng.randrange(f9.q - 8), rng.randrange(1, 9)
+        pairs = [(rng.randrange(a0, a0 + rows), rng.randrange(f9.q)) for _ in range(500)]
+        assert _read_out(dv._chart_kernels(f9, u, a0, rows), pairs) == \
+            _per_pair_kernels(u, f9, pairs)
 
 
 # -- permutation --------------------------------------------------------------------------

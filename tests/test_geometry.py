@@ -648,17 +648,18 @@ def test_count_relation_on_sampled_pairs_m9():
     assert len(dims) == 2000 and set(dims) == {1, 2, 3}
 
 
-def _with_column_faults(walk, faults):
-    """walk, a row walk, with image bit b of column j flipped at each ((alpha, beta), j, b)."""
-    table = {(alpha, beta, 1): (j, b) for (alpha, beta), j, b in faults}
+def _with_column_faults(columns, faults):
+    """`_chart_columns` with image bit b of column j flipped at each ((alpha, beta), j, b).
 
-    def faulty(ctx, u):
-        for a, cols in walk(ctx, u):
-            if a in table:
-                j, b = table[a]
-                cols = list(cols)
-                cols[j] ^= 1 << (3 * ctx.m + b)
-            yield a, cols
+    The flipped bit is the lane of (alpha, beta) in the word of bit b of column j.
+    """
+
+    def faulty(ctx, u, a0, rows):
+        words = columns(ctx, u, a0, rows)
+        for (alpha, beta), j, b in faults:
+            if a0 <= alpha < a0 + rows:
+                words[j][b] ^= 1 << (alpha - a0) * ctx.q + beta
+        return words
 
     return faulty
 
@@ -708,22 +709,36 @@ def test_cross_validation_column_faults_match_the_certificate_path(monkeypatch):
     # the span checks then report or raise exactly as a certificate built
     # at every pair did
     assert _outcome(2, F6) == CLEAN_M6_U2
-    walk = geo._representatives
+    columns = dv._chart_columns
     for faults, expected in COLUMN_FAULTS:
-        monkeypatch.setattr(geo, "_representatives", _with_column_faults(walk, faults))
+        monkeypatch.setattr(dv, "_chart_columns", _with_column_faults(columns, faults))
         assert _outcome(2, F6) == expected, faults
 
 
 def test_cross_validation_reports_a_root_missing_from_a_smaller_kernel(monkeypatch):
     # the fault takes the kernel at (1, 0x1A, 1) from dimension 3 to 2: its
     # span still verifies, and 4 of the 6 rebuilt vectors fall outside it
-    walk = geo._representatives
-    monkeypatch.setattr(geo, "_representatives", _with_column_faults(walk, [((1, 26), 1, 0)]))
+    faulty = _with_column_faults(dv._chart_columns, [((1, 26), 1, 0)])
+    monkeypatch.setattr(dv, "_chart_columns", faulty)
     rep = geo.cross_validate(2, F6)
     assert [(mm["direction"], mm["point"]["y"]) for mm in rep["mismatches"]] == \
         [("surface_to_kernel", y) for y in ("0x4", "0x9", "0x13", "0x1E")]
     assert all(mm["detail"].endswith("missing from the kernel solutions")
                for mm in rep["mismatches"])
+
+
+def test_cross_validation_runs_no_per_pair_elimination(monkeypatch):
+    # every kernel comes from the chart engine: neither the row walk nor the
+    # per-pair elimination runs, the report is the golden one, and progress
+    # comes once per row from alpha = 0, last at 1.0
+    for name in ("_representatives", "_kernel"):
+        fail = lambda *args, name=name: pytest.fail(f"{name} was called")
+        monkeypatch.setattr(geo, name, fail, raising=False)
+        monkeypatch.setattr(dv, name, fail)
+    golden = json.loads((GOLDEN / "cross_validate_m6_u0x02.json").read_text())
+    progress = []
+    assert geo.cross_validate(2, F6, progress=progress.append) == golden["report"]
+    assert progress == [alpha / 64 for alpha in range(64)] + [1.0]
 
 
 def test_cross_validation_does_not_reverify_vectors_in_the_span(monkeypatch):
