@@ -16,9 +16,10 @@ certificates build a triple's columns.  Cross-validation eliminates a
 block of the gamma = 1 chart at once (`_chart_kernels`), one bit per pair
 in each word, and gets `_kernel`'s basis at every pair.  A witness is a
 triple whose kernel has dimension >= 2 (at least 4 solutions), packaged as
-a certificate whose re-verification uses no elimination: direct arithmetic
-on each solution and the span of the basis (`_kernel_solutions`, which
-cross-validation runs as well).
+a certificate.  Building one checks its basis by direct arithmetic and the
+rest of the span by linearity (`_kernel_solutions`, which cross-validation
+runs as well); re-verifying a loaded one runs no elimination: direct
+arithmetic on each listed solution and the span of the basis.
 
 The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
 sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
@@ -50,8 +51,8 @@ from .gf2m import FieldCtx, _gf2_mod, elem_to_hex, make_field, mu7_representativ
 
 Triple = tuple[int, int, int]
 
-# m = 12 takes about 5 s (2-core Xeon, Python 3.11): 791 of 799,113 orbits
-# are eliminated for u = 0x3.  The permutation test eliminates every orbit.
+# m = 12 takes about 2.3 s in process (2-core Xeon, Python 3.11), eliminating
+# 791 of 799,113 orbits for u = 0x3; the permutation test eliminates every orbit.
 SPECTRUM_MAX_M = 12
 PERMUTATION_MAX_M = 9
 # The exhaustive witness search can show that no witness exists only by
@@ -549,25 +550,29 @@ def _hex(s) -> int:
     return int(s, 16)
 
 
-def _kernel_solutions(a: Triple, basis: list[int], u: int, ctx: FieldCtx) -> set[int]:
-    """The packed span of a kernel basis of k >= 2 vectors at a, checked by `verify_solution`.
-
-    Raises CertificateError when the basis is dependent, when a vector of
-    the span does not solve the system or when a is not in it, with the
-    flags a certificate records.  0 and a are not passed to
-    `verify_solution`, which cannot reject them: in each equation both
-    sides reduce to mul(..., 0) or to the same product twice, as the
-    `trivial_solutions` identity shows in the algebra.  contains_zero and
-    count_is_power_of_two hold by construction.
-    """
-    m, k = ctx.m, len(basis)
+def _span(basis: list[int]) -> set[int]:
+    """The packed span of basis; CertificateError if it has fewer than 2^len(basis) vectors."""
     span = {0}
     for b in basis:
         span |= {v ^ b for v in span}
-    if len(span) != 1 << k:
+    if len(span) != 1 << len(basis):
         raise CertificateError("kernel basis is not linearly independent")
+    return span
+
+
+def _kernel_solutions(a: Triple, basis: list[int], u: int, ctx: FieldCtx) -> set[int]:
+    """The packed span of a kernel basis of k >= 2 vectors at a, checked through its basis.
+
+    `verify_solution`'s equations are F_2-linear in v, so its solutions form
+    a subspace: the span solves them exactly when the k basis vectors do.
+    Raises CertificateError when the basis is dependent, when a basis
+    vector does not solve the system or when a is not in the span, with the
+    flags a certificate records.  contains_zero and count_is_power_of_two
+    hold by construction.
+    """
+    m, span = ctx.m, _span(basis)
     packed = pack_vec(a, m)
-    solve = all(verify_solution(a, unpack_vec(w, m), u, ctx) for w in span if w not in (0, packed))
+    solve = all(verify_solution(a, unpack_vec(w, m), u, ctx) for w in basis)
     if not (solve and packed in span):
         flags = dict(zip(_REVERIFIED, (solve, True, packed in span, True)))
         raise CertificateError(f"certificate re-verification failed: {flags}")
@@ -577,9 +582,9 @@ def _kernel_solutions(a: Triple, basis: list[int], u: int, ctx: FieldCtx) -> set
 def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | None:
     """Certificate for a triple with kernel dimension >= 2, else None.
 
-    Every invariant is re-established through direct arithmetic before the
-    certificate is returned (`_kernel_solutions`); a failure there is a
-    hard internal error.
+    Every invariant is re-established before the certificate is returned,
+    the basis by direct arithmetic (`_kernel_solutions`); a failure there is
+    a hard internal error.
     """
     if a == (0, 0, 0):
         raise ValueError("the difference triple must be nonzero")
@@ -635,11 +640,9 @@ def verify_certificate(cert: WitnessCertificate) -> list[str]:
             failures.append(f"solution {v} out of range")
         elif not verify_solution(cert.triple, v, cert.u, ctx):
             failures.append(f"solution {v} does not solve the system")
-    span = {0}
-    for b in cert.kernel_basis:
-        packed = pack_vec(b, cert.m)
-        span |= {v ^ packed for v in span}
-    if len(span) != 1 << k:
+    try:
+        span = _span([pack_vec(b, cert.m) for b in cert.kernel_basis])
+    except CertificateError:
         failures.append("basis vectors are linearly dependent")
     if failures:
         return failures

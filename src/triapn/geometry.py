@@ -510,7 +510,7 @@ def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
     """
     v = _rebuild(ev, a, y, h, rhs)
     w = pack_vec(v, ev.ctx.m)
-    # every vector of the span was checked by `verify_solution` when it was built
+    # the span solves the system: `_kernel_solutions` checked its basis
     if (solutions is None or w not in solutions) and not verify_solution(a, v, ev.u, ev.ctx):
         raise GeometryError(f"reconstructed vector {v} does not solve the system at {a}")
     if v in ((0, 0, 0), a):
@@ -544,7 +544,7 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     block of whole rows, as many as fit in `CHART_LANES` lanes: the whole
     chart at m = 6, 8 rows at m = 9.  It reads out each pair's `_kernel`
     basis of its columns where that has >= 2 vectors.  There
-    `_kernel_solutions` checks the span as `build_certificate` would,
+    `_kernel_solutions` checks that basis as `build_certificate` would,
     raising its CertificateError, but builds no certificate.  Kernel to
     surface: such a kernel must have a solution whose y is a surface root
     outside {0, beta}.  Surface to kernel: every such root must rebuild a

@@ -4,7 +4,7 @@ Field elements are plain ints: bit i holds the coefficient of t^i in the
 polynomial-basis representation, so 0 and 1 are the field's zero and one
 and addition is xor.  A FieldCtx pins the extension degree m and an
 irreducible modulus; it is immutable after construction and safe to share
-across workers.  For small fields, multiplication, powers and inverses read
+across workers.  For small fields, multiplication and powers read
 log/exp tables; otherwise they multiply by shift-and-reduce, powers by
 square-and-multiply.  `make_field` builds each field once per process; the
 default modulus of each m (`default_modulus`) and the smallest non-7th power
@@ -191,13 +191,6 @@ class FieldCtx:
             a = self.square(a)
             e >>= 1
         return r
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_{2^m}")
-        if self._log is not None:
-            return self._exp2[self._mask - self._log[a]]
-        return self.pow(a, self.q - 2)
 
     def elements(self) -> range:
         """All q elements in increasing bit-encoding order."""

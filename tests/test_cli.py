@@ -80,6 +80,8 @@ def test_bad_u_and_bad_modulus(capsys):
     assert run(capsys, "apn-check", "--m", "3", "--u", "zz")[0] == 2
     assert run(capsys, "apn-check", "--m", "3", "--u", "0x9")[0] == 2
     assert run(capsys, "field-info", "--m", "4", "--modulus", "0x15")[0] == 2
+    code, doc, err = run(capsys, "field-info", "--m", "3", "--modulus", "zz")
+    assert code == 2 and doc is None and "modulus must be hex" in err
 
 
 def test_field_size_is_bounded_before_building_the_field(capsys):

@@ -390,7 +390,7 @@ def test_orbit_walk_matches_the_every_point_walk(ctx, us):
 
 def _normaliser(ctx):
     def normalise(a):
-        lead = ctx.inv(next(c for c in a if c))
+        lead = ctx.pow(next(c for c in a if c), ctx.q - 2)
         return tuple(ctx.mul(lead, c) for c in a)
     return normalise
 
@@ -407,7 +407,7 @@ def test_rotation_rows_are_the_order21_orbits(ctx):
     def orbit(a):
         out = set()
         for s in roots:
-            al, be, ga = a[0], mul(s, a[1]), mul(ctx.inv(mul(s, s)), a[2])
+            al, be, ga = a[0], mul(s, a[1]), mul(ctx.pow(s, ctx.q - 3), a[2])
             out |= {normalise(p) for p in ((al, be, ga), (ga, al, be), (be, ga, al))}
         return out
 
@@ -562,6 +562,38 @@ def test_witness_certificate_roundtrip_and_tamper():
     bad3["kernel_basis"][1] = bad3["kernel_basis"][0]
     assert "basis vectors are linearly dependent" in \
         dv.verify_certificate(dv.WitnessCertificate.from_json(bad3))
+
+
+def test_certificate_build_checks_the_basis_alone(monkeypatch):
+    # the span of a k = 9 kernel costs 9 calls of verify_solution, not 2^9 - 2
+    calls = []
+    verify = dv.verify_solution
+    monkeypatch.setattr(dv, "verify_solution", lambda *args: calls.append(args) or verify(*args))
+    cert = _certificate(dv.witness_search(2, make_field(9)))
+    assert cert.kernel_dim == len(calls) == 9
+    assert {args[1] for args in calls} == set(cert.kernel_basis)
+
+
+def test_span_rejects_a_dependent_basis():
+    assert dv._span([0b001, 0b110]) == {0b000, 0b001, 0b110, 0b111}
+    with pytest.raises(dv.CertificateError, match="kernel basis is not linearly independent"):
+        dv._span([0b011, 0b101, 0b110])
+
+
+def test_verify_certificate_rejects_solutions_outside_the_span():
+    # at (1, 0x1A, 1), k = 3: the basis {a, e} and the solutions {0, a, f, a + f}
+    # are each valid, with f a kernel vector outside span{a, e}
+    a = (1, 0x1A, 1)
+    pa = dv.pack_vec(a, 6)
+    kernel = sorted(dv._span(dv.kernel_basis(a, 2, F6)))
+    assert len(kernel) == 8
+    e = next(w for w in kernel if w not in (0, pa))
+    f = next(w for w in kernel if w not in (0, pa, e, pa ^ e))
+    cert = dv.WitnessCertificate(
+        m=6, modulus=F6.modulus, u=2, triple=a, kernel_dim=2,
+        kernel_basis=[a, dv.unpack_vec(e, 6)],
+        solutions=[dv.unpack_vec(w, 6) for w in (0, pa, f, pa ^ f)])
+    assert dv.verify_certificate(cert) == ["solutions are not the span of the basis"]
 
 
 def test_certificate_verification_runs_no_elimination(monkeypatch):

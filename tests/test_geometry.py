@@ -502,6 +502,20 @@ def test_point_to_witness_m6():
     assert any(v[1] == y for v in cert.solutions)
 
 
+def test_no_witness_point_at_m3():
+    # no pair has a root outside {0, beta} at m = 3.  For u >= 2 the kernel
+    # walk agrees: the family is APN there.  Its witnesses for u = 0 (outside
+    # the family) and u = 1 (a 7th power, so H = 0) lie at no generic pair
+    for u in range(8):
+        ev = geo.SurfaceEvaluator(u, F3)
+        assert geo._first_witness_point(ev) is None, u
+        found = dv.witness_search(u, F3)["verdicts"]["found"]
+        assert found == (u < 2), u
+        if found:
+            assert all(ev.kernel_roots(a, b) == (0, []) for a in range(8) for b in range(8)
+                       if len(dv.kernel_basis((a, b, 1), u, F3)) >= 2), u
+
+
 def test_point_to_witness_rejects_flagged_points():
     with pytest.raises(ValueError, match="excluded line"):
         geo.point_to_witness((1, 1, 0), geo.SurfaceEvaluator(2, F6))
@@ -525,7 +539,8 @@ def test_curve_table_matches_field_arithmetic():
 
 def _rebuilt_by_mul(ctx, u, a, y, h, rhs):
     """x = rhs(y)/(u^3*beta^6*h), z = (alpha*x^2 + alpha^2*x + u*y^2)/(u*beta^2) by FieldCtx.mul."""
-    mul, sq, inv = ctx.mul, ctx.square, ctx.inv
+    mul, sq = ctx.mul, ctx.square
+    inv = lambda c: ctx.pow(c, ctx.q - 2)
     alpha, beta, _ = a
     c4, c2, c1 = rhs
     rhs_y = mul(c4, ctx.pow(y, 4)) ^ mul(c2, sq(y)) ^ mul(c1, y)
@@ -573,6 +588,17 @@ def test_check_root_formulas_hold_off_the_surface(monkeypatch):
             with pytest.raises(geo.GeometryError, match="does not solve"):
                 geo._check_root(ev, a, y, h, rhs, None)
             assert seen == [_rebuilt_by_mul(F6, 0x2, a, y, h, rhs)], (a, y, h, rhs)
+
+
+def test_check_root_rejects_a_trivial_vector(monkeypatch):
+    # a rebuilt a solves the system and lies in the span, yet stands for no root
+    a = (1, 0x1A, 1)
+    monkeypatch.setattr(geo, "_rebuild", lambda *args: a)
+    ev = geo.SurfaceEvaluator(0x2, F6)
+    span = {pack_vec(v, 6) for v in build_certificate(a, 0x2, F6).solutions}
+    for solutions in (None, span):
+        with pytest.raises(geo.GeometryError, match="is a trivial solution"):
+            geo._check_root(ev, a, 0x4, 1, [0, 0, 0], solutions)
 
 
 def test_check_root_divides_by_u_beta_and_h():
@@ -741,8 +767,21 @@ def test_cross_validation_runs_no_per_pair_elimination(monkeypatch):
     assert progress == [alpha / 64 for alpha in range(64)] + [1.0]
 
 
+def test_cross_validation_checks_each_span_through_its_basis(monkeypatch):
+    # verify_solution runs once per basis vector of each witness pair's kernel,
+    # whose dimension k comes from the per-triple elimination
+    calls = []
+    verify = dv.verify_solution
+    monkeypatch.setattr(dv, "verify_solution", lambda *args: calls.append(args) or verify(*args))
+    rep = geo.cross_validate(2, F6)
+    dims = [k for k in _count_relation_dims(2, F6, ((a, b) for a in range(64) for b in range(64)))
+            if k >= 2]
+    assert rep["consistent"] and len(dims) == rep["kernel_witness_triples"] == 1680
+    assert len(calls) == sum(dims) == 3556
+
+
 def test_cross_validation_does_not_reverify_vectors_in_the_span(monkeypatch):
-    # every rebuilt vector lies in the span that derivative's own
+    # every rebuilt vector lies in the span whose basis derivative's own
     # verify_solution checked, so geometry's is never asked again: with it
     # rejecting everything, the report does not change
     clean = geo.cross_validate(2, F6)

@@ -59,15 +59,9 @@ def test_basic_arithmetic_examples():
     f3 = make_field(3)
     assert f3.add(0b010, 0b010) == 0
     assert f3.mul(0b010, 0b100) == 0b011  # t * t^2 = t+1 mod t^3+t+1
-    # oracle: exhaustive search for the inverse of t
+    # t * (t^2 + 1) = 1, and no other element inverts t
     inverses = [b for b in range(8) if f3.mul(2, b) == 1]
     assert inverses == [0b101]
-    assert f3.inv(2) == 0b101
-
-
-def test_inverse_of_zero_is_an_error():
-    with pytest.raises(ZeroDivisionError):
-        make_field(3).inv(0)
 
 
 def test_field_axioms_randomized():
@@ -85,7 +79,6 @@ def test_field_axioms_randomized():
             assert ctx.square(ctx.add(a, b)) == ctx.add(ctx.square(a), ctx.square(b))
             assert ctx.pow(a, ctx.q) == a
             if a:
-                assert ctx.mul(a, ctx.inv(a)) == 1
                 assert ctx.pow(a, ctx.q - 1) == 1
 
 
@@ -120,7 +113,7 @@ def _pow_by_square_and_multiply(a, e, modulus):
     return r
 
 
-def test_table_pow_and_inv_match_square_and_multiply():
+def test_table_pow_matches_square_and_multiply():
     for m in range(2, 9):
         ctx = make_field(m)
         q = ctx.q
@@ -128,8 +121,6 @@ def test_table_pow_and_inv_match_square_and_multiply():
         for a in range(q):
             for e in (0, 1, 2, 3, q - 2, q - 1, q, 3 * q + 1):
                 assert ctx.pow(a, e) == _pow_by_square_and_multiply(a, e, ctx.modulus)
-            if a:
-                assert ctx.inv(a) == _pow_by_square_and_multiply(a, q - 2, ctx.modulus)
 
 
 def test_fields_are_built_once():

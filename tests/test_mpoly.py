@@ -208,7 +208,7 @@ def test_resultant_specializes():
                 return 0
             rows[col], rows[piv] = rows[piv], rows[col]
             det = ctx.mul(det, rows[col][col])
-            inv = ctx.inv(rows[col][col])
+            inv = ctx.pow(rows[col][col], ctx.q - 2)
             for i in range(col + 1, n):
                 if rows[i][col]:
                     f = ctx.mul(rows[i][col], inv)
