@@ -16,10 +16,12 @@ certificates build a triple's columns.  Cross-validation eliminates a
 block of the gamma = 1 chart at once (`_chart_kernels`), one bit per pair
 in each word, and gets `_kernel`'s basis at every pair.  A witness is a
 triple whose kernel has dimension >= 2 (at least 4 solutions), packaged as
-a certificate.  Building one checks its basis by direct arithmetic and the
-rest of the span by linearity (`_kernel_solutions`, which cross-validation
-runs as well); re-verifying a loaded one runs no elimination: direct
-arithmetic on each listed solution and the span of the basis.
+a certificate.  Building one checks its basis vectors other than the
+triple, which solves its own system identically, by direct arithmetic and
+the rest of the span by linearity (`_kernel_solutions`, which
+cross-validation runs as well); re-verifying a loaded one runs no
+elimination: direct arithmetic on each listed solution and the span of the
+basis.
 
 The diagonal D = diag(1, s, s^-2), s^7 = 1, and the rotation
 sigma(x, y, z) = (z, x, y) generate a group of order 21 that moves
@@ -110,14 +112,26 @@ def verify_solution(a: Triple, v: Triple, u: int, ctx: FieldCtx) -> bool:
     must not inherit a linear-algebra bug.  Each equation is factored, e.g.
     the first, alpha*x^2 + alpha^2*x + u*gamma*y^2 + u*beta^2*z, as
     alpha*x*(x + alpha) + u*(gamma*y^2 + beta^2*z); in characteristic 2 it
-    vanishes when the two parts are equal.
+    vanishes when the two parts are equal.  With log tables, a product is a
+    sum of logs (mod q - 1 where three add) after a zero test on each factor.
     """
     al, be, ga = a
     x, y, z = v
-    mul, sq = ctx.mul, ctx.square
-    return (mul(al, mul(x, x ^ al)) == mul(u, mul(ga, sq(y)) ^ mul(sq(be), z))
-            and mul(be, mul(y, y ^ be)) == mul(u, mul(al, sq(z)) ^ mul(sq(ga), x))
-            and mul(ga, mul(z, z ^ ga)) == mul(u, mul(be, sq(x)) ^ mul(sq(al), y)))
+    log = ctx._log
+    if log is None:
+        mul, sq = ctx.mul, ctx.square
+        return (mul(al, mul(x, x ^ al)) == mul(u, mul(ga, sq(y)) ^ mul(sq(be), z))
+                and mul(be, mul(y, y ^ be)) == mul(u, mul(al, sq(z)) ^ mul(sq(ga), x))
+                and mul(ga, mul(z, z ^ ga)) == mul(u, mul(be, sq(x)) ^ mul(sq(al), y)))
+    exp, n, lu = ctx._exp2, ctx.q - 1, log[u]
+    for c, s, d, w, e, t in ((al, x, ga, y, be, z), (be, y, al, z, ga, x), (ga, z, be, x, al, y)):
+        # c*s*(s + c) against u*(d*w^2 + e^2*t)
+        lhs = exp[(log[c] + log[s] + log[s ^ c]) % n] if c and s and s != c else 0
+        mid = ((exp[(log[d] + 2 * log[w]) % n] if d and w else 0)
+               ^ (exp[(2 * log[e] + log[t]) % n] if e and t else 0))
+        if lhs != (exp[lu + log[mid]] if u and mid else 0):
+            return False
+    return True
 
 
 # -- the map's columns and its kernel --------------------------------------------
@@ -564,15 +578,17 @@ def _kernel_solutions(a: Triple, basis: list[int], u: int, ctx: FieldCtx) -> set
     """The packed span of a kernel basis of k >= 2 vectors at a, checked through its basis.
 
     `verify_solution`'s equations are F_2-linear in v, so its solutions form
-    a subspace: the span solves them exactly when the k basis vectors do.
-    Raises CertificateError when the basis is dependent, when a basis
-    vector does not solve the system or when a is not in the span, with the
-    flags a certificate records.  contains_zero and count_is_power_of_two
+    a subspace: the span solves them exactly when the basis vectors do, and
+    a goes unchecked, as it solves its own system identically (each equation
+    reads 0 = 0 in characteristic 2, alpha*alpha*0 = u*(gamma*beta^2 +
+    beta^2*gamma)).  Raises CertificateError when the basis is dependent,
+    when a basis vector does not solve the system or when a is not in the
+    span, with the flags a certificate records.  contains_zero and count_is_power_of_two
     hold by construction.
     """
     m, span = ctx.m, _span(basis)
     packed = pack_vec(a, m)
-    solve = all(verify_solution(a, unpack_vec(w, m), u, ctx) for w in basis)
+    solve = all(verify_solution(a, unpack_vec(w, m), u, ctx) for w in basis if w != packed)
     if not (solve and packed in span):
         flags = dict(zip(_REVERIFIED, (solve, True, packed in span, True)))
         raise CertificateError(f"certificate re-verification failed: {flags}")
@@ -583,8 +599,8 @@ def build_certificate(a: Triple, u: int, ctx: FieldCtx) -> WitnessCertificate | 
     """Certificate for a triple with kernel dimension >= 2, else None.
 
     Every invariant is re-established before the certificate is returned,
-    the basis by direct arithmetic (`_kernel_solutions`); a failure there is
-    a hard internal error.
+    the basis by direct arithmetic, a aside (`_kernel_solutions`); a failure
+    there is a hard internal error.
     """
     if a == (0, 0, 0):
         raise ValueError("the difference triple must be nonzero")

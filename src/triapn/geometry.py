@@ -510,7 +510,7 @@ def _check_root(ev: SurfaceEvaluator, a: Triple, y: int, h: int, rhs: list[int],
     """
     v = _rebuild(ev, a, y, h, rhs)
     w = pack_vec(v, ev.ctx.m)
-    # the span solves the system: `_kernel_solutions` checked its basis
+    # the span solves the system: `_kernel_solutions` checked its basis, a aside
     if (solutions is None or w not in solutions) and not verify_solution(a, v, ev.u, ev.ctx):
         raise GeometryError(f"reconstructed vector {v} does not solve the system at {a}")
     if v in ((0, 0, 0), a):
@@ -544,10 +544,11 @@ def cross_validate(u: int, ctx: FieldCtx, progress=None) -> dict:
     block of whole rows, as many as fit in `CHART_LANES` lanes: the whole
     chart at m = 6, 8 rows at m = 9.  It reads out each pair's `_kernel`
     basis of its columns where that has >= 2 vectors.  There
-    `_kernel_solutions` checks that basis as `build_certificate` would,
-    raising its CertificateError, but builds no certificate.  Kernel to
-    surface: such a kernel must have a solution whose y is a surface root
-    outside {0, beta}.  Surface to kernel: every such root must rebuild a
+    `_kernel_solutions` checks that basis as `build_certificate` would, one
+    `verify_solution` per basis vector other than a (a solves its own system
+    identically), raising its CertificateError, but builds no certificate.
+    Kernel to surface: such a kernel must have a solution whose y is a
+    surface root outside {0, beta}.  Surface to kernel: every such root must rebuild a
     nontrivial solution in that span (`_check_root`); one that does settles
     the first direction.  Mismatches list every kernel-to-surface entry
     first, then every surface-to-kernel entry, each in encoding order.

@@ -3,9 +3,12 @@
 import json
 import pathlib
 import random
+import re
 import time
 from collections import Counter
+from functools import reduce
 from itertools import islice
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +152,15 @@ def test_verify_solution_matches_the_difference_of_c_u():
                  if dv.verify_solution(vecs[a], vecs[v], u, F3)
                  != (image[v ^ a] ^ image[v] == image[a])]
         assert not wrong, (u, wrong[:5])
+    # seeded samples where the field has log tables, with the cases their
+    # zero tests and mod q - 1 reductions must get right
+    for m, seed in ((9, 9), (12, 12)):
+        ctx = make_field(m)
+        cases = list(oracle_cases(ctx, random.Random(seed), 60))
+        got = [dv.verify_solution(a, v, u, ctx) for a, v, u in cases]
+        assert got == [difference_is_zero(a, v, u, ctx) for a, v, u in cases], m
+        assert 0 < got.count(False) and 2 * 60 < got.count(True), (m, Counter(got))
+        assert {u for _, _, u in cases} >= {0, 1} and any(0 in v for _, v, _ in cases)
     # a seeded sample where the field has no log tables: solutions from the
     # kernel basis, and random vectors
     ctx = make_field(21)
@@ -162,12 +174,40 @@ def test_verify_solution_matches_the_difference_of_c_u():
         vs = [dv.unpack_vec(w, 21) for w in span]
         vs += [tuple(rng.randrange(ctx.q) for _ in range(3)) for _ in range(4)]
         vs += [(a[0], a[1], a[2] ^ 1), (a[0] ^ 1, a[1], a[2])]
-        ca = dv.eval_cu(*a, u, ctx)
         for v in vs:
-            vpa = tuple(p ^ r for p, r in zip(v, a))
-            diff = [p ^ q ^ r for p, q, r in zip(dv.eval_cu(*vpa, u, ctx),
-                                                 dv.eval_cu(*v, u, ctx), ca)]
-            assert dv.verify_solution(a, v, u, ctx) == (diff == [0, 0, 0]), (a, v)
+            assert dv.verify_solution(a, v, u, ctx) == difference_is_zero(a, v, u, ctx), (a, v)
+
+
+def difference_is_zero(a, v, u, ctx):
+    """The oracle: C_u(v + a) + C_u(v) + C_u(a) = 0, from C_u alone (C_u(0) = 0)."""
+    vpa = tuple(p ^ r for p, r in zip(v, a))
+    return all(p == q ^ r for p, q, r in zip(dv.eval_cu(*vpa, u, ctx), dv.eval_cu(*v, u, ctx),
+                                             dv.eval_cu(*a, u, ctx)))
+
+
+def oracle_cases(ctx, rng, count):
+    """(a, v, u) for count seeded triples a, some coordinates zeroed, u = 0, 1 or random.
+
+    v runs over sums of a's kernel basis (solutions), a itself, a with one
+    bit flipped, and random vectors, each with and without zeroed coordinates.
+    """
+    m, q = ctx.m, ctx.q
+    zeroed = lambda t: tuple(c if rng.randrange(3) else 0 for c in t)
+    for i in range(count):
+        u = (0, 1, rng.randrange(2, q))[i % 3]
+        a = zeroed(tuple(rng.randrange(1, q) for _ in range(3))) if i % 2 else \
+            tuple(rng.randrange(q) for _ in range(3))
+        if a == (0, 0, 0):
+            a = (0, 0, 1)
+        basis = dv.kernel_basis(a, u, ctx)
+        span = [0, *basis] + [reduce(xor, rng.sample(basis, rng.randint(1, len(basis))))
+                              for _ in range(4)]
+        vs = [dv.unpack_vec(w, m) for w in span]
+        vs += [a] + [dv.unpack_vec(dv.pack_vec(a, m) ^ 1 << rng.randrange(3 * m), m)
+                     for _ in range(3)]
+        vs += [tuple(rng.randrange(q) for _ in range(3)) for _ in range(2)]
+        vs += [zeroed(v) for v in vs[:4]]
+        yield from ((a, v, u) for v in vs)
 
 
 def linearized(a, v, u, ctx):
@@ -565,13 +605,46 @@ def test_witness_certificate_roundtrip_and_tamper():
 
 
 def test_certificate_build_checks_the_basis_alone(monkeypatch):
-    # the span of a k = 9 kernel costs 9 calls of verify_solution, not 2^9 - 2
+    # the span of a k = 9 kernel costs 8 calls of verify_solution, not 2^9 - 2:
+    # the basis vectors other than the triple, which solves its own system
     calls = []
     verify = dv.verify_solution
     monkeypatch.setattr(dv, "verify_solution", lambda *args: calls.append(args) or verify(*args))
     cert = _certificate(dv.witness_search(2, make_field(9)))
-    assert cert.kernel_dim == len(calls) == 9
-    assert {args[1] for args in calls} == set(cert.kernel_basis)
+    assert cert.kernel_dim == 9 and cert.triple in cert.kernel_basis and len(calls) == 8
+    assert {args[1] for args in calls} == set(cert.kernel_basis) - {cert.triple}
+
+
+def test_every_triple_solves_its_own_system():
+    # each equation reads 0 = 0 in characteristic 2, so _kernel_solutions need not check a
+    assert all(dv.verify_solution(a, a, u, F3)
+               for u in range(8) for a in (dv.decode_triple(c, 3) for c in range(512)))
+    for m in (12, 21):  # with log tables and without
+        ctx, rng = make_field(m), random.Random(m)
+        for i in range(200):
+            a = tuple(rng.randrange(ctx.q) if rng.randrange(3) else 0 for _ in range(3))
+            assert dv.verify_solution(a, a, (0, 1, rng.randrange(ctx.q))[i % 3], ctx), a
+
+
+def test_kernel_solutions_checks_every_basis_vector_but_the_triple(monkeypatch):
+    a, u = (1, 1, 2), 2  # k = 2, basis {a, b}
+    pa = dv.pack_vec(a, 6)
+    basis = dv.kernel_basis(a, u, F6)
+    (b,) = set(basis) - {pa}
+    # b corrupted, still independent of a: the solve flag fails
+    bad = b ^ 1
+    assert bad not in (0, pa) and not dv.verify_solution(a, dv.unpack_vec(bad, 6), u, F6)
+    flags = dict(zip(dv._REVERIFIED, (False, True, True, True)))
+    with pytest.raises(dv.CertificateError, match=re.escape(str(flags))):
+        dv._kernel_solutions(a, [pa, bad], u, F6)
+    # a only in the span of the basis {b, a + b}: both vectors are checked
+    calls = []
+    verify = dv.verify_solution
+    monkeypatch.setattr(dv, "verify_solution", lambda *args: calls.append(args) or verify(*args))
+    assert dv._kernel_solutions(a, [b, pa ^ b], u, F6) == {0, pa, b, pa ^ b}
+    assert [args[1] for args in calls] == [dv.unpack_vec(b, 6), dv.unpack_vec(pa ^ b, 6)]
+    with pytest.raises(dv.CertificateError, match=re.escape(str(flags))):
+        dv._kernel_solutions(a, [bad, pa ^ bad], u, F6)
 
 
 def test_span_rejects_a_dependent_basis():

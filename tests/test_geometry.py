@@ -768,8 +768,9 @@ def test_cross_validation_runs_no_per_pair_elimination(monkeypatch):
 
 
 def test_cross_validation_checks_each_span_through_its_basis(monkeypatch):
-    # verify_solution runs once per basis vector of each witness pair's kernel,
-    # whose dimension k comes from the per-triple elimination
+    # verify_solution runs once per basis vector of each witness pair's kernel
+    # other than the triple, a basis vector at every pair; the dimension k
+    # comes from the per-triple elimination
     calls = []
     verify = dv.verify_solution
     monkeypatch.setattr(dv, "verify_solution", lambda *args: calls.append(args) or verify(*args))
@@ -777,7 +778,8 @@ def test_cross_validation_checks_each_span_through_its_basis(monkeypatch):
     dims = [k for k in _count_relation_dims(2, F6, ((a, b) for a in range(64) for b in range(64)))
             if k >= 2]
     assert rep["consistent"] and len(dims) == rep["kernel_witness_triples"] == 1680
-    assert len(calls) == sum(dims) == 3556
+    assert len(calls) == sum(k - 1 for k in dims) == 1876
+    assert not any(a == v for a, v, *_ in calls)
 
 
 def test_cross_validation_does_not_reverify_vectors_in_the_span(monkeypatch):
